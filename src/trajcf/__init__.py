@@ -38,8 +38,10 @@ from .projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     project,
+    project_samples,
     reconstruct,
     resample_to_nodes,
+    values_on_nodes,
 )
 from .scoring import (
     PointwiseChristoffel,
@@ -47,7 +49,9 @@ from .scoring import (
     Threshold,
     calibrate,
     classify,
+    classify_batch,
     naive_pointwise_score,
+    nearest_distances,
     nearest_trajectory_score,
 )
 from .synth import SynthSpec, SyntheticExperiment, generate_example1, generate_example2, sample_ball
@@ -62,9 +66,9 @@ __all__ = [
     "cd_values", "christoffel_value", "downdate", "extremal_polynomial",
     "fit", "kernel", "load", "save", "update",
     "CoefficientVector", "SampledTrajectory", "chebyshev_quadrature_nodes",
-    "project", "reconstruct", "resample_to_nodes",
+    "project", "project_samples", "reconstruct", "resample_to_nodes", "values_on_nodes",
     "PointwiseChristoffel", "ScoreReport", "Threshold", "calibrate", "classify",
-    "naive_pointwise_score", "nearest_trajectory_score",
+    "classify_batch", "naive_pointwise_score", "nearest_distances", "nearest_trajectory_score",
     "SynthSpec", "SyntheticExperiment", "generate_example1", "generate_example2",
     "sample_ball",
     "__version__",

@@ -22,6 +22,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +32,13 @@ from . import synth as _synth
 from .errors import InputError, MismatchError, NumericalError
 from .model import TrajectoryDataset
 from .projection import (
-    CoefficientVector,
-    SampledTrajectory,
+    chebyshev_quadrature_nodes,
     default_quad_points,
-    project,
-    reconstruct,
-    resample_to_nodes,
+    project,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
+    project_samples,
+    reconstruct_batch,
+    unit_times,
+    values_on_nodes,
 )
 
 EXIT_OK = 0
@@ -71,6 +73,19 @@ def _cell_float(cell: str, path: str, row: int, col: int) -> float:
         ) from exc
 
 
+def _row_floats(cells, path: str, row: int, first_col: int) -> np.ndarray:
+    """The cells of one row as floats; a bad cell is named as `_cell_float` names it."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        return np.array([_cell_float(c, path, row, first_col + j) for j, c in enumerate(cells)])
+
+
+def _check_width(row, width: int, path: str, r: int) -> None:
+    if len(row) != width:
+        raise InputError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+
+
 def _read_input(path: str):
     """Parse any accepted layout.
 
@@ -79,48 +94,36 @@ def _read_input(path: str):
     """
     rows = _read_rows(path)
     head = rows[0][0].strip().lower()
+    width = len(rows[0])
+    body = rows[1:]
     if head == "t":
         ids = [c.strip() for c in rows[0][1:]]
-        width = len(rows[0])
-        times, values = [], []
-        for r, row in enumerate(rows[1:], start=1):
-            if len(row) != width:
-                raise InputError(
-                    f"{path}: row {r + 1} has {len(row)} cells, expected {width}"
-                )
-            times.append(_cell_float(row[0], path, r, 0))
-            values.append([_cell_float(c, path, r, j + 1) for j, c in enumerate(row[1:])])
-        if times and len(times) < 2:
+        table = np.empty((len(body), width))
+        for r, row in enumerate(body, start=1):
+            _check_width(row, width, path, r)
+            table[r - 1] = _row_floats(row, path, r, 0)
+        if len(body) == 1:
             raise InputError(f"{path}: trajectories need at least 2 sample rows")
-        return "traj", ids, np.asarray(times), np.asarray(values)
+        return "traj", ids, table[:, 0], table[:, 1:]
     if head == "coef":
         ids = [c.strip() for c in rows[0][1:]]
-        width = len(rows[0])
-        coeff_rows = []
-        for r, row in enumerate(rows[1:], start=1):
-            if len(row) != width:
-                raise InputError(
-                    f"{path}: row {r + 1} has {len(row)} cells, expected {width}"
-                )
+        coeffs = np.empty((len(body), width - 1))
+        for r, row in enumerate(body, start=1):
+            _check_width(row, width, path, r)
             k = _cell_float(row[0], path, r, 0)
             if k != r:
                 raise InputError(
                     f"{path}: row {r + 1} says coefficient {k:g}, expected {r}"
                 )
-            coeff_rows.append([_cell_float(c, path, r, j + 1) for j, c in enumerate(row[1:])])
-        coeffs = np.asarray(coeff_rows, dtype=float).T if coeff_rows else np.empty((len(ids), 0))
-        return "coef", ids, coeffs
+            coeffs[r - 1] = _row_floats(row[1:], path, r, 1)
+        return "coef", ids, coeffs.T
     if head == "id":
-        ids, vec_rows = [], []
-        width = len(rows[0])
-        for r, row in enumerate(rows[1:], start=1):
-            if len(row) != width:
-                raise InputError(
-                    f"{path}: row {r + 1} has {len(row)} cells, expected {width}"
-                )
+        ids = []
+        coeffs = np.empty((len(body), width - 1))
+        for r, row in enumerate(body, start=1):
+            _check_width(row, width, path, r)
             ids.append(row[0].strip())
-            vec_rows.append([_cell_float(c, path, r, j + 1) for j, c in enumerate(row[1:])])
-        coeffs = np.asarray(vec_rows, dtype=float) if vec_rows else np.empty((0, width - 1))
+            coeffs[r - 1] = _row_floats(row[1:], path, r, 1)
         return "coef", ids, coeffs
     raise InputError(
         f"{path}: unrecognized header cell {rows[0][0]!r} "
@@ -138,38 +141,54 @@ def _check_times_in_domain(times: np.ndarray, domain, path: str, exc_cls) -> Non
         )
 
 
-def _probes_from_input(parsed, domain, n: int, quad_points, path: str, mismatch_exc):
-    """Uniform probe view: list of (id, CoefficientVector, curve-or-None)."""
+@dataclass(frozen=True)
+class _Batch:
+    """The curves or coefficient rows of one input file, as arrays."""
+
+    ids: list
+    coeffs: np.ndarray                # (K, >= n), one curve per row
+    domain: tuple
+    times: np.ndarray | None = None   # the shared sample grid of a trajectory file
+    values: np.ndarray | None = None  # (T, K) samples, one curve per column
+
+    def on_nodes(self, nodes) -> np.ndarray:
+        """Every curve at unit-interval nodes, (K, M): sampled curves by
+        linear interpolation, coefficient rows as truncated series."""
+        if not self.ids:
+            return np.empty((0, len(nodes)))
+        if self.values is not None:
+            return values_on_nodes(unit_times(self.times, self.domain), self.values, nodes)
+        return reconstruct_batch(self.coeffs, nodes)
+
+
+def _batch_from_input(parsed, domain, n: int, quad_points, path: str, mismatch_exc) -> _Batch:
+    """Curves projected to n coefficients in one pass, or coefficient rows as given."""
     if parsed[0] == "traj":
         _, ids, times, values = parsed
         _check_times_in_domain(times, domain, path, mismatch_exc)
-        probes = []
-        for j, pid in enumerate(ids):
-            traj = SampledTrajectory(times=times, values=values[:, j], id=pid, domain=domain)
-            probes.append((pid, project(traj, n, quad_points), traj))
-        return probes
+        coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
+        return _Batch(ids, coeffs, domain, times, values)
     _, ids, coeffs = parsed
-    return [
-        (pid, CoefficientVector(coeffs=coeffs[j], id=pid), None)
-        for j, pid in enumerate(ids)
-    ]
+    if ids and coeffs.shape[1] == 0:
+        raise InputError("coefficients must form a non-empty 1-D sequence")
+    finite = np.isfinite(coeffs).all(axis=1)
+    if not finite.all():
+        raise InputError(
+            f"coefficient vector contains non-finite entries (id={ids[int(np.argmin(finite))]!r})"
+        )
+    return _Batch(ids, coeffs, domain)
 
 
-def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> TrajectoryDataset:
+def _dataset_from_input(parsed, domain, n: int, quad_points,
+                        path: str) -> tuple[_Batch, TrajectoryDataset]:
     if parsed[0] == "traj":
-        _, ids, times, values = parsed
+        _, ids, times, _values = parsed
         if not ids or times.size == 0:
             raise InputError(f"{path}: no trajectories to fit")
-        _check_times_in_domain(times, domain, path, InputError)
-        trajectories = [
-            SampledTrajectory(times=times, values=values[:, j], id=pid, domain=domain)
-            for j, pid in enumerate(ids)
-        ]
-        return TrajectoryDataset.from_trajectories(trajectories, n, quad_points)
-    _, ids, coeffs = parsed
-    if coeffs.shape[0] == 0 or coeffs.shape[1] == 0:
+    elif parsed[2].shape[0] == 0 or parsed[2].shape[1] == 0:
         raise InputError(f"{path}: no coefficient data to fit")
-    return TrajectoryDataset.from_coefficients(coeffs, domain=domain, ids=ids)
+    batch = _batch_from_input(parsed, domain, n, quad_points, path, InputError)
+    return batch, TrajectoryDataset.from_coefficients(batch.coeffs, domain=domain, ids=batch.ids)
 
 
 def _write_wide_csv(path: str, vectors, n: int) -> None:
@@ -204,17 +223,11 @@ def _write_histogram(path: str, cds) -> None:
             fh.write(f"{float(edges[i])!r} {float(edges[i + 1])!r} {int(cnt)}\n")
 
 
-def _write_overlay(path: str, probes, domain) -> None:
+def _write_overlay(path: str, probes: _Batch) -> None:
     """Plot-ready curves: 201 uniformly spaced points across the domain."""
-    lo, hi = domain
+    lo, hi = probes.domain
     t = np.linspace(lo, hi, 201)
-    unit = np.linspace(-1.0, 1.0, 201)
-    cols, ids = [], []
-    for pid, cv, traj in probes:
-        ids.append(pid)
-        cols.append(resample_to_nodes(traj, unit) if traj is not None
-                    else reconstruct(cv, unit))
-    _write_trajectory_csv(path, ids, t, cols)
+    _write_trajectory_csv(path, probes.ids, t, probes.on_nodes(np.linspace(-1.0, 1.0, 201)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +268,9 @@ def _resolve_threshold(model, args, calibration: TrajectoryDataset | None):
 
 
 def _load_calibration(args, model):
+    """The --calibration file as (batch, dataset), or (None, None) without one."""
     if getattr(args, "calibration", None) is None:
-        return None
+        return None, None
     parsed = _read_input(args.calibration)
     return _dataset_from_input(parsed, model.domain, model.n,
                                getattr(args, "quad_points", None), args.calibration)
@@ -286,7 +300,7 @@ def cmd_fit(args) -> int:
         ("deterministic", args.deterministic),
     ])
     parsed = _read_input(args.input)
-    dataset = _dataset_from_input(parsed, args.domain, args.degree_n, quad, args.input)
+    _, dataset = _dataset_from_input(parsed, args.domain, args.degree_n, quad, args.input)
     model = _model.fit(dataset, args.degree_d, args.degree_n, epsilon=args.epsilon)
     _model.save(model, args.output)
     print(f"# fitted: m={model.size} N={model.sample_count} "
@@ -303,7 +317,7 @@ def cmd_score(args) -> int:
         raise MismatchError(
             f"probe domain {args.domain} does not match the model domain {model.domain}"
         )
-    calibration = _load_calibration(args, model)
+    _, calibration = _load_calibration(args, model)
     threshold, note = _resolve_threshold(model, args, calibration)
     _header("score", [
         ("model", args.model), ("input", args.input),
@@ -315,26 +329,22 @@ def cmd_score(args) -> int:
     if note:
         print(f"# note: {note}")
     parsed = _read_input(args.input)
-    probes = _probes_from_input(parsed, model.domain, model.n,
-                                args.quad_points, args.input, MismatchError)
-    lines = [_scoring.report_header()]
-    cds = []
-    n_out = 0
-    for pid, cv, _traj in probes:
-        rep = _scoring.classify(model, threshold, cv)
-        cds.append(rep.cd)
-        n_out += rep.verdict == "Outlier"
-        lines.append(_scoring.report_line(rep))
-    _emit_report(lines, args.output)
+    probes = _batch_from_input(parsed, model.domain, model.n,
+                               args.quad_points, args.input, MismatchError)
+    reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids)
+    cds = [rep.cd for rep in reports]
+    n_out = sum(rep.verdict == "Outlier" for rep in reports)
+    _emit_report([_scoring.report_header()] + [_scoring.report_line(rep) for rep in reports],
+                 args.output)
     if args.histogram_out:
         _write_histogram(args.histogram_out, cds)
         print(f"# wrote histogram {args.histogram_out}")
     if args.overlay_out:
-        _write_overlay(args.overlay_out, probes, model.domain)
+        _write_overlay(args.overlay_out, probes)
         print(f"# wrote overlay {args.overlay_out}")
     mean = float(np.mean(cds)) if cds else float("nan")
-    print(f"# summary: probes={len(probes)} outliers={n_out} "
-          f"inliers={len(probes) - n_out} mean_cd={mean!r}")
+    print(f"# summary: probes={len(reports)} outliers={n_out} "
+          f"inliers={len(reports) - n_out} mean_cd={mean!r}")
     return EXIT_OK
 
 
@@ -345,12 +355,11 @@ def _absorb(args, op, command: str) -> int:
         ("deterministic", args.deterministic),
     ])
     parsed = _read_input(args.input)
-    probes = _probes_from_input(parsed, model.domain, model.n,
-                                args.quad_points, args.input, InputError)
-    for _pid, cv, _traj in probes:
-        model = op(model, cv)
+    batch = _batch_from_input(parsed, model.domain, model.n,
+                              args.quad_points, args.input, InputError)
+    model = op(model, batch.coeffs)
     _model.save(model, args.output)
-    print(f"# absorbed={len(probes)} N={model.sample_count}")
+    print(f"# absorbed={len(batch.ids)} N={model.sample_count}")
     print(f"# wrote {args.output}")
     return EXIT_OK
 
@@ -392,7 +401,7 @@ def cmd_synth(args) -> int:
 
 def cmd_baseline(args) -> int:
     model = _model.load(args.model)
-    calibration = _load_calibration(args, model)
+    references, calibration = _load_calibration(args, model)
     if calibration is None:
         raise InputError("baseline scoring needs --calibration (the reference database)")
     threshold, note = _resolve_threshold(model, args, calibration)
@@ -410,17 +419,18 @@ def cmd_baseline(args) -> int:
     if note:
         print(f"# note: {note}")
     parsed = _read_input(args.input)
-    probes = _probes_from_input(parsed, model.domain, model.n,
-                                args.quad_points, args.input, MismatchError)
+    probes = _batch_from_input(parsed, model.domain, model.n,
+                               args.quad_points, args.input, MismatchError)
+    nodes = chebyshev_quadrature_nodes(_scoring.NEAREST_QUAD_POINTS)
+    l2 = _scoring.nearest_distances(references.on_nodes(nodes), probes.on_nodes(nodes))
+    reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids,
+                                      baseline_l2=l2)
+    fractions = cloud.fractions_below(probes.on_nodes(cloud.nodes), delta)
     lines = [_scoring.report_header() + ",naive_fraction"]
-    for pid, cv, traj in probes:
-        subject = traj if traj is not None else cv
-        l2 = _scoring.nearest_trajectory_score(calibration, subject)
-        rep = _scoring.classify(model, threshold, cv, baseline_l2=l2)
-        frac = cloud.fraction_below(subject, delta)
+    for rep, frac in zip(reports, fractions.tolist()):
         lines.append(_scoring.report_line(rep) + f",{frac!r}")
     _emit_report(lines, args.output)
-    print(f"# summary: probes={len(probes)}")
+    print(f"# summary: probes={len(reports)}")
     return EXIT_OK
 
 
@@ -549,6 +559,9 @@ def main(argv=None) -> int:
     except MismatchError as exc:
         print(f"trajcf: model/probe mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except np.linalg.LinAlgError as exc:
+        print(f"trajcf: numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"trajcf: i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -100,7 +100,11 @@ class TrajectoryDataset:
 
     @classmethod
     def from_trajectories(cls, trajectories, n: int, quad_points: int | None = None) -> "TrajectoryDataset":
-        """Project curves to n coefficients and pair them up."""
+        """Project curves to n coefficients and pair them up.
+
+        Curves that share a sample grid are projected together by one
+        `project_samples` call.
+        """
         trajectories = list(trajectories)
         if not trajectories:
             raise InputError("a trajectory dataset cannot be empty")
@@ -111,8 +115,13 @@ class TrajectoryDataset:
                     f"trajectories mix domains {domain} and {tr.domain}; "
                     "project them separately"
                 )
+        rows = {}
+        for positions, first, values in _projection.shared_grids(trajectories):
+            rows.update(zip(positions, _projection.project_samples(
+                first.times, values, n, quad_points, domain,
+                ids=[trajectories[i].id for i in positions])))
         entries = tuple(
-            (tr, _projection.project(tr, n, quad_points)) for tr in trajectories
+            (tr, CoefficientVector(rows[i], id=tr.id)) for i, tr in enumerate(trajectories)
         )
         return cls(entries=entries, domain=domain)
 
@@ -141,8 +150,17 @@ def _factor_from_data(V: np.ndarray, N: int, eps: float) -> tuple[np.ndarray, np
     return sig[order] ** 2, QT[order].T
 
 
+def _require_finite(S: np.ndarray) -> None:
+    if not np.all(np.isfinite(S)):
+        raise NumericalError(
+            "the moment matrix has non-finite entries: the monomials of these "
+            "coefficients overflow at this degree"
+        )
+
+
 def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of S/N + eps*I by symmetric eigendecomposition."""
+    _require_finite(S)
     M = S / N
     M = (M + M.T) / 2.0
     if eps > 0.0:
@@ -164,11 +182,21 @@ def _require_invertible(s: np.ndarray, eps: float) -> None:
         )
 
 
+# Rows per block in `_cd_from_factor`; bounds its temporaries to
+# CD_BLOCK_ROWS x m floats whatever the batch size.
+CD_BLOCK_ROWS = 256
+
+
 def _cd_from_factor(s: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Quadratic forms v^T (Q diag(s) Q^T)^{-1} v for each row v of V."""
-    W = Q.T @ V.T
+    out = np.empty(V.shape[0])
     with np.errstate(over="ignore", divide="ignore"):  # inf is a valid verdict
-        return np.sum(W * W / s[:, None], axis=0)
+        for start in range(0, V.shape[0], CD_BLOCK_ROWS):
+            W = V[start:start + CD_BLOCK_ROWS] @ Q
+            W *= W
+            W /= s
+            out[start:start + CD_BLOCK_ROWS] = W.sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +238,8 @@ class ChristoffelModel:
 
     def _probe_matrix(self, coeffs) -> np.ndarray:
         """Monomial vectors of one or many probes, with mismatch checks."""
+        if isinstance(coeffs, CoefficientVector):
+            coeffs = coeffs.coeffs
         arr = np.asarray(coeffs, dtype=float)
         single = arr.ndim == 1
         if single:
@@ -243,13 +273,15 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         Empty dataset, short coefficient vectors, invalid degrees or
         epsilon, basis cap exceeded.
     NumericalError
-        Singular moment matrix at epsilon = 0.
+        Singular moment matrix at epsilon = 0, or monomials that overflow.
     """
     bas = enumerate_basis(d, n)
     C = data.coefficient_matrix(bas.n)
     N = len(data)
-    V = eval_monomial_matrix(C, bas)
-    S = V.T @ V
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        V = eval_monomial_matrix(C, bas)
+        S = V.T @ V
+    _require_finite(S)
     S = (S + S.T) / 2.0
     if epsilon is None:
         eps = default_epsilon(S, N)
@@ -320,51 +352,61 @@ def extremal_polynomial(model: ChristoffelModel, h) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def update(model: ChristoffelModel, c_new) -> ChristoffelModel:
-    """Absorb one trajectory: S += v v^T, N += 1, refactorize.
+    """Absorb one trajectory or a (k, n) batch: S += V^T V, N += k, refactorize once.
 
-    Exact bookkeeping plus an O(m^3) refactorization: with eps > 0 the
-    regularized matrix is not a rank-one perturbation of its predecessor
+    Exact bookkeeping plus one O(m^3) refactorization: with eps > 0 the
+    regularized matrix is not a low-rank perturbation of its predecessor
     (the shift rescales with N), so refactorizing is the correct default.
-    For the eps = 0 fast path see `cd_value_after_update`.
+    An empty batch returns ``model`` itself.  For the eps = 0 fast path
+    see `cd_value_after_update`.
     """
-    V = model._probe_matrix(coeff_array(c_new))
-    S = model.moment_sum + np.outer(V[0], V[0])
-    S = (S + S.T) / 2.0
-    N = model.sample_count + 1
-    s, Q = _factor_from_moments(S, N, model.epsilon)
-    _require_invertible(s, model.epsilon)
-    return replace(
-        model, sample_count=N, moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        provenance="update(eigh-moments)",
-    )
+    V = model._probe_matrix(c_new)
+    if V.shape[0] == 0:
+        return model
+    grown = _refactored(model, model.moment_sum + V.T @ V, model.sample_count + V.shape[0],
+                        "update")
+    _require_invertible(grown.eigenvalues, grown.epsilon)
+    return grown
 
 
 def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
-    """Remove one absorbed trajectory: S -= v v^T, N -= 1, refactorize.
+    """Remove one absorbed trajectory or a (k, n) batch: S -= V^T V, N -= k,
+    refactorize once.
 
-    Fails if the decrement breaks positive semidefiniteness (i.e. the
-    trajectory was never absorbed) or, at eps = 0, leaves a singular
-    matrix.
+    Fails if fewer than one trajectory would remain, if the final S is not
+    positive semidefinite (a row was never absorbed) or, at eps = 0, if it
+    is singular.  Both matrix checks run once, on the final S.  An empty
+    batch returns ``model`` itself.
     """
-    if model.sample_count < 2:
-        raise InputError("cannot downdate below one absorbed trajectory")
-    V = model._probe_matrix(coeff_array(c_old))
-    S = model.moment_sum - np.outer(V[0], V[0])
-    S = (S + S.T) / 2.0
-    N = model.sample_count - 1
-    s, Q = _factor_from_moments(S, N, model.epsilon)
+    V = model._probe_matrix(c_old)
+    if V.shape[0] == 0:
+        return model
+    N = model.sample_count - V.shape[0]
+    if N < 1:
+        raise InputError(
+            f"cannot downdate below one absorbed trajectory "
+            f"({V.shape[0]} removed from {model.sample_count})"
+        )
+    shrunk = _refactored(model, model.moment_sum - V.T @ V, N, "downdate")
     # Smallest eigenvalue of S itself, recovered from the shifted spectrum.
-    smin_S = N * (float(s[0]) - model.epsilon)
-    tol = 1e-10 * max(float(np.trace(S)), 1.0)
+    smin_S = N * (float(shrunk.eigenvalues[0]) - model.epsilon)
+    tol = 1e-10 * max(float(np.trace(shrunk.moment_sum)), 1.0)
     if smin_S < -tol:
         raise NumericalError(
             f"downdate breaks positive semidefiniteness (eigenvalue {smin_S:.6e}); "
             f"the trajectory does not belong to the absorbed set"
         )
-    _require_invertible(s, model.epsilon)
+    _require_invertible(shrunk.eigenvalues, model.epsilon)
+    return shrunk
+
+
+def _refactored(model: ChristoffelModel, S: np.ndarray, N: int, operation: str) -> ChristoffelModel:
+    """The model with moment sum S over N trajectories, refactorized."""
+    S = (S + S.T) / 2.0
+    s, Q = _factor_from_moments(S, N, model.epsilon)
     return replace(
         model, sample_count=N, moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        provenance="downdate(eigh-moments)",
+        provenance=f"{operation}(eigh-moments)",
     )
 
 
@@ -503,6 +545,8 @@ def load(source) -> ChristoffelModel:
             f"({len(matrix_rows)} rows found)"
         )
     S = np.array(matrix_rows, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise InputError("model file moment matrix has non-finite entries")
     if N < 1:
         raise InputError(f"model file sample count must be >= 1, got {N}")
     if eps < 0.0 or not math.isfinite(eps):

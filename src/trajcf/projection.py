@@ -19,7 +19,7 @@ source for coarse grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numpy.polynomial import chebyshev as _cheb
 
 import numpy as np
@@ -63,32 +63,47 @@ class SampledTrajectory:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise InputError("times and values must be 1-D sequences of equal length")
-        if t.size < 2:
-            raise InputError("a trajectory needs at least 2 samples")
-        if not np.all(np.isfinite(t)):
-            raise InputError("trajectory times contain non-finite entries")
-        if np.any(np.diff(t) <= 0):
-            raise InputError(f"trajectory times must be strictly increasing (id={self.id!r})")
-        lo, hi = float(self.domain[0]), float(self.domain[1])
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise InputError(f"invalid domain interval ({lo}, {hi})")
-        span = hi - lo
-        if t[0] < lo - 1e-12 * span or t[-1] > hi + 1e-12 * span:
-            raise InputError(
-                f"trajectory times [{t[0]}, {t[-1]}] leave the declared domain [{lo}, {hi}]"
-            )
+        domain = _check_grid(t, self.domain, self.id)
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "domain", domain)
 
     def unit_times(self) -> np.ndarray:
         """Sample times mapped affinely onto [-1, 1]."""
-        lo, hi = self.domain
-        if lo == -1.0 and hi == 1.0:  # identity map: keep times bit-exact
-            return self.times
-        return 2.0 * (self.times - lo) / (hi - lo) - 1.0
+        return unit_times(self.times, self.domain)
+
+
+def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]:
+    """Validate a sample grid against its domain; returns the domain as floats.
+
+    The grid needs at least 2 finite, strictly increasing times inside
+    ``domain``; ``curve_id`` names the curve in the messages.
+    """
+    if times.size < 2:
+        raise InputError("a trajectory needs at least 2 samples")
+    if not np.all(np.isfinite(times)):
+        raise InputError("trajectory times contain non-finite entries")
+    if np.any(np.diff(times) <= 0):
+        raise InputError(f"trajectory times must be strictly increasing (id={curve_id!r})")
+    lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise InputError(f"invalid domain interval ({lo}, {hi})")
+    span = hi - lo
+    if times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span:
+        raise InputError(
+            f"trajectory times [{times[0]}, {times[-1]}] leave the declared domain [{lo}, {hi}]"
+        )
+    return lo, hi
+
+
+def unit_times(times: np.ndarray, domain) -> np.ndarray:
+    """Sample times mapped affinely from ``domain`` onto [-1, 1]."""
+    lo, hi = domain
+    if lo == -1.0 and hi == 1.0:  # identity map: keep times bit-exact
+        return times
+    return 2.0 * (times - lo) / (hi - lo) - 1.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,7 @@ class CoefficientVector:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise InputError("coefficients must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InputError(f"coefficient vector contains non-finite entries (id={self.id!r})")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -137,6 +152,43 @@ def chebyshev_quadrature_nodes(M: int) -> np.ndarray:
     return np.cos((2.0 * j - 1.0) * math.pi / (2.0 * M))
 
 
+def _left_samples(unit_times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Index j of the sample interval [t_j, t_{j+1}) holding each node:
+    -1 before the first sample, T - 1 from the last sample on."""
+    return np.searchsorted(unit_times, nodes, side="right") - 1
+
+
+def values_on_nodes(unit_times: np.ndarray, values, nodes) -> np.ndarray:
+    """Piecewise-linear values of curves sampled on one grid, at unit-interval nodes.
+
+    Parameters
+    ----------
+    unit_times : ndarray, shape (T,)
+        The shared sample grid, already mapped onto [-1, 1].
+    values : array_like, shape (T, K)
+        One curve per column.
+    nodes : array_like, shape (M,)
+
+    Returns
+    -------
+    ndarray, shape (K, M)
+        Nodes beyond the sampled range take the nearest endpoint value.
+        Each entry is computed with the arithmetic of ``np.interp``, so a
+        curve gets the same values bit for bit whatever batch it is in.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    rows = np.asarray(values, dtype=float).T
+    T = unit_times.size
+    j = _left_samples(unit_times, nodes)
+    jc = np.clip(j, 0, T - 2)
+    dy = np.diff(rows, axis=1)
+    dx = np.diff(unit_times)
+    out = (dy / dx)[:, jc] * (nodes - unit_times[jc]) + rows[:, jc]
+    out[:, j < 0] = rows[:, :1]
+    out[:, j >= T - 1] = rows[:, -1:]
+    return out
+
+
 def resample_to_nodes(traj: SampledTrajectory, nodes) -> np.ndarray:
     """Piecewise-linear sample values at the given unit-interval nodes.
 
@@ -148,9 +200,84 @@ def resample_to_nodes(traj: SampledTrajectory, nodes) -> np.ndarray:
         raise InputError("resampling nodes must lie within [-1, 1]")
     if not np.all(np.isfinite(traj.values)):
         raise InputError(f"trajectory values contain non-finite entries (id={traj.id!r})")
-    # np.interp clamps to the end values outside the sampled range, which is
-    # exactly the documented endpoint rule.
-    return np.interp(nodes, traj.unit_times(), traj.values)
+    return values_on_nodes(traj.unit_times(), traj.values[:, None], nodes)[0]
+
+
+def _quad_points(n: int, quad_points: int | None) -> int:
+    """Validate the truncation n; return the quadrature point count M for it."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InputError(f"harmonic truncation must be an integer >= 1, got {n!r}")
+    if n > MAX_HARMONIC:
+        raise InputError(f"harmonic truncation {n} exceeds the cap of {MAX_HARMONIC}")
+    M = default_quad_points(n) if quad_points is None else quad_points
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 2:
+        raise InputError(f"quadrature point count must be an integer >= 2, got {M!r}")
+    if M < n:
+        raise InputError(
+            f"{M} quadrature points cannot resolve {n} coefficients (need M >= n)"
+        )
+    return int(M)
+
+
+def _projection_operator(unit_times: np.ndarray, n: int, M: int) -> np.ndarray:
+    """The (n, T) matrix taking samples on a grid to n orthonormal coefficients.
+
+    Row k is (1/M) sum_j e_k(t_j) w_j, where w_j holds the linear
+    interpolation weights of node t_j on the grid: the quadrature of
+    `project` with the resampling folded in.
+    """
+    nodes = chebyshev_quadrature_nodes(M)
+    T = unit_times.size
+    jc = np.clip(_left_samples(unit_times, nodes), 0, T - 2)
+    right = np.clip((nodes - unit_times[jc]) / (unit_times[jc + 1] - unit_times[jc]), 0.0, 1.0)
+    # chebvander columns are T_0 .. T_{n-1}, evaluated by the stable recurrence.
+    E = _cheb.chebvander(nodes, n - 1) / M
+    if n > 1:
+        E[:, 1:] *= math.sqrt(2.0)
+    op = np.zeros((T, n))
+    np.add.at(op, jc, E * (1.0 - right)[:, None])
+    np.add.at(op, jc + 1, E * right[:, None])
+    return op.T
+
+
+def project_samples(times, values, n: int, quad_points: int | None = None,
+                    domain=(-1.0, 1.0), ids=None) -> np.ndarray:
+    """Project curves sampled on one shared grid onto n orthonormal coefficients.
+
+    Parameters
+    ----------
+    times : array_like, shape (T,)
+        Strictly increasing sample times inside ``domain``.
+    values : array_like, shape (T, K)
+        One curve per column.
+    n, quad_points
+        As for `project`.
+    domain : (float, float)
+    ids : sequence of str, optional
+        Curve labels, used to name a curve with non-finite samples.
+
+    Returns
+    -------
+    ndarray, shape (K, n)
+        Row k equals ``project`` of curve k: one (n x T) operator applied
+        to all columns at once.
+    """
+    M = _quad_points(n, quad_points)
+    t = np.asarray(times, dtype=float)
+    V = np.asarray(values, dtype=float)
+    if t.ndim != 1 or V.ndim != 2 or V.shape[0] != t.size:
+        raise InputError(f"expected samples of shape ({t.size}, K), got {V.shape}")
+    if V.shape[1] == 0:
+        return np.empty((0, int(n)))
+    domain = _check_grid(t, domain, None if ids is None else ids[0])
+    finite = np.isfinite(V).all(axis=0)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InputError(
+            f"trajectory values contain non-finite entries "
+            f"(id={None if ids is None else ids[bad]!r})"
+        )
+    return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
 
 
 def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> CoefficientVector:
@@ -169,27 +296,27 @@ def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> 
     -------
     CoefficientVector
         Entry 1 is the quadrature mean of f; entry k >= 2 is
-        (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).
+        (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  A one-column call of
+        `project_samples`.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InputError(f"harmonic truncation must be an integer >= 1, got {n!r}")
-    if n > MAX_HARMONIC:
-        raise InputError(f"harmonic truncation {n} exceeds the cap of {MAX_HARMONIC}")
-    M = default_quad_points(n) if quad_points is None else quad_points
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 2:
-        raise InputError(f"quadrature point count must be an integer >= 2, got {M!r}")
-    if M < n:
-        raise InputError(
-            f"{M} quadrature points cannot resolve {n} coefficients (need M >= n)"
-        )
-    nodes = chebyshev_quadrature_nodes(int(M))
-    fvals = resample_to_nodes(traj, nodes)
-    # chebvander columns are T_0 .. T_{n-1}, evaluated by the stable recurrence.
-    T = _cheb.chebvander(nodes, n - 1)
-    c = T.T @ fvals / M
-    if n > 1:
-        c[1:] *= math.sqrt(2.0)
-    return CoefficientVector(coeffs=c, id=traj.id)
+    c = project_samples(traj.times, traj.values[:, None], n, quad_points,
+                        traj.domain, ids=[traj.id])
+    return CoefficientVector(coeffs=c[0], id=traj.id)
+
+
+def shared_grids(trajectories):
+    """Group curves by sample grid and domain.
+
+    Yields ``(positions, first, values)``: the positions of one group's
+    curves in ``trajectories``, its first curve (for the grid and domain)
+    and the group's samples stacked as a (T, K) matrix.
+    """
+    groups: dict = {}
+    for i, tr in enumerate(trajectories):
+        groups.setdefault((tr.times.tobytes(), tr.domain), []).append(i)
+    for positions in groups.values():
+        first = trajectories[positions[0]]
+        yield positions, first, np.stack([trajectories[i].values for i in positions], axis=1)
 
 
 def reconstruct(c, t):

@@ -35,8 +35,9 @@ from .projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     coeff_array,
-    reconstruct,
-    resample_to_nodes,
+    reconstruct_batch,
+    shared_grids,
+    values_on_nodes,
 )
 
 DEFAULT_QUANTILE = 0.999
@@ -150,63 +151,119 @@ def classify(
     """Score one probe and compare against the threshold.
 
     Ties sit on the inlier side: a probe is an outlier only when its CD
-    value strictly exceeds tau.
+    value strictly exceeds tau.  A one-row call of `classify_batch`.
     """
-    cd = _model.cd_value(model, c)
-    chris = 0.0 if not math.isfinite(cd) else (1.0 / cd if cd > 0.0 else math.inf)
-    verdict = "Outlier" if cd > threshold.value else "Inlier"
     probe_id = c.id if isinstance(c, CoefficientVector) else None
-    return ScoreReport(
-        id=probe_id, cd=cd, christoffel=chris,
-        threshold=threshold.value, verdict=verdict, baseline_l2=baseline_l2,
-    )
+    return classify_batch(
+        model, threshold, coeff_array(c)[None, :], ids=[probe_id],
+        baseline_l2=None if baseline_l2 is None else [baseline_l2],
+    )[0]
+
+
+def classify_batch(
+    model: ChristoffelModel,
+    threshold: Threshold,
+    coeffs,
+    ids=None,
+    baseline_l2=None,
+) -> list[ScoreReport]:
+    """Score the rows of a (K, >= n) coefficient matrix with one `cd_values` call.
+
+    ``ids`` and ``baseline_l2`` are optional per-row sequences carried
+    into the reports.
+    """
+    cds = _model.cd_values(model, coeffs)
+    reports = []
+    for i, cd in enumerate(cds.tolist()):
+        chris = 0.0 if not math.isfinite(cd) else (1.0 / cd if cd > 0.0 else math.inf)
+        reports.append(ScoreReport(
+            id=None if ids is None else ids[i], cd=cd, christoffel=chris,
+            threshold=threshold.value,
+            verdict="Outlier" if cd > threshold.value else "Inlier",
+            baseline_l2=None if baseline_l2 is None else float(baseline_l2[i]),
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # baselines
 # ---------------------------------------------------------------------------
 
-def _values_on_nodes(obj, nodes: np.ndarray, prefer_coeffs: bool) -> np.ndarray:
-    """Evaluate a dataset entry or probe at unit-interval nodes.
+# Gauss-Chebyshev points of the nearest-trajectory distance.
+NEAREST_QUAD_POINTS = 256
 
-    ``obj`` may be a SampledTrajectory, a CoefficientVector, a raw
-    coefficient sequence, or a dataset entry pair.  Curves are linearly
-    interpolated; coefficient vectors are evaluated exactly as truncated
-    series.  ``prefer_coeffs`` picks which representation wins when a
-    dataset entry carries both.
+
+def _subject_values(subjects, nodes: np.ndarray) -> np.ndarray:
+    """Curves and coefficient vectors evaluated at unit-interval nodes, (K, M).
+
+    Curves are linearly interpolated, all curves on one grid together;
+    coefficient vectors (or raw sequences) are evaluated exactly as
+    truncated series, all together, shorter ones padded with zeros.
     """
-    if isinstance(obj, tuple) and len(obj) == 2:
-        traj, coeffs = obj
-        if prefer_coeffs:
-            obj = coeffs if coeffs is not None else traj
-        else:
-            obj = traj if traj is not None else coeffs
-    if isinstance(obj, SampledTrajectory):
-        return resample_to_nodes(obj, nodes)
-    return reconstruct(coeff_array(obj), nodes)
+    out = np.empty((len(subjects), nodes.size))
+    curves = [i for i, sub in enumerate(subjects) if isinstance(sub, SampledTrajectory)]
+    for positions, first, values in shared_grids([subjects[i] for i in curves]):
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            bad = subjects[curves[positions[int(np.argmin(finite))]]]
+            raise InputError(f"trajectory values contain non-finite entries (id={bad.id!r})")
+        out[[curves[p] for p in positions]] = values_on_nodes(first.unit_times(), values, nodes)
+    series = [i for i, sub in enumerate(subjects) if not isinstance(sub, SampledTrajectory)]
+    if series:
+        rows = [coeff_array(subjects[i]) for i in series]
+        C = np.zeros((len(rows), max(r.size for r in rows)))
+        for k, r in enumerate(rows):
+            C[k, : r.size] = r
+        out[series] = reconstruct_batch(C, nodes)
+    return out
+
+
+def nearest_distances(reference_values, probe_values) -> np.ndarray:
+    """Smallest quadrature-weighted L2 distance from each probe to any reference.
+
+    Both arguments hold curves evaluated on the same Gauss-Chebyshev grid,
+    one per row; the distance uses the probability weight,
+    ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  All distances come
+    from one product ||f||^2 - 2 f.g + ||g||^2 per block of probes; the
+    references within its rounding error of the smallest are then measured
+    exactly, so a probe that is a reference scores exactly 0.
+    """
+    G = np.asarray(reference_values, dtype=float)
+    F = np.asarray(probe_values, dtype=float)
+    if G.shape[0] == 0:
+        raise InputError("nearest-trajectory score needs a non-empty database")
+    M = G.shape[1]
+    gg = np.einsum("ij,ij->i", G, G) / M
+    out = np.empty(F.shape[0])
+    for start in range(0, F.shape[0], _model.CD_BLOCK_ROWS):
+        block = F[start:start + _model.CD_BLOCK_ROWS]
+        ff = np.einsum("ij,ij->i", block, block) / M
+        approx = ff[:, None] - (2.0 / M) * (block @ G.T) + gg
+        slack = 1e-12 * (ff + gg.max())
+        for i, row in enumerate(approx):
+            # a row that overflowed to inf or nan keeps every reference a candidate
+            near = np.flatnonzero(~(row > row.min() + slack[i]))
+            out[start + i] = np.min(np.mean((G[near] - block[i]) ** 2, axis=1))
+    return np.sqrt(out)
 
 
 def nearest_trajectory_score(
-    data: TrajectoryDataset, f, quad_points: int = 256
+    data: TrajectoryDataset, f, quad_points: int = NEAREST_QUAD_POINTS
 ) -> float:
     """Smallest quadrature-weighted L2 distance from the probe to the database.
 
     Probe and references are all evaluated on the same Gauss-Chebyshev grid
     (curves by linear interpolation, so a probe that *is* a database curve
     scores exactly 0), and the distance uses the probability weight:
-    ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.
+    ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  A one-probe call of
+    `nearest_distances`.
     """
     if len(data) == 0:
         raise InputError("nearest-trajectory score needs a non-empty database")
     nodes = chebyshev_quadrature_nodes(quad_points)
-    fvals = _values_on_nodes(f, nodes, prefer_coeffs=False)
-    best = math.inf
-    for entry in data.entries:
-        gvals = _values_on_nodes(entry, nodes, prefer_coeffs=False)
-        dist2 = float(np.mean((fvals - gvals) ** 2))
-        if dist2 < best:
-            best = dist2
-    return math.sqrt(best)
+    references = [tr if tr is not None else cv for tr, cv in data.entries]
+    return float(nearest_distances(_subject_values(references, nodes),
+                                   _subject_values([f], nodes))[0])
 
 
 @dataclass(frozen=True)
@@ -231,8 +288,7 @@ class PointwiseChristoffel:
         if len(data) == 0:
             raise InputError("the pointwise baseline needs a non-empty database")
         nodes = chebyshev_quadrature_nodes(quad_points)
-        rows = [_values_on_nodes(entry, nodes, prefer_coeffs=True) for entry in data.entries]
-        G = np.stack(rows)                      # (N, M) curve values
+        G = _subject_values([cv for _, cv in data.entries], nodes)  # (N, M) curve values
         bas = enumerate_basis(d2, 2)
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):
@@ -248,21 +304,32 @@ class PointwiseChristoffel:
             epsilon=eps, cloud_floor=floor,
         )
 
+    def profiles(self, values) -> np.ndarray:
+        """Pointwise Christoffel values Lambda(t_j, f(t_j)) of many probes.
+
+        ``values`` holds each probe's values on ``self.nodes``, one probe
+        per row; all probes share one monomial evaluation.
+        """
+        F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
+        pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
+        cd = _model._cd_from_factor(self.eigenvalues, self.eigenvectors,
+                                    eval_monomial_matrix(pts, enumerate_basis(self.d2, 2)))
+        return (1.0 / cd).reshape(F.shape)
+
     def profile(self, f) -> np.ndarray:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) along the probe."""
-        fvals = _values_on_nodes(f, self.nodes, prefer_coeffs=True)
-        bas = enumerate_basis(self.d2, 2)
-        pts = np.stack([self.nodes, fvals], axis=1)
-        cd = _model._cd_from_factor(self.eigenvalues, self.eigenvectors,
-                                    eval_monomial_matrix(pts, bas))
-        return 1.0 / cd
+        return self.profiles(_subject_values([f], self.nodes))[0]
+
+    def fractions_below(self, values, delta: float) -> np.ndarray:
+        """Per probe row of `profiles` input, the fraction of nodes where
+        the pointwise value drops under delta."""
+        if delta < 0.0 or not math.isfinite(delta):
+            raise InputError(f"delta must be finite and >= 0, got {delta!r}")
+        return np.mean(self.profiles(values) < delta, axis=1)
 
     def fraction_below(self, f, delta: float) -> float:
         """Fraction of nodes where the probe's pointwise value drops under delta."""
-        if delta < 0.0 or not math.isfinite(delta):
-            raise InputError(f"delta must be finite and >= 0, got {delta!r}")
-        lam = self.profile(f)
-        return float(np.mean(lam < delta))
+        return float(self.fractions_below(_subject_values([f], self.nodes), delta)[0])
 
 
 def naive_pointwise_score(

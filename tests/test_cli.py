@@ -307,3 +307,113 @@ def test_info_prints_the_metadata(ws, capsys):
     assert "N 120" in text
     assert "domain -1:1" in text
     assert "provenance fit" in text
+
+
+# --- batched data plane ------------------------------------------------------------
+
+REPORT_HEADER = "id,cd,christoffel,threshold,verdict,baseline_l2"
+
+
+@pytest.mark.parametrize("text", ["t\n", "t\n-1\n0\n1\n"])
+def test_trajectory_file_without_curves_gives_header_only_reports(ws, tmp_path, text):
+    src = tmp_path / "none.csv"
+    src.write_text(text)
+    rep, brep = tmp_path / "rep.csv", tmp_path / "brep.csv"
+    assert main(["score", "--model", ws["model"], "--input", str(src),
+                 "--output", str(rep)]) == 0
+    assert rep.read_text().splitlines() == [REPORT_HEADER]
+    assert main(["baseline", "--model", ws["model"], "--input", str(src),
+                 "--calibration", ws["data"], "--output", str(brep)]) == 0
+    assert brep.read_text().splitlines() == [REPORT_HEADER + ",naive_fraction"]
+
+
+def test_curve_ids_without_sample_rows_are_an_input_error(ws, tmp_path):
+    src = tmp_path / "ids.csv"
+    src.write_text("t,a,b\n")
+    assert main(["score", "--model", ws["model"], "--input", str(src)]) == 2
+
+
+def test_nan_sample_is_an_input_error_naming_the_curve(ws, tmp_path, capsys):
+    src = tmp_path / "nan.csv"
+    src.write_text("t,a,b\n-1,0.1,0.2\n0,0.3,nan\n1,0.5,0.6\n")
+    for argv in (["score", "--model", ws["model"]],
+                 ["fit", "--output", str(tmp_path / "m.txt")]):
+        capsys.readouterr()
+        assert main(argv + ["--input", str(src)]) == 2
+        assert "id='b'" in capsys.readouterr().err
+
+
+def test_probe_times_outside_the_model_domain(ws, tmp_path):
+    src = tmp_path / "late.csv"
+    src.write_text("t,a\n0,0.1\n1,0.2\n2,0.3\n")
+    assert main(["score", "--model", ws["model"], "--input", str(src)]) == 4
+    assert main(["update", "--model", ws["model"], "--input", str(src),
+                 "--output", str(tmp_path / "u.txt")]) == 2
+
+
+def test_downdate_batch_with_a_row_never_absorbed_is_a_numerical_error(ws, tmp_path, capsys):
+    lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    src = tmp_path / "mixed.csv"
+    src.write_text("\n".join(lines[:4] + ["stranger,3.0,3.0,-3.0,3.0,0.0"]) + "\n")
+    assert main(["downdate", "--model", ws["model"], "--input", str(src),
+                 "--output", str(tmp_path / "d.txt")]) == 3
+    assert "semidefinite" in capsys.readouterr().err
+
+
+def test_scoring_evaluates_monomials_once_per_stage_whatever_the_probe_count(
+        ws, tmp_path, monkeypatch):
+    import trajcf.basis
+    import trajcf.model
+    import trajcf.scoring
+
+    calls = []
+    original = trajcf.basis.eval_monomial_matrix
+
+    def counting(coeffs, basis):
+        calls.append(len(coeffs))
+        return original(coeffs, basis)
+
+    monkeypatch.setattr(trajcf.model, "eval_monomial_matrix", counting)
+    monkeypatch.setattr(trajcf.scoring, "eval_monomial_matrix", counting)
+    lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    counts = []
+    for k in (7, 70):
+        src = tmp_path / f"probes{k}.csv"
+        src.write_text("\n".join(lines[: k + 1]) + "\n")
+        calls.clear()
+        assert main(["score", "--model", ws["model"], "--input", str(src),
+                     "--calibration", ws["data"], "--output", str(tmp_path / "r.csv")]) == 0
+        counts.append(len(calls))
+        assert k in calls
+    assert counts[0] == counts[1]
+
+
+def test_fit_on_overflowing_coefficients_is_a_numerical_error(tmp_path, capsys):
+    src = tmp_path / "huge.csv"
+    src.write_text("id,c1,c2\na,1e80,-1e80\nb,2e80,1e80\nc,-1e80,3e80\n")
+    assert main(["fit", "--input", str(src), "--output", str(tmp_path / "m.txt"),
+                 "--degree-d", "4", "--degree-n", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "Traceback" not in err
+
+
+def test_model_with_nan_moments_is_an_input_error(ws, tmp_path):
+    import hashlib
+    payload = open(ws["model"], encoding="utf-8").read().splitlines()[:-1]
+    row = payload.index("S") + 2
+    cells = payload[row].split()
+    cells[1] = "nan"
+    payload[row] = " ".join(cells)
+    text = "\n".join(payload) + "\n"
+    bad = tmp_path / "nan-model.txt"
+    bad.write_text(text + f"checksum sha256 {hashlib.sha256(text.encode()).hexdigest()}\n")
+    assert main(["score", "--model", str(bad), "--input", ws["outlier"]]) == 2
+
+
+def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["info", "--model", ws["model"]]) == 3
+    assert "numerical error" in capsys.readouterr().err

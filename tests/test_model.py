@@ -366,3 +366,77 @@ def test_dataset_rejects_mixed_domains():
 def test_dataset_keeps_ids():
     data = TrajectoryDataset.from_coefficients([[1.0], [2.0]], ids=["a", "b"])
     assert [cv.id for cv in data.coefficient_vectors] == ["a", "b"]
+
+
+def _retag(text: str, edit) -> str:
+    """A model file's text with ``edit`` applied to its payload lines and
+    the checksum recomputed, so only the edit is wrong."""
+    import hashlib
+    payload = "\n".join(edit(text.splitlines()[:-1])) + "\n"
+    return payload + f"checksum sha256 {hashlib.sha256(payload.encode()).hexdigest()}\n"
+
+
+def test_load_rejects_non_finite_moments_behind_a_valid_checksum():
+    model = fit(gaussian_dataset(10, 3, seed=55), 1, 3)  # m = 4
+
+    def poison(lines):
+        row = lines.index("S") + 2
+        cells = lines[row].split()
+        cells[1] = "nan"
+        lines[row] = " ".join(cells)
+        return lines
+
+    with pytest.raises(InputError, match="non-finite"):
+        load(io.StringIO(_retag(dumps(model), poison)))
+
+
+def test_fit_with_overflowing_monomials_is_a_numerical_error():
+    data = TrajectoryDataset.from_coefficients(np.full((5, 2), 1e80) * [[1.0, -1.0]])
+    with pytest.raises(NumericalError, match="non-finite"):
+        fit(data, 4, 2)
+
+
+# --- batched update / downdate -------------------------------------------------
+
+def test_batch_update_and_downdate_match_the_sequential_loop():
+    rng = np.random.default_rng(60)
+    model = fit(gaussian_dataset(200, 3, seed=60), 3, 3)
+    rows = rng.normal(size=(25, 3))
+    looped = model
+    for row in rows:
+        looped = update(looped, row)
+    batched = update(model, rows)
+    assert batched.sample_count == looped.sample_count == 225
+    probes = rng.normal(size=(40, 3))
+    np.testing.assert_allclose(cd_values(batched, probes), cd_values(looped, probes), rtol=1e-10)
+
+    back_looped = looped
+    for row in rows[:10]:
+        back_looped = downdate(back_looped, row)
+    back_batched = downdate(batched, rows[:10])
+    assert back_batched.sample_count == back_looped.sample_count == 215
+    np.testing.assert_allclose(cd_values(back_batched, probes), cd_values(back_looped, probes),
+                               rtol=1e-10)
+
+
+def test_batch_downdate_with_a_row_never_absorbed_breaks_semidefiniteness():
+    rng = np.random.default_rng(61)
+    data = rng.normal(size=(30, 2))
+    model = fit(TrajectoryDataset.from_coefficients(data), 2, 2)
+    batch = np.vstack([data[:3], [[6.0, -5.0]]])
+    with pytest.raises(NumericalError, match="semidefinite"):
+        downdate(model, batch)
+
+
+def test_batch_downdate_below_one_trajectory_is_an_input_error():
+    data = np.random.default_rng(62).normal(size=(4, 2))
+    model = fit(TrajectoryDataset.from_coefficients(data), 1, 2)
+    assert downdate(model, data[:3]).sample_count == 1
+    with pytest.raises(InputError, match="below one"):
+        downdate(model, data)
+
+
+def test_empty_batches_leave_the_model_as_it_is():
+    model = fit(gaussian_dataset(10, 2, seed=63), 1, 2)
+    assert update(model, np.empty((0, 2))) is model
+    assert downdate(model, np.empty((0, 2))) is model

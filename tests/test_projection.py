@@ -13,9 +13,11 @@ from trajcf.projection import (
     coeff_array,
     default_quad_points,
     project,
+    project_samples,
     reconstruct,
     reconstruct_batch,
     resample_to_nodes,
+    values_on_nodes,
 )
 
 
@@ -217,3 +219,47 @@ def test_coefficient_vector_validation():
 def test_default_quad_point_rule():
     assert default_quad_points(4) == 256
     assert default_quad_points(64) == 512
+
+
+# --- shared-grid projection ------------------------------------------------------
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (2.0, 7.5)])
+def test_shared_grid_projection_equals_per_curve_project(domain):
+    # the grid covers only part of the domain, so the end nodes are clamped
+    lo, hi = domain
+    rng = np.random.default_rng(3)
+    times = np.sort(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.1 * (hi - lo), 41))
+    values = rng.normal(size=(41, 12))
+    ids = [f"c{k}" for k in range(12)]
+    C = project_samples(times, values, 6, None, domain, ids=ids)
+    assert C.shape == (12, 6)
+    nodes = chebyshev_quadrature_nodes(256)
+    E = cheb.chebvander(nodes, 5)
+    E[:, 1:] *= math.sqrt(2.0)
+    for k in range(12):
+        traj = SampledTrajectory(times=times, values=values[:, k], id=ids[k], domain=domain)
+        np.testing.assert_allclose(C[k], project(traj, 6).coeffs, rtol=0, atol=1e-14)
+        direct = E.T @ np.interp(nodes, traj.unit_times(), values[:, k]) / 256
+        np.testing.assert_allclose(C[k], direct, rtol=0, atol=1e-14)
+
+
+def test_shared_grid_projection_names_a_curve_with_non_finite_samples():
+    values = np.ones((5, 3))
+    values[2, 1] = np.nan
+    with pytest.raises(InputError, match="'b'"):
+        project_samples(np.linspace(-1, 1, 5), values, 2, ids=["a", "b", "c"])
+
+
+def test_shared_grid_projection_of_no_curves_is_empty():
+    assert project_samples(np.linspace(-1, 1, 5), np.empty((5, 0)), 3).shape == (0, 3)
+
+
+def test_values_on_nodes_is_np_interp_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for T, M in ((33, 256), (300, 129), (2, 5)):
+        xp = np.sort(rng.uniform(-0.8, 0.9, T))
+        nodes = np.concatenate([chebyshev_quadrature_nodes(M), xp, [-1.0, 1.0]])
+        values = rng.normal(size=(T, 4))
+        got = values_on_nodes(xp, values, nodes)
+        for k in range(4):
+            np.testing.assert_array_equal(got[k], np.interp(nodes, xp, values[:, k]))

@@ -5,14 +5,22 @@ import pytest
 
 from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, fit
-from trajcf.projection import CoefficientVector, SampledTrajectory
+from trajcf.projection import (
+    CoefficientVector,
+    SampledTrajectory,
+    chebyshev_quadrature_nodes,
+    reconstruct,
+    resample_to_nodes,
+)
 from trajcf.scoring import (
     PointwiseChristoffel,
     ScoreReport,
     Threshold,
     calibrate,
     classify,
+    classify_batch,
     naive_pointwise_score,
+    nearest_distances,
     nearest_rank_quantile,
     nearest_trajectory_score,
     report_header,
@@ -186,3 +194,44 @@ def test_naive_accepts_curve_probes(small_family):
     traj = exp.dataset.entries[2][0]
     frac = naive_pointwise_score(exp.dataset, traj, d2=3, delta=1e-12)
     assert frac == 0.0
+
+
+# --- batch forms ------------------------------------------------------------------
+
+def test_classify_batch_equals_classify_row_by_row(small_family):
+    exp, model = small_family
+    thr = calibrate(model, exp.dataset)
+    C = np.vstack([exp.dataset.coefficient_matrix(4)[:20], exp.outlier.coeffs[None, :4]])
+    ids = [f"p{i}" for i in range(len(C))]
+    batch = classify_batch(model, thr, C, ids=ids, baseline_l2=np.arange(len(C)))
+    for i, rep in enumerate(batch):
+        single = classify(model, thr, CoefficientVector(coeffs=C[i], id=ids[i]),
+                          baseline_l2=float(i))
+        assert (rep.id, rep.verdict) == (single.id, single.verdict)
+        assert rep.baseline_l2 == single.baseline_l2
+        assert rep.cd == pytest.approx(single.cd, rel=1e-12)
+    assert batch[-1].verdict == "Outlier"
+
+
+def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
+    exp, _ = small_family
+    curves = [tr for tr, _ in exp.dataset.entries]
+    nodes = chebyshev_quadrature_nodes(256)
+    G = np.stack([resample_to_nodes(tr, nodes) for tr in curves])
+    shifted = SampledTrajectory(times=curves[3].times, values=curves[3].values + 0.05)
+    probes = np.vstack([G[[5, 17, 100]], resample_to_nodes(shifted, nodes)])
+    got = nearest_distances(G, probes)
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert got[3] == nearest_trajectory_score(exp.dataset, shifted) > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert nearest_distances(G, np.full((1, 256), 1e200))[0] == math.inf
+
+
+def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
+    exp, _ = small_family
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
+    probes = [exp.outlier] + [cv for _, cv in exp.dataset.entries[:5]]
+    values = np.stack([reconstruct(cv, cloud.nodes) for cv in probes])
+    delta = 2.0 * cloud.cloud_floor
+    batch = cloud.fractions_below(values, delta)
+    assert batch.tolist() == [cloud.fraction_below(p, delta) for p in probes]
