@@ -238,13 +238,16 @@ def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
     expo = basis.exponent_array
     N = C.shape[0]
     out = np.ones((N, len(basis)), dtype=float)
-    for k in range(basis.n):
-        top = int(expo[:, k].max())
-        if top == 0:
-            continue
-        powers = np.empty((N, top + 1), dtype=float)
-        powers[:, 0] = 1.0
-        for p in range(1, top + 1):
-            powers[:, p] = powers[:, p - 1] * C[:, k]
-        out *= powers[:, expo[:, k]]
+    # Large coefficients overflow to inf (and inf * 0 to nan): fitting
+    # rejects such a moment matrix and scoring gives such a row cd = inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(basis.n):
+            top = int(expo[:, k].max())
+            if top == 0:
+                continue
+            powers = np.empty((N, top + 1), dtype=float)
+            powers[:, 0] = 1.0
+            for p in range(1, top + 1):
+                powers[:, p] = powers[:, p - 1] * C[:, k]
+            out *= powers[:, expo[:, k]]
     return out

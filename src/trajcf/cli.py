@@ -209,15 +209,19 @@ def _write_trajectory_csv(path: str, ids, times, value_columns) -> None:
 
 def _write_histogram(path: str, cds) -> None:
     cds = np.asarray(cds, dtype=float)
-    if cds.size == 0:
+    finite = cds[np.isfinite(cds)]
+    if finite.size == 0:
         edges = np.array([0.0, 1.0])
         counts = np.array([0])
     else:
-        lo, hi = float(cds.min()), float(cds.max())
+        lo, hi = float(finite.min()), float(finite.max())
         if hi <= lo:
             hi = lo + 1.0
         edges = np.linspace(lo, hi, 51)
-        counts, _ = np.histogram(cds, bins=edges)
+        counts, _ = np.histogram(finite, bins=edges)
+    if finite.size < cds.size:  # probes whose CD value overflowed get a last, open bin
+        edges = np.append(edges, np.inf)
+        counts = np.append(counts, cds.size - finite.size)
     with open(path, "w", encoding="utf-8") as fh:
         for i, cnt in enumerate(counts):
             fh.write(f"{float(edges[i])!r} {float(edges[i + 1])!r} {int(cnt)}\n")

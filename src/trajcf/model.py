@@ -15,11 +15,10 @@ eps = 0.  That dichotomy is the anomaly score.
 
 Numerically the model keeps the raw sum S = N*M (exact bookkeeping for
 updates and persistence) together with a spectral factorization
-M + eps*I = Q diag(s) Q^T.  At fit time the factorization is taken from the
-singular values of the row-scaled data matrix [V/sqrt(N); sqrt(eps)*I],
-which avoids squaring the condition number the way forming S first does;
-operations that only have S available (load, update, downdate) use the
-symmetric eigendecomposition of S/N + eps*I.
+M + eps*I = Q diag(s) Q^T.  Every operation (fit, load, update, downdate)
+takes that factorization from S alone, by the symmetric eigendecomposition
+of S/N + eps*I in `_factor_from_moments`, so a fitted model and its saved
+and reloaded copy have bit-identical factors and scores.
 """
 
 from __future__ import annotations
@@ -136,20 +135,6 @@ def default_epsilon(moment_sum: np.ndarray, sample_count: int) -> float:
     return DEFAULT_EPSILON_SCALE * float(np.trace(moment_sum)) / (sample_count * m)
 
 
-def _factor_from_data(V: np.ndarray, N: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of V^T V / N + eps*I via the SVD of the stacked data matrix."""
-    B = V / math.sqrt(N)
-    if eps > 0.0:
-        B = np.vstack([B, math.sqrt(eps) * np.eye(V.shape[1])])
-    _, sig, QT = np.linalg.svd(B, full_matrices=False)
-    if sig.size < V.shape[1]:  # more columns than rows: pad explicit zeros
-        pad = V.shape[1] - sig.size
-        sig = np.concatenate([sig, np.zeros(pad)])
-        QT = np.vstack([QT, np.zeros((pad, V.shape[1]))])
-    order = np.argsort(sig)  # ascending, matching eigh's convention
-    return sig[order] ** 2, QT[order].T
-
-
 def _require_finite(S: np.ndarray) -> None:
     if not np.all(np.isfinite(S)):
         raise NumericalError(
@@ -188,14 +173,20 @@ CD_BLOCK_ROWS = 256
 
 
 def _cd_from_factor(s: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Quadratic forms v^T (Q diag(s) Q^T)^{-1} v for each row v of V."""
+    """Quadratic forms v^T (Q diag(s) Q^T)^{-1} v for each row v of V.
+
+    A row whose monomials overflowed (an inf or nan entry) scores inf.
+    """
     out = np.empty(V.shape[0])
-    with np.errstate(over="ignore", divide="ignore"):  # inf is a valid verdict
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
         for start in range(0, V.shape[0], CD_BLOCK_ROWS):
             W = V[start:start + CD_BLOCK_ROWS] @ Q
             W *= W
             W /= s
             out[start:start + CD_BLOCK_ROWS] = W.sum(axis=1)
+    # An overflowed row sums to inf, or to nan where an inf meets a zero of Q
+    # or an opposite inf; a finite row whose product overflows can give nan too.
+    out[np.isnan(out)] = np.inf
     return out
 
 
@@ -289,12 +280,12 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         eps = float(epsilon)
         if not math.isfinite(eps) or eps < 0.0:
             raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    s, Q = _factor_from_data(V, N, eps)
+    s, Q = _factor_from_moments(S, N, eps)
     _require_invertible(s, eps)
     return ChristoffelModel(
         d=bas.d, n=bas.n, basis=bas, epsilon=eps, sample_count=N,
         moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        domain=data.domain, provenance="fit(svd-data)",
+        domain=data.domain, provenance="fit",
     )
 
 
@@ -363,8 +354,9 @@ def update(model: ChristoffelModel, c_new) -> ChristoffelModel:
     V = model._probe_matrix(c_new)
     if V.shape[0] == 0:
         return model
-    grown = _refactored(model, model.moment_sum + V.T @ V, model.sample_count + V.shape[0],
-                        "update")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _refactored
+        S = model.moment_sum + V.T @ V
+    grown = _refactored(model, S, model.sample_count + V.shape[0], "update")
     _require_invertible(grown.eigenvalues, grown.epsilon)
     return grown
 
@@ -387,7 +379,9 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
             f"cannot downdate below one absorbed trajectory "
             f"({V.shape[0]} removed from {model.sample_count})"
         )
-    shrunk = _refactored(model, model.moment_sum - V.T @ V, N, "downdate")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _refactored
+        S = model.moment_sum - V.T @ V
+    shrunk = _refactored(model, S, N, "downdate")
     # Smallest eigenvalue of S itself, recovered from the shifted spectrum.
     smin_S = N * (float(shrunk.eigenvalues[0]) - model.epsilon)
     tol = 1e-10 * max(float(np.trace(shrunk.moment_sum)), 1.0)
@@ -402,11 +396,12 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
 
 def _refactored(model: ChristoffelModel, S: np.ndarray, N: int, operation: str) -> ChristoffelModel:
     """The model with moment sum S over N trajectories, refactorized."""
+    _require_finite(S)
     S = (S + S.T) / 2.0
     s, Q = _factor_from_moments(S, N, model.epsilon)
     return replace(
         model, sample_count=N, moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        provenance=f"{operation}(eigh-moments)",
+        provenance=operation,
     )
 
 
@@ -437,7 +432,6 @@ def _format_float(x: float) -> str:
 
 
 def _payload_lines(model: ChristoffelModel) -> list[str]:
-    created = model.provenance.split("(")[0]
     lines = [
         _FORMAT_HEADER,
         f"d {model.d}",
@@ -447,11 +441,15 @@ def _payload_lines(model: ChristoffelModel) -> list[str]:
         f"N {model.sample_count}",
         f"domain {_format_float(model.domain[0])} {_format_float(model.domain[1])}",
         f"basis {_BASIS_ORDERING}",
-        f"created-by {created}",
+        f"created-by {model.provenance}",
         "S",
     ]
-    for row in model.moment_sum:
-        lines.append(" ".join(_format_float(x) for x in row))
+    # Format each distinct value of S once.  Keying on the bit pattern keeps
+    # -0.0 apart from 0.0; the text is that of `_format_float` per cell.
+    S = np.ascontiguousarray(model.moment_sum, dtype=np.float64)
+    bits, cells = np.unique(S.view(np.int64), return_inverse=True)
+    text = np.array([_format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    lines.extend(" ".join(row) for row in text[cells.reshape(S.shape)].tolist())
     return lines
 
 
@@ -554,11 +552,10 @@ def load(source) -> ChristoffelModel:
     s, Q = _factor_from_moments(S, N, eps)
     _require_invertible(s, eps)
     # Preserve the original creator so save(load(f)) reproduces f's bytes.
-    created = fields.get("created-by", "fit")
     return ChristoffelModel(
         d=d, n=n, basis=bas, epsilon=eps, sample_count=N,
         moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        domain=domain, provenance=f"{created}(eigh-moments)",
+        domain=domain, provenance=fields.get("created-by", "fit"),
     )
 
 

@@ -235,15 +235,17 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
     M = G.shape[1]
     gg = np.einsum("ij,ij->i", G, G) / M
     out = np.empty(F.shape[0])
-    for start in range(0, F.shape[0], _model.CD_BLOCK_ROWS):
-        block = F[start:start + _model.CD_BLOCK_ROWS]
-        ff = np.einsum("ij,ij->i", block, block) / M
-        approx = ff[:, None] - (2.0 / M) * (block @ G.T) + gg
-        slack = 1e-12 * (ff + gg.max())
-        for i, row in enumerate(approx):
-            # a row that overflowed to inf or nan keeps every reference a candidate
-            near = np.flatnonzero(~(row > row.min() + slack[i]))
-            out[start + i] = np.min(np.mean((G[near] - block[i]) ** 2, axis=1))
+    # Curves too large to square overflow to an inf distance, which is their score.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, F.shape[0], _model.CD_BLOCK_ROWS):
+            block = F[start:start + _model.CD_BLOCK_ROWS]
+            ff = np.einsum("ij,ij->i", block, block) / M
+            approx = ff[:, None] - (2.0 / M) * (block @ G.T) + gg
+            slack = 1e-12 * (ff + gg.max())
+            for i, row in enumerate(approx):
+                # a row that overflowed to inf or nan keeps every reference a candidate
+                near = np.flatnonzero(~(row > row.min() + slack[i]))
+                out[start + i] = np.min(np.mean((G[near] - block[i]) ** 2, axis=1))
     return np.sqrt(out)
 
 
@@ -295,8 +297,10 @@ class PointwiseChristoffel:
             raise NumericalError("the reference point cloud contains non-finite values")
         V = eval_monomial_matrix(pts, bas)
         count = V.shape[0]
-        eps = _model.DEFAULT_EPSILON_SCALE * float(np.sum(V * V)) / (count * len(bas))
-        s, Q = _model._factor_from_data(V, count, eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the factorization
+            S = V.T @ V
+        eps = _model.default_epsilon(S, count)
+        s, Q = _model._factor_from_moments(S, count, eps)
         cloud_cd = _model._cd_from_factor(s, Q, V)
         floor = float(1.0 / cloud_cd.max())
         return cls(

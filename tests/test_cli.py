@@ -417,3 +417,41 @@ def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, caps
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert main(["info", "--model", ws["model"]]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+# --- overflowing probes -------------------------------------------------------------
+
+OVERFLOW_ROWS = "id,c1,c2,c3,c4,c5\nbig80,1e80,-1e80,1e80,0,1e80\nbig200,1e200,0,0,0,0\n"
+
+
+def test_overflowing_probes_are_scored_outliers(ws, tmp_path):
+    src = tmp_path / "huge.csv"
+    src.write_text(OVERFLOW_ROWS)
+    for command in (["score"], ["baseline", "--calibration", ws["data"]]):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, "--model", ws["model"], "--input", str(src),
+                     "--output", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["big80", "big200"]
+        for r in rows:
+            assert (r[1], r[2], r[4]) == ("inf", "0.0", "Outlier")
+
+
+def test_overflowing_rows_raise_no_warnings(ws, tmp_path):
+    import warnings
+    src = tmp_path / "huge.csv"
+    src.write_text(OVERFLOW_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["score", "--model", ws["model"], "--input", str(src),
+                     "--output", str(tmp_path / "s.csv"),
+                     "--histogram-out", str(tmp_path / "h.txt"),
+                     "--overlay-out", str(tmp_path / "o.csv")]) == 0
+        assert main(["baseline", "--model", ws["model"], "--input", str(src),
+                     "--calibration", ws["data"], "--output", str(tmp_path / "b.csv")]) == 0
+        for command in ("update", "downdate"):
+            assert main([command, "--model", ws["model"], "--input", str(src),
+                         "--output", str(tmp_path / "u.txt")]) == 3
+        assert main(["fit", "--input", str(src), "--output", str(tmp_path / "f.txt")]) == 3
+    # the two probes whose CD value overflowed sit in a last, open bin
+    assert (tmp_path / "h.txt").read_text().splitlines()[-1].endswith(" inf 2")

@@ -440,3 +440,86 @@ def test_empty_batches_leave_the_model_as_it_is():
     model = fit(gaussian_dataset(10, 2, seed=63), 1, 2)
     assert update(model, np.empty((0, 2))) is model
     assert downdate(model, np.empty((0, 2))) is model
+
+
+# --- one factorization path ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def example1_data():
+    from trajcf.synth import generate_example1
+    return generate_example1(400, seed=7).dataset
+
+
+@pytest.mark.parametrize("d, n, epsilon", [(4, 4, 0.0), (4, 4, None), (6, 4, None)])
+def test_fit_and_its_reloaded_copy_are_bit_identical(example1_data, d, n, epsilon):
+    model = fit(example1_data, d, n, epsilon=epsilon)
+    reloaded = load(io.StringIO(dumps(model)))
+    np.testing.assert_array_equal(reloaded.eigenvalues, model.eigenvalues)
+    np.testing.assert_array_equal(reloaded.eigenvectors, model.eigenvectors)
+    probes = np.vstack([example1_data.coefficient_matrix(n)[:50],
+                        np.random.default_rng(70).normal(size=(20, n))])
+    np.testing.assert_array_equal(cd_values(reloaded, probes), cd_values(model, probes))
+    assert model.provenance == reloaded.provenance == "fit"
+
+
+def test_every_fit_at_zero_epsilon_that_succeeds_also_loads(example1_data):
+    outcomes = []
+    for d in range(1, 7):
+        for n in (2, 3, 5):
+            try:
+                model = fit(example1_data, d, n, epsilon=0.0)
+            except NumericalError:
+                outcomes.append(False)
+                continue
+            reloaded = load(io.StringIO(dumps(model)))
+            np.testing.assert_array_equal(reloaded.eigenvalues, model.eigenvalues)
+            outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)  # both sides of the singularity test occur
+
+
+def _crafted(moment_sum):
+    """A (1, 3) model, m = 4, whose moment sum is replaced by ``moment_sum``."""
+    from dataclasses import replace
+    return replace(fit(gaussian_dataset(10, 3, seed=71), 1, 3), moment_sum=moment_sum)
+
+
+def test_payload_formats_every_cell_as_the_per_cell_loop_does():
+    from trajcf.model import _payload_lines
+    pool = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+            1.0 / 3.0, 0.1, -7.0, 2.0 ** -1022, 1e-300]
+    rng = np.random.default_rng(72)
+    S = np.array(pool)[rng.integers(len(pool), size=(4, 4))]  # 16 cells from 11 values
+    S[0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    lines = _payload_lines(_crafted(S))
+    rows = lines[lines.index("S") + 1:]
+    assert rows == [" ".join("%.17g" % x for x in row) for row in S.tolist()]
+    assert rows[0].split()[:2] == ["-0", "0"]
+
+
+def test_asymmetric_moment_sum_in_a_hand_edited_file_saves_back_byte_for_byte():
+    text = dumps(fit(gaussian_dataset(30, 3, seed=73), 1, 3))
+
+    def skew(lines):
+        row = lines.index("S") + 1
+        cells = lines[row].split()
+        cells[2] = "%.17g" % (float(cells[2]) + 0.25)
+        lines[row] = " ".join(cells)
+        return lines
+
+    edited = _retag(text, skew)
+    model = load(io.StringIO(edited))
+    assert model.moment_sum[0, 2] != model.moment_sum[2, 0]
+    assert dumps(model) == edited
+
+
+def test_overflowing_probes_score_inf_and_are_outliers():
+    from trajcf.scoring import calibrate, classify_batch
+    model = fit(gaussian_dataset(200, 3, seed=74), 4, 3)
+    probes = np.array([[0.1, -0.2, 0.3], [1e80, -1e80, 1e80], [1e200, 0.0, 0.0]])
+    cds = cd_values(model, probes)
+    assert cds[0] == pytest.approx(cd_value(model, probes[0]), rel=1e-12)
+    assert cds[1] == cds[2] == math.inf
+    assert christoffel_value(model, probes[1]) == christoffel_value(model, probes[2]) == 0.0
+    reports = classify_batch(model, calibrate(model, method="multiple"), probes)
+    assert [r.verdict for r in reports[1:]] == ["Outlier", "Outlier"]
+    assert [r.christoffel for r in reports[1:]] == [0.0, 0.0]
