@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -53,12 +54,22 @@ _FALLBACK_MULTIPLE = 10.0
 # CSV plumbing
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_text(path: str) -> str:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_rows(path: str, text: str) -> list[list[str]]:
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+                if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: file is empty")
     return rows
@@ -90,9 +101,61 @@ def _read_input(path: str):
     """Parse any accepted layout.
 
     Returns ``("traj", ids, times, values)`` with values shaped (M, K), or
-    ``("coef", ids, coeffs)`` with coeffs shaped (K, n).
+    ``("coef", ids, coeffs)`` with coeffs shaped (K, n).  Numeric cells
+    accept exactly what Python's ``float`` accepts: numpy's C reader
+    (`_parse_table`) parses the file when it can, and `_parse_cells`, one
+    ``float`` per cell, parses the files it declines and names what is wrong.
     """
-    rows = _read_rows(path)
+    text = _read_text(path)
+    parsed = _parse_table(text)
+    return _parse_cells(path, text) if parsed is None else parsed
+
+
+def _parse_table(text: str):
+    """What `_parse_cells` returns for the text, by numpy's C reader; None
+    for every file the two could read differently or `_parse_cells`
+    rejects: quoted cells, lone carriage returns, NUL characters, cells
+    over the csv module's field limit, blank or ragged rows, cells the C
+    reader rejects, misnumbered coefficient rows, one-row trajectories."""
+    if '"' in text or "\x00" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    limit = csv.field_size_limit()
+    if any(len(cell) >= limit for ln in lines if len(ln) >= limit for cell in ln.split(",")):
+        return None
+    header = lines[0].split(",")
+    head, width, body = header[0].strip().lower(), len(header), lines[1:]
+    if width < 2:
+        return None
+    if head == "id":
+        table = _model._float_table(body, ",", usecols=range(1, width))
+        if table is None or text.count(",") != len(lines) * (width - 1):
+            return None
+        return "coef", [ln.partition(",")[0].strip() for ln in body], table
+    if head not in ("t", "coef"):
+        return None
+    table = _model._float_table(body, ",")
+    if table is None or table.shape[1] != width:
+        return None
+    ids = [c.strip() for c in header[1:]]
+    if head == "t":
+        return None if len(body) == 1 else ("traj", ids, table[:, 0], table[:, 1:])
+    if not np.array_equal(table[:, 0], np.arange(1, len(body) + 1)):
+        return None
+    return "coef", ids, table[:, 1:].T
+
+
+def _parse_cells(path: str, text: str):
+    """`_read_input` with one Python ``float`` per cell."""
+    rows = _read_rows(path, text)
     head = rows[0][0].strip().lower()
     width = len(rows[0])
     body = rows[1:]
@@ -191,12 +254,12 @@ def _dataset_from_input(parsed, domain, n: int, quad_points,
     return batch, TrajectoryDataset.from_coefficients(batch.coeffs, domain=domain, ids=batch.ids)
 
 
-def _write_wide_csv(path: str, vectors, n: int) -> None:
+def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"c{k}" for k in range(1, n + 1)])
-        for vec in vectors:
-            writer.writerow([vec.id or ""] + [repr(float(x)) for x in vec.coeffs[:n]])
+        writer.writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
+        for i, row in zip(ids, coeffs.tolist()):
+            writer.writerow([i or ""] + [repr(x) for x in row])
 
 
 def _write_trajectory_csv(path: str, ids, times, value_columns) -> None:
@@ -392,12 +455,12 @@ def cmd_synth(args) -> int:
     curves_path = f"{prefix}_curves.csv"
     outlier_path = f"{prefix}_outlier.csv"
     nominal_path = f"{prefix}_nominal.csv"
-    _write_wide_csv(data_path, exp.dataset.coefficient_vectors, n)
-    curves = [tr for tr, _ in exp.dataset.entries]
-    _write_trajectory_csv(curves_path, [tr.id for tr in curves],
+    _write_wide_csv(data_path, exp.dataset.ids, exp.dataset.coefficient_matrix(n))
+    curves = exp.dataset.curves
+    _write_trajectory_csv(curves_path, exp.dataset.ids,
                           curves[0].times, [tr.values for tr in curves])
-    _write_wide_csv(outlier_path, [exp.outlier], n)
-    _write_wide_csv(nominal_path, [exp.nominal], n)
+    for path, vec in ((outlier_path, exp.outlier), (nominal_path, exp.nominal)):
+        _write_wide_csv(path, [vec.id], vec.coeffs[None, :n])
     for p in (data_path, curves_path, outlier_path, nominal_path):
         print(f"# wrote {p}")
     return EXIT_OK

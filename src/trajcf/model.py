@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,58 +54,83 @@ _BASIS_ORDERING = "graded-lex"
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    """Reference database: curves and/or their coefficient vectors.
+    """Reference database: one (N, k) array of coefficient rows.
 
-    Each entry pairs an optional SampledTrajectory with its
-    CoefficientVector; datasets built from coefficient files carry None in
-    the curve slot.
+    Row i holds the first k orthonormal coefficients of curve i.  ``ids``
+    labels the rows (None for an unlabelled row); ``curves`` holds the
+    SampledTrajectory of every row when the rows were projected from
+    curves, and is None for datasets built from coefficients.  The array
+    is copied, checked once for finiteness and made read-only.
     """
 
-    entries: tuple[tuple[SampledTrajectory | None, CoefficientVector], ...]
+    coeffs: np.ndarray
+    ids: tuple | None = None
+    curves: tuple[SampledTrajectory, ...] | None = None
     domain: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        try:
+            C = np.array(self.coeffs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"coefficient rows must form an (N, k) array: {exc}") from exc
+        if C.ndim != 2:
+            raise InputError(f"expected a 1-D coefficient vector, got shape {C.shape[1:]}")
+        N = C.shape[0]
+        if N == 0:
             raise InputError("a trajectory dataset cannot be empty")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        if C.shape[1] == 0:
+            raise InputError("coefficients must form a non-empty 1-D sequence")
+        ids = (None,) * N if self.ids is None else tuple(self.ids)
+        curves = None if self.curves is None else tuple(self.curves)
+        if len(ids) != N or (curves is not None and len(curves) != N):
+            raise InputError(f"{N} coefficient rows need as many ids and curves")
+        finite = np.isfinite(C).all(axis=1)
+        if not finite.all():
+            raise InputError(
+                f"coefficient vector contains non-finite entries (id={ids[int(np.argmin(finite))]!r})"
+            )
+        C.setflags(write=False)
+        object.__setattr__(self, "coeffs", C)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.coeffs.shape[0]
 
     @property
     def coefficient_vectors(self) -> tuple[CoefficientVector, ...]:
-        return tuple(cv for _, cv in self.entries)
+        """One CoefficientVector per row, each a view of the array."""
+        return tuple(CoefficientVector(row, id=i) for row, i in zip(self.coeffs, self.ids))
+
+    @property
+    def entries(self) -> tuple[tuple[SampledTrajectory | None, CoefficientVector], ...]:
+        """(curve or None, CoefficientVector) per row."""
+        curves = (None,) * len(self) if self.curves is None else self.curves
+        return tuple(zip(curves, self.coefficient_vectors))
 
     def coefficient_matrix(self, n: int) -> np.ndarray:
-        """First n coefficients of every entry, stacked (N, n)."""
-        short = [cv.id or f"#{i}" for i, (_, cv) in enumerate(self.entries) if cv.n_max < n]
-        if short:
+        """First n coefficients of every row, (N, n): a read-only view."""
+        if self.coeffs.shape[1] < n:
             raise InputError(
-                f"{len(short)} coefficient vector(s) have fewer than {n} entries "
-                f"(first offender: {short[0]})"
+                f"{len(self)} coefficient vector(s) have fewer than {n} entries "
+                f"(first offender: {self.ids[0] or '#0'})"
             )
-        return np.stack([cv.coeffs[:n] for _, cv in self.entries])
+        return self.coeffs[:, :n]
 
     @classmethod
     def from_coefficients(cls, coeffs, domain=(-1.0, 1.0), ids=None) -> "TrajectoryDataset":
-        """Build a dataset from an (N, n) array (or list of vectors)."""
-        rows = [coeff_array(c) for c in coeffs]
-        if ids is None:
-            ids = [None] * len(rows)
-        entries = tuple(
-            (None, c if isinstance(c, CoefficientVector) else CoefficientVector(r, id=i))
-            for c, r, i in zip(coeffs, rows, ids)
-        )
-        return cls(entries=entries, domain=(float(domain[0]), float(domain[1])))
+        """Build a dataset from an (N, k) array or nested sequence."""
+        return cls(coeffs, ids=ids, domain=domain)
 
     @classmethod
     def from_trajectories(cls, trajectories, n: int, quad_points: int | None = None) -> "TrajectoryDataset":
-        """Project curves to n coefficients and pair them up.
+        """Project curves to n coefficients; the dataset keeps the curves.
 
         Curves that share a sample grid are projected together by one
         `project_samples` call.
         """
-        trajectories = list(trajectories)
+        trajectories = tuple(trajectories)
         if not trajectories:
             raise InputError("a trajectory dataset cannot be empty")
         domain = trajectories[0].domain
@@ -114,15 +140,16 @@ class TrajectoryDataset:
                     f"trajectories mix domains {domain} and {tr.domain}; "
                     "project them separately"
                 )
-        rows = {}
-        for positions, first, values in _projection.shared_grids(trajectories):
-            rows.update(zip(positions, _projection.project_samples(
-                first.times, values, n, quad_points, domain,
-                ids=[trajectories[i].id for i in positions])))
-        entries = tuple(
-            (tr, CoefficientVector(rows[i], id=tr.id)) for i, tr in enumerate(trajectories)
-        )
-        return cls(entries=entries, domain=domain)
+        ids = [tr.id for tr in trajectories]
+        blocks = [
+            (positions, _projection.project_samples(
+                first.times, values, n, quad_points, domain, ids=[ids[i] for i in positions]))
+            for positions, first, values in _projection.shared_grids(trajectories)
+        ]
+        C = np.empty((len(trajectories), int(n)))
+        for positions, block in blocks:
+            C[positions] = block
+        return cls(C, ids=ids, curves=trajectories, domain=domain)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +508,53 @@ def _parse_scalar(fields: dict, key: str, conv):
         raise InputError(f"model file field '{key}' is malformed: {fields[key]!r}") from exc
 
 
+def _parse_matrix_cells(rows: list[str]) -> list[list[float]]:
+    """The rows of S, one Python `float` per cell."""
+    matrix_rows = []
+    for ln in rows:
+        try:
+            matrix_rows.append([float(x) for x in ln.split()])
+        except ValueError as exc:
+            raise InputError(f"model file matrix row is malformed: {ln!r}") from exc
+    return matrix_rows
+
+
+def _float_table(lines: list[str], delimiter=None, usecols=None) -> np.ndarray | None:
+    """The lines as one float array, a row per line, by numpy's C text reader.
+
+    None when that reader raises or returns another number of rows (it
+    skips blank lines).  A cell it accepts is one Python's ``float``
+    accepts, with the same value; it rejects some that ``float`` accepts
+    (``1_000``, non-ASCII digits).
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an input of blank lines warns
+            table = np.loadtxt(lines, dtype=float, delimiter=delimiter, comments=None,
+                               ndmin=2, usecols=usecols)
+    except ValueError:
+        return None
+    return table if table.shape[0] == len(lines) else None
+
+
+def _parse_matrix(rows: list[str]):
+    """The rows of S: one array from `_float_table`, or per cell by
+    `_parse_matrix_cells` where that declines, so S gets the values, and
+    bad text the message, of ``float`` either way."""
+    S = _float_table(rows)
+    return _parse_matrix_cells(rows) if S is None else S
+
+
 def load(source) -> ChristoffelModel:
     """Read a model written by `save` and rebuild its factorization."""
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"model file is not UTF-8 text: {exc}") from exc
     if not text.strip():
         raise InputError("model file is empty")
     lines = text.splitlines()
@@ -504,19 +571,15 @@ def load(source) -> ChristoffelModel:
         raise InputError("model file checksum mismatch: payload corrupted")
 
     fields: dict[str, str] = {}
-    matrix_rows: list[list[float]] = []
-    in_matrix = False
-    for ln in lines[1:-1]:
-        if in_matrix:
-            try:
-                matrix_rows.append([float(x) for x in ln.split()])
-            except ValueError as exc:
-                raise InputError(f"model file matrix row is malformed: {ln!r}") from exc
-        elif ln.strip() == "S":
-            in_matrix = True
-        else:
-            key, _, value = ln.partition(" ")
-            fields[key] = value
+    body = lines[1:-1]
+    for marker, ln in enumerate(body):
+        if ln.strip() == "S":
+            matrix_rows = _parse_matrix(body[marker + 1:])
+            break
+        key, _, value = ln.partition(" ")
+        fields[key] = value
+    else:
+        matrix_rows = []
 
     d = _parse_scalar(fields, "d", int)
     n = _parse_scalar(fields, "n", int)
@@ -526,7 +589,10 @@ def load(source) -> ChristoffelModel:
     dom_parts = _parse_scalar(fields, "domain", str).split()
     if len(dom_parts) != 2:
         raise InputError(f"model file domain is malformed: {fields.get('domain')!r}")
-    domain = (float(dom_parts[0]), float(dom_parts[1]))
+    try:
+        domain = (float(dom_parts[0]), float(dom_parts[1]))
+    except ValueError as exc:
+        raise InputError(f"model file domain is malformed: {fields.get('domain')!r}") from exc
     ordering = fields.get("basis", "")
     if ordering != _BASIS_ORDERING:
         raise InputError(f"unsupported basis ordering {ordering!r}")
@@ -542,7 +608,7 @@ def load(source) -> ChristoffelModel:
             f"model file moment matrix is not {m} x {m} "
             f"({len(matrix_rows)} rows found)"
         )
-    S = np.array(matrix_rows, dtype=float)
+    S = np.asarray(matrix_rows, dtype=float)
     if not np.all(np.isfinite(S)):
         raise InputError("model file moment matrix has non-finite entries")
     if N < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -96,6 +97,17 @@ def report_line(report: ScoreReport) -> str:
     return ",".join(fields)
 
 
+def nearest_rank(q: float, count: int) -> int:
+    """The 1-based rank ceil(q * count) of the nearest-rank q-quantile, at least 1.
+
+    The product is taken exactly with the decimal q (``repr(q)``): in
+    floating point, 0.035 * 200 rounds to one ulp above 7 and would give
+    rank 8.
+    """
+    num, den = Decimal(repr(float(q))).as_integer_ratio()
+    return max(1, -(-num * count // den))
+
+
 def nearest_rank_quantile(values, q: float) -> float:
     """Nearest-rank (no interpolation) q-quantile, q in (0, 1]."""
     vals = np.sort(np.asarray(values, dtype=float))
@@ -103,8 +115,7 @@ def nearest_rank_quantile(values, q: float) -> float:
         raise InputError("cannot take a quantile of an empty sample")
     if not (0.0 < q <= 1.0):
         raise InputError(f"quantile order must lie in (0, 1], got {q}")
-    rank = max(1, math.ceil(q * vals.size))
-    return float(vals[rank - 1])
+    return float(vals[nearest_rank(q, vals.size) - 1])
 
 
 def calibrate(
@@ -263,9 +274,9 @@ def nearest_trajectory_score(
     if len(data) == 0:
         raise InputError("nearest-trajectory score needs a non-empty database")
     nodes = chebyshev_quadrature_nodes(quad_points)
-    references = [tr if tr is not None else cv for tr, cv in data.entries]
-    return float(nearest_distances(_subject_values(references, nodes),
-                                   _subject_values([f], nodes))[0])
+    references = (_subject_values(data.curves, nodes) if data.curves is not None
+                  else reconstruct_batch(data.coeffs, nodes))
+    return float(nearest_distances(references, _subject_values([f], nodes))[0])
 
 
 @dataclass(frozen=True)
@@ -290,7 +301,7 @@ class PointwiseChristoffel:
         if len(data) == 0:
             raise InputError("the pointwise baseline needs a non-empty database")
         nodes = chebyshev_quadrature_nodes(quad_points)
-        G = _subject_values([cv for _, cv in data.entries], nodes)  # (N, M) curve values
+        G = reconstruct_batch(data.coeffs, nodes)  # (N, M) curve values
         bas = enumerate_basis(d2, 2)
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):

@@ -123,14 +123,9 @@ def _generate_family(spec: SynthSpec) -> tuple[np.ndarray, TrajectoryDataset]:
         C[i, coords] += sample_ball(coords.size, spec.radius, _stream(spec.seed, i))
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
     values = reconstruct_batch(C, nodes)
-    entries = tuple(
-        (
-            SampledTrajectory(times=nodes, values=values[i], id=f"g{i:04d}"),
-            CoefficientVector(coeffs=C[i], id=f"g{i:04d}"),
-        )
-        for i in range(spec.sample_count)
-    )
-    return C, TrajectoryDataset(entries=entries, domain=(-1.0, 1.0))
+    ids = [f"g{i:04d}" for i in range(spec.sample_count)]
+    curves = [SampledTrajectory(times=nodes, values=v, id=i) for v, i in zip(values, ids)]
+    return C, TrajectoryDataset(C, ids=ids, curves=curves, domain=(-1.0, 1.0))
 
 
 def generate_example1(

@@ -58,7 +58,7 @@ def test_fit_validates_epsilon_and_empty_data():
     with pytest.raises(InputError):
         fit(data, 2, 2, epsilon=-1.0)
     with pytest.raises(InputError):
-        TrajectoryDataset(entries=())
+        TrajectoryDataset(np.empty((0, 2)))
 
 
 def test_fit_rejects_short_coefficient_vectors():
@@ -523,3 +523,39 @@ def test_overflowing_probes_score_inf_and_are_outliers():
     reports = classify_batch(model, calibrate(model, method="multiple"), probes)
     assert [r.verdict for r in reports[1:]] == ["Outlier", "Outlier"]
     assert [r.christoffel for r in reports[1:]] == [0.0, 0.0]
+
+
+# --- the dataset's array -------------------------------------------------------
+
+def test_dataset_holds_one_read_only_copy_of_the_rows():
+    C = np.random.default_rng(95).normal(size=(6, 4))
+    data = TrajectoryDataset.from_coefficients(C, ids=[f"r{i}" for i in range(6)])
+    C[0, 0] = 99.0                                      # the caller's array stays theirs
+    assert data.coeffs[0, 0] != 99.0 and not data.coeffs.flags.writeable
+    head = data.coefficient_matrix(2)
+    assert head.shape == (6, 2) and np.shares_memory(head, data.coeffs)
+    assert data.ids == tuple(f"r{i}" for i in range(6)) and data.curves is None
+    vectors = data.coefficient_vectors
+    assert [cv.id for cv in vectors] == list(data.ids)
+    assert all(np.array_equal(cv.coeffs, row) for cv, row in zip(vectors, data.coeffs))
+    assert [tr for tr, _ in data.entries] == [None] * 6
+
+
+def test_dataset_from_trajectories_keeps_the_curves():
+    x = np.linspace(-1, 1, 33)
+    trajs = [SampledTrajectory(times=x, values=x ** k, id=f"p{k}") for k in range(3)]
+    data = TrajectoryDataset.from_trajectories(trajs, n=3)
+    assert data.curves == tuple(trajs) and data.ids == ("p0", "p1", "p2")
+    assert [tr for tr, _ in data.entries] == trajs
+
+
+@pytest.mark.parametrize("rows, ids, message", [
+    ([[1.0, 2.0], [3.0]], None, "must form an"),
+    ([[1.0], [2.0]], ["a"], "as many ids"),
+    ([[1.0], [np.inf]], ["a", "b"], "non-finite entries \\(id='b'\\)"),
+    ([1.0, 2.0], None, "1-D coefficient vector"),
+    (np.empty((3, 0)), None, "non-empty"),
+])
+def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
+    with pytest.raises(InputError, match=message):
+        TrajectoryDataset.from_coefficients(rows, ids=ids)

@@ -21,6 +21,7 @@ from trajcf.scoring import (
     classify_batch,
     naive_pointwise_score,
     nearest_distances,
+    nearest_rank,
     nearest_rank_quantile,
     nearest_trajectory_score,
     report_header,
@@ -152,7 +153,7 @@ def test_nearest_matches_exhaustive_distances():
 def test_union_takes_the_min():
     d1 = TrajectoryDataset.from_coefficients([[0.0, 0.0]])
     d2 = TrajectoryDataset.from_coefficients([[1.0, 0.0]])
-    union = TrajectoryDataset(entries=d1.entries + d2.entries)
+    union = TrajectoryDataset(np.vstack([d1.coeffs, d2.coeffs]))
     probe = CoefficientVector(coeffs=np.array([0.9, 0.0]))
     s1 = nearest_trajectory_score(d1, probe)
     s2 = nearest_trajectory_score(d2, probe)
@@ -235,3 +236,36 @@ def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
     delta = 2.0 * cloud.cloud_floor
     batch = cloud.fractions_below(values, delta)
     assert batch.tolist() == [cloud.fraction_below(p, delta) for p in probes]
+
+
+# --- nearest-rank quantile --------------------------------------------------------
+
+@pytest.mark.parametrize("q, count, rank", [
+    (0.035, 200, 7),     # 0.035 * 200 rounds to 7.000000000000001
+    (0.017, 3000, 51),
+    (0.034, 1500, 51),
+    (0.5, 3, 2),
+    (1 / 3, 3, 1),
+    (1.0, 5, 5),
+    (0.001, 10, 1),      # never below rank 1
+])
+def test_nearest_rank_takes_the_product_with_the_decimal_q(q, count, rank):
+    assert nearest_rank(q, count) == rank
+    assert nearest_rank_quantile(np.arange(1.0, count + 1.0), q) == float(rank)
+
+
+def test_nearest_rank_differs_from_the_float_product_only_where_it_rounds_up():
+    k, N = np.meshgrid(np.arange(1, 1001), np.arange(1, 3001), indexing="ij")
+    float_rank = np.ceil(k / 1000 * N).astype(np.int64)
+    exact_rank = -(-k * N // 1000)
+    changed = np.flatnonzero(float_rank != exact_rank)
+    assert changed.size == 755
+    assert np.all(float_rank.flat[changed] == exact_rank.flat[changed] + 1)
+    sample = np.random.default_rng(80).choice(k.size, 5_000, replace=False)
+    for i in np.concatenate([changed, sample]).tolist():
+        assert nearest_rank(int(k.flat[i]) / 1000, int(N.flat[i])) == exact_rank.flat[i]
+
+
+@pytest.mark.parametrize("q", [0.9, 0.95, 0.99, 0.999])
+def test_common_quantiles_keep_their_float_product_rank(q):
+    assert all(nearest_rank(q, N) == math.ceil(q * N) for N in range(1, 100_001))
