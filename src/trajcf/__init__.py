@@ -10,12 +10,9 @@ the basis dimension — far away it explodes, which is the detection signal.
 
 from .basis import (
     BasisEnumeration,
-    MultiIndex,
     basis_size,
     enumerate_basis,
-    eval_monomial,
     eval_monomial_matrix,
-    eval_monomial_vector,
 )
 from .errors import InputError, MismatchError, NumericalError, TrajcfError
 from .model import (
@@ -39,8 +36,7 @@ from .projection import (
     chebyshev_quadrature_nodes,
     project,
     project_samples,
-    reconstruct,
-    resample_to_nodes,
+    reconstruct_batch,
     values_on_nodes,
 )
 from .scoring import (
@@ -59,14 +55,13 @@ from .synth import SynthSpec, SyntheticExperiment, generate_example1, generate_e
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisEnumeration", "MultiIndex", "basis_size", "enumerate_basis",
-    "eval_monomial", "eval_monomial_matrix", "eval_monomial_vector",
+    "BasisEnumeration", "basis_size", "enumerate_basis", "eval_monomial_matrix",
     "InputError", "MismatchError", "NumericalError", "TrajcfError",
     "ChristoffelModel", "TrajectoryDataset", "cd_value", "cd_value_after_update",
     "cd_values", "christoffel_value", "downdate", "extremal_polynomial",
     "fit", "kernel", "load", "save", "update",
     "CoefficientVector", "SampledTrajectory", "chebyshev_quadrature_nodes",
-    "project", "project_samples", "reconstruct", "resample_to_nodes", "values_on_nodes",
+    "project", "project_samples", "reconstruct_batch", "values_on_nodes",
     "PointwiseChristoffel", "ScoreReport", "Threshold", "calibrate", "classify",
     "classify_batch", "naive_pointwise_score", "nearest_distances", "nearest_trajectory_score",
     "SynthSpec", "SyntheticExperiment", "generate_example1", "generate_example2",

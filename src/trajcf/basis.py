@@ -2,25 +2,27 @@
 
 P_{d,n} collects polynomials in the first ``n`` coefficient variables
 ``c_1 .. c_n`` (a trajectory's leading orthonormal-expansion coefficients)
-with total degree at most ``d``.  A monomial is identified by a multi-index
-``a``: the exponent it assigns to each variable,
+with total degree at most ``d``.  A monomial is identified by its row of
+exponents ``a``, one per variable,
 
     c^a = c_1**a[0] * c_2**a[1] * ... * c_n**a[n-1].
 
 The enumeration order is graded lexicographic: total degree ascending, and
-within one grade the exponent tuples in descending lexicographic order, so
+within one grade the exponent rows in descending lexicographic order, so
 the constant monomial always comes first.  For (d=2, n=2) that is
 
     (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 
-The count is binomial(n + d, n).  Everything here is a pure function of its
-arguments; results are safe to share across threads.
+The count is binomial(n + d, n); `BasisEnumeration.exponent_array` holds
+the rows and `eval_monomial_matrix` evaluates them.  Everything here is a
+pure function of its arguments; results are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -32,44 +34,6 @@ MAX_BASIS_SIZE = 10_000
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Exponent sequence of one monomial.
-
-    Parameters
-    ----------
-    exponents : tuple of int
-        ``exponents[k]`` is the power of the (k+1)-th coefficient variable.
-        All entries are >= 0.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any((not isinstance(e, (int, np.integer))) or e < 0 for e in self.exponents):
-            raise InputError(f"multi-index entries must be non-negative integers: {self.exponents}")
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    @property
-    def total_degree(self) -> int:
-        """Sum of the exponents (the monomial's algebraic degree)."""
-        return sum(self.exponents)
-
-    @property
-    def support_length(self) -> int:
-        """Index of the last nonzero exponent plus one (0 for the constant)."""
-        for k in range(len(self.exponents) - 1, -1, -1):
-            if self.exponents[k] != 0:
-                return k + 1
-        return 0
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        a, b = self.exponents, other.exponents
-        if len(a) < len(b):
-            a, b = b, a
-        return MultiIndex(tuple(x + y for x, y in zip(a, b[: len(a)] + (0,) * (len(a) - len(b)))))
-
-
-@dataclass(frozen=True)
 class BasisEnumeration:
     """All monomials of P_{d,n} in graded lexicographic order.
 
@@ -77,24 +41,19 @@ class BasisEnumeration:
     ----------
     degree_pair : (int, int)
         ``(d, n)``: algebraic degree bound and number of variables.
-    indices : tuple of MultiIndex
-        The ordered monomials; ``indices[0]`` is the constant.
+    exponent_array : ndarray of int64, shape (m, n), read-only
+        Row i holds the exponents of the i-th monomial; row 0 is the
+        constant.
     """
 
     degree_pair: tuple[int, int]
-    indices: tuple[MultiIndex, ...]
-    # Dense (m, n) int array of the same exponents, kept alongside the
-    # MultiIndex view because batched evaluation wants an array.
-    exponent_array: np.ndarray = field(repr=False, compare=False, default=None)
+    exponent_array: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.exponent_array is None:
-            arr = np.array([ix.exponents for ix in self.indices], dtype=np.int64)
-            object.__setattr__(self, "exponent_array", arr)
         self.exponent_array.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.exponent_array.shape[0]
 
     @property
     def d(self) -> int:
@@ -110,15 +69,39 @@ def basis_size(d: int, n: int) -> int:
     return math.comb(n + d, n)
 
 
-def _grade(total: int, slots: int):
-    """Yield all exponent tuples of length ``slots`` summing to ``total``,
-    in descending lexicographic order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _grade(total - first, slots - 1):
-            yield (first,) + rest
+def _require_within_cap(d: int, n: int) -> None:
+    """Raise `InputError` if binomial(n + d, n) > MAX_BASIS_SIZE, or if the
+    exponent rows would be wider than the cap (only possible at d = 0).
+
+    The binomial is built one factor at a time: the partial products
+    binomial(max(d, n) + i, i), i = 1 .. min(d, n), never decrease, so a
+    huge degree pair fails at the first one past the cap.
+    """
+    size = 1
+    for i in range(1, min(d, n) + 1):
+        size = size * (max(d, n) + i) // i
+        if size > MAX_BASIS_SIZE:
+            raise InputError(
+                f"basis of degree pair ({d}, {n}) has more than "
+                f"{MAX_BASIS_SIZE} monomials, the cap"
+            )
+    if n > MAX_BASIS_SIZE:
+        raise InputError(f"harmonic degree {n} exceeds the cap of {MAX_BASIS_SIZE}")
+
+
+def _grade(total: int, slots: int) -> np.ndarray:
+    """Exponent rows, shape (k, slots), of every monomial of degree ``total``,
+    in descending lexicographic order.
+
+    A monomial is the multiset of its variables' indices, and
+    `combinations_with_replacement` lists those multisets in ascending
+    lexicographic order, which is descending order of the exponent rows.
+    """
+    combos = list(combinations_with_replacement(range(slots), total))
+    rows = np.zeros((len(combos), slots), dtype=np.int64)
+    variables = np.array(combos, dtype=np.int64).reshape(len(combos), total)
+    np.add.at(rows, (np.arange(len(combos))[:, None], variables), 1)
+    return rows
 
 
 def enumerate_basis(d: int, n: int) -> BasisEnumeration:
@@ -134,7 +117,7 @@ def enumerate_basis(d: int, n: int) -> BasisEnumeration:
     Returns
     -------
     BasisEnumeration
-        binomial(n + d, n) multi-indices, graded lexicographic, constant
+        binomial(n + d, n) exponent rows, graded lexicographic, constant
         monomial first.
 
     Raises
@@ -151,60 +134,10 @@ def enumerate_basis(d: int, n: int) -> BasisEnumeration:
         raise InputError(f"algebraic degree must be >= 0, got {d}")
     if n < 1:
         raise InputError(f"harmonic degree must be >= 1, got {n}")
-    m = basis_size(d, n)
-    if m > MAX_BASIS_SIZE:
-        raise InputError(
-            f"basis of degree pair ({d}, {n}) has {m} monomials, "
-            f"exceeding the cap of {MAX_BASIS_SIZE}"
-        )
-    indices = tuple(
-        MultiIndex(expo) for total in range(d + 1) for expo in _grade(total, int(n))
-    )
-    assert len(indices) == m
-    return BasisEnumeration(degree_pair=(int(d), int(n)), indices=indices)
-
-
-def eval_monomial(c, a: MultiIndex) -> float:
-    """Evaluate one monomial c^a at a coefficient vector.
-
-    Parameters
-    ----------
-    c : array_like
-        Coefficient vector; must cover the support of ``a``.
-    a : MultiIndex
-        The exponents.
-
-    Returns
-    -------
-    float
-        ``prod_k c[k] ** a[k]``; the empty product is 1.0.
-    """
-    c = np.asarray(c, dtype=float)
-    support = a.support_length
-    if c.ndim != 1 or c.size < support:
-        raise InputError(
-            f"coefficient vector of length {c.size} cannot be raised to a "
-            f"multi-index supported on {support} variables"
-        )
-    if support == 0:
-        return 1.0
-    expo = np.asarray(a.exponents[:support], dtype=np.int64)
-    return float(np.prod(c[:support] ** expo))
-
-
-def eval_monomial_vector(c, basis: BasisEnumeration) -> np.ndarray:
-    """Evaluate the full monomial vector v_{d,n}(c).
-
-    Returns a vector of length ``len(basis)`` whose i-th entry is the i-th
-    basis monomial at ``c``; entry 0 (the constant) is always 1.
-    """
-    c = np.asarray(c, dtype=float)
-    n = basis.n
-    if c.ndim != 1 or c.size < n:
-        raise InputError(
-            f"coefficient vector has {c.size} entries but the basis needs {n}"
-        )
-    return eval_monomial_matrix(c[None, :], basis)[0]
+    d, n = int(d), int(n)
+    _require_within_cap(d, n)
+    expo = np.vstack([_grade(total, n) for total in range(d + 1)])
+    return BasisEnumeration(degree_pair=(d, n), exponent_array=expo)
 
 
 def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
@@ -219,7 +152,8 @@ def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
     Returns
     -------
     ndarray, shape (N, len(basis))
-        Row i is ``eval_monomial_vector(coeffs[i], basis)``.
+        Row i holds every basis monomial at ``coeffs[i]``; column 0 (the
+        constant) is 1.
 
     Notes
     -----

@@ -358,13 +358,12 @@ def _emit_report(lines: list[str], output: str | None) -> None:
 
 def cmd_fit(args) -> int:
     eps_text = "auto(1e-8*trace/m)" if args.epsilon is None else repr(args.epsilon)
-    quad = args.quad_points or default_quad_points(args.degree_n)
+    quad = default_quad_points(args.degree_n) if args.quad_points is None else args.quad_points
     _header("fit", [
         ("input", args.input), ("output", args.output),
         ("d", args.degree_d), ("n", args.degree_n),
         ("epsilon", eps_text), ("quad_points", quad),
         ("domain", f"{args.domain[0]:g}:{args.domain[1]:g}"),
-        ("deterministic", args.deterministic),
     ])
     parsed = _read_input(args.input)
     _, dataset = _dataset_from_input(parsed, args.domain, args.degree_n, quad, args.input)
@@ -389,9 +388,9 @@ def cmd_score(args) -> int:
     _header("score", [
         ("model", args.model), ("input", args.input),
         ("epsilon", repr(model.epsilon)),
-        ("quad_points", args.quad_points or default_quad_points(model.n)),
+        ("quad_points", default_quad_points(model.n) if args.quad_points is None
+                        else args.quad_points),
         ("threshold", threshold.method), ("tau", repr(threshold.value)),
-        ("deterministic", args.deterministic),
     ])
     if note:
         print(f"# note: {note}")
@@ -419,7 +418,6 @@ def _absorb(args, op, command: str) -> int:
     model = _model.load(args.model)
     _header(command, [
         ("model", args.model), ("input", args.input), ("output", args.output),
-        ("deterministic", args.deterministic),
     ])
     parsed = _read_input(args.input)
     batch = _batch_from_input(parsed, model.domain, model.n,
@@ -443,7 +441,6 @@ def cmd_synth(args) -> int:
     _header("synth", [
         ("example", args.example), ("count", args.count), ("seed", args.seed),
         ("radius", repr(args.radius)), ("output", args.output),
-        ("deterministic", args.deterministic),
     ])
     if args.example == "example1":
         exp = _synth.generate_example1(args.count, args.seed, radius=args.radius)
@@ -472,7 +469,7 @@ def cmd_baseline(args) -> int:
     if calibration is None:
         raise InputError("baseline scoring needs --calibration (the reference database)")
     threshold, note = _resolve_threshold(model, args, calibration)
-    quad = args.quad_points or 129
+    quad = 129 if args.quad_points is None else args.quad_points
     cloud = _scoring.PointwiseChristoffel.fit(calibration, args.baseline_degree, quad)
     delta = cloud.cloud_floor if args.delta is None else args.delta
     _header("baseline", [
@@ -481,7 +478,6 @@ def cmd_baseline(args) -> int:
         ("baseline_degree", args.baseline_degree), ("quad_points", quad),
         ("delta", repr(delta)),
         ("delta_source", "in-cloud-floor" if args.delta is None else "flag"),
-        ("deterministic", args.deterministic),
     ])
     if note:
         print(f"# note: {note}")
@@ -530,8 +526,6 @@ def _add_common(sp, *, model=False, input_=False, output=False, quad=True):
     if quad:
         sp.add_argument("--quad-points", type=int, default=None,
                         help="quadrature point count (default: max(256, 8n); 129 for the pointwise baseline)")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="assert byte-reproducible outputs (all runs are; this records the intent)")
 
 
 def _add_threshold_flags(sp):
@@ -592,8 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="inlier perturbation radius (default 0.1)")
     p_synth.add_argument("--output", required=True,
                          help="path prefix; writes <prefix>_{data,curves,outlier,nominal}.csv")
-    p_synth.add_argument("--deterministic", action="store_true",
-                         help="assert byte-reproducible outputs")
     p_synth.set_defaults(func=cmd_synth)
 
     p_base = sub.add_parser("baseline", help="score probes with the CD model and both baselines")

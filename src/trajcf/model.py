@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import basis as _basis
 from . import projection as _projection
 from .basis import BasisEnumeration, enumerate_basis, eval_monomial_matrix
 from .errors import InputError, MismatchError, NumericalError
@@ -74,7 +73,7 @@ class TrajectoryDataset:
         except (TypeError, ValueError) as exc:
             raise InputError(f"coefficient rows must form an (N, k) array: {exc}") from exc
         if C.ndim != 2:
-            raise InputError(f"expected a 1-D coefficient vector, got shape {C.shape[1:]}")
+            raise InputError(f"coefficient rows must form an (N, k) array, got shape {C.shape}")
         N = C.shape[0]
         if N == 0:
             raise InputError("a trajectory dataset cannot be empty")
@@ -97,17 +96,6 @@ class TrajectoryDataset:
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def coefficient_vectors(self) -> tuple[CoefficientVector, ...]:
-        """One CoefficientVector per row, each a view of the array."""
-        return tuple(CoefficientVector(row, id=i) for row, i in zip(self.coeffs, self.ids))
-
-    @property
-    def entries(self) -> tuple[tuple[SampledTrajectory | None, CoefficientVector], ...]:
-        """(curve or None, CoefficientVector) per row."""
-        curves = (None,) * len(self) if self.curves is None else self.curves
-        return tuple(zip(curves, self.coefficient_vectors))
 
     def coefficient_matrix(self, n: int) -> np.ndarray:
         """First n coefficients of every row, (N, n): a read-only view."""

@@ -189,20 +189,6 @@ def values_on_nodes(unit_times: np.ndarray, values, nodes) -> np.ndarray:
     return out
 
 
-def resample_to_nodes(traj: SampledTrajectory, nodes) -> np.ndarray:
-    """Piecewise-linear sample values at the given unit-interval nodes.
-
-    Nodes must lie in [-1, 1] (the trajectory's domain after mapping).
-    Nodes beyond the sampled range take the nearest endpoint value.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.size and (nodes.min() < -1.0 - 1e-12 or nodes.max() > 1.0 + 1e-12):
-        raise InputError("resampling nodes must lie within [-1, 1]")
-    if not np.all(np.isfinite(traj.values)):
-        raise InputError(f"trajectory values contain non-finite entries (id={traj.id!r})")
-    return values_on_nodes(traj.unit_times(), traj.values[:, None], nodes)[0]
-
-
 def _quad_points(n: int, quad_points: int | None) -> int:
     """Validate the truncation n; return the quadrature point count M for it."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
@@ -317,19 +303,6 @@ def shared_grids(trajectories):
     for positions in groups.values():
         first = trajectories[positions[0]]
         yield positions, first, np.stack([trajectories[i].values for i in positions], axis=1)
-
-
-def reconstruct(c, t):
-    """Evaluate the truncated series c_1 + sum_{k>=2} c_k sqrt(2) T_{k-1} at t.
-
-    ``c`` may be a CoefficientVector or a plain sequence; ``t`` may be a
-    scalar or an array (the result matches its shape).
-    """
-    coeffs = coeff_array(c)
-    series = np.array(coeffs, dtype=float, copy=True)
-    if series.size > 1:
-        series[1:] *= math.sqrt(2.0)
-    return _cheb.chebval(np.asarray(t, dtype=float), series)
 
 
 def reconstruct_batch(coeff_matrix, t) -> np.ndarray:

@@ -208,8 +208,8 @@ def _subject_values(subjects, nodes: np.ndarray) -> np.ndarray:
     """Curves and coefficient vectors evaluated at unit-interval nodes, (K, M).
 
     Curves are linearly interpolated, all curves on one grid together;
-    coefficient vectors (or raw sequences) are evaluated exactly as
-    truncated series, all together, shorter ones padded with zeros.
+    coefficient vectors (or raw sequences, all of one length) are
+    evaluated exactly as truncated series, all together.
     """
     out = np.empty((len(subjects), nodes.size))
     curves = [i for i, sub in enumerate(subjects) if isinstance(sub, SampledTrajectory)]
@@ -221,11 +221,7 @@ def _subject_values(subjects, nodes: np.ndarray) -> np.ndarray:
         out[[curves[p] for p in positions]] = values_on_nodes(first.unit_times(), values, nodes)
     series = [i for i, sub in enumerate(subjects) if not isinstance(sub, SampledTrajectory)]
     if series:
-        rows = [coeff_array(subjects[i]) for i in series]
-        C = np.zeros((len(rows), max(r.size for r in rows)))
-        for k, r in enumerate(rows):
-            C[k, : r.size] = r
-        out[series] = reconstruct_batch(C, nodes)
+        out[series] = reconstruct_batch([coeff_array(subjects[i]) for i in series], nodes)
     return out
 
 

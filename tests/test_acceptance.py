@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from trajcf.basis import eval_monomial_matrix, eval_monomial_vector
+from trajcf.basis import eval_monomial_matrix
 from trajcf.cli import main
 from trajcf.model import (
     TrajectoryDataset,
@@ -116,7 +116,7 @@ def test_c05_score_solves_the_constrained_quadratic_program():
         h = 0.5 * rng.standard_normal(n)
         m = model.size
         M_reg = model.moment_matrix() + model.epsilon * np.eye(m)
-        v = eval_monomial_vector(h, model.basis)
+        v = eval_monomial_matrix(h[None, :], model.basis)[0]
         kkt = np.zeros((m + 1, m + 1))
         kkt[:m, :m] = 2.0 * M_reg
         kkt[:m, m] = v
@@ -149,7 +149,7 @@ def test_c06_kernel_reproduces_every_basis_polynomial():
         p_at = V @ w
         k_at = np.array([kernel(model, c, h) for c in C])
         got = float(np.mean(p_at * k_at))
-        want = float(w @ eval_monomial_vector(h, model.basis))
+        want = float(w @ eval_monomial_matrix(h[None, :], model.basis)[0])
         worst = max(worst, abs(got - want) / max(abs(want), 1e-30))
     ok = worst <= 1e-8
     _report(6, ok, f"empirical reproducing identity over 20 random (poly, probe) "
@@ -240,11 +240,11 @@ def test_c11_cli_pipeline_is_byte_reproducible(tmp_path):
         report = str(d / "report.csv")
         hist = str(d / "hist.txt")
         assert main(["synth", "example1", "--count", "150", "--seed", "7",
-                     "--deterministic", "--output", prefix]) == 0
+                     "--output", prefix]) == 0
         assert main(["fit", "--input", prefix + "_data.csv", "--output", model,
-                     "--degree-d", "4", "--degree-n", "4", "--deterministic"]) == 0
+                     "--degree-d", "4", "--degree-n", "4"]) == 0
         assert main(["score", "--model", model, "--input", prefix + "_outlier.csv",
-                     "--calibration", prefix + "_data.csv", "--deterministic",
+                     "--calibration", prefix + "_data.csv",
                      "--histogram-out", hist, "--output", report]) == 0
         artifacts.append([prefix + "_data.csv", prefix + "_curves.csv",
                           prefix + "_outlier.csv", prefix + "_nominal.csv",

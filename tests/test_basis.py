@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from trajcf.basis import (
     MAX_BASIS_SIZE,
-    BasisEnumeration,
-    MultiIndex,
     basis_size,
     enumerate_basis,
-    eval_monomial,
     eval_monomial_matrix,
-    eval_monomial_vector,
 )
 from trajcf.errors import InputError
+
+
+def _monomial(c, a) -> float:
+    """c^a: the column of exponent row ``a`` in the monomial matrix of c."""
+    bas = enumerate_basis(sum(a), len(a))
+    col = bas.exponent_array.tolist().index(list(a))
+    return float(eval_monomial_matrix([c], bas)[0, col])
 
 
 def test_count_matches_binomial_for_known_pairs():
@@ -32,33 +37,43 @@ def test_exhaustive_counts_small_grid():
 
 def test_degree_zero_is_only_the_constant():
     bas = enumerate_basis(0, 5)
-    assert bas.indices[0].exponents == (0, 0, 0, 0, 0)
+    assert bas.exponent_array.tolist() == [[0, 0, 0, 0, 0]]
 
 
 def test_graded_lex_order_d2_n2():
     bas = enumerate_basis(2, 2)
-    assert [ix.exponents for ix in bas.indices] == [
-        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+    assert bas.exponent_array.tolist() == [
+        [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2],
     ]
+
+
+def test_order_matches_a_sorted_reference():
+    # graded lexicographic: every exponent tuple of total degree <= d, by
+    # degree ascending, then descending lexicographic within a degree
+    for d in range(0, 6):
+        for n in range(1, 5):
+            want = sorted((a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d),
+                          key=lambda a: (sum(a), [-x for x in a]))
+            assert enumerate_basis(d, n).exponent_array.tolist() == [list(a) for a in want]
 
 
 def test_enumeration_is_deterministic():
     a = enumerate_basis(3, 3)
     b = enumerate_basis(3, 3)
-    assert a.indices == b.indices
+    assert a == b
     assert np.array_equal(a.exponent_array, b.exponent_array)
 
 
 def test_constant_first_and_degrees_ascending():
     bas = enumerate_basis(5, 3)
-    degrees = [ix.total_degree for ix in bas.indices]
+    degrees = bas.exponent_array.sum(axis=1).tolist()
     assert degrees[0] == 0
     assert degrees == sorted(degrees)
 
 
 def test_nesting_is_prefix_closed_as_sets():
     def padded_set(bas, width):
-        return {ix.exponents + (0,) * (width - len(ix.exponents)) for ix in bas.indices}
+        return {tuple(row) + (0,) * (width - len(row)) for row in bas.exponent_array.tolist()}
 
     small = padded_set(enumerate_basis(2, 2), 4)
     assert small <= padded_set(enumerate_basis(3, 2), 4)
@@ -81,30 +96,41 @@ def test_rejects_oversized_basis():
         enumerate_basis(100, 4)
 
 
+@pytest.mark.parametrize("d, n", [(200_000, 100_000), (10**6, 10**6), (1, 10**6), (0, 10**7)])
+def test_huge_degree_pairs_fail_at_once(d, n):
+    # the cap check never builds the exact binomial, which for these pairs
+    # has tens of thousands of digits (or takes seconds to compute)
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="cap") as info:
+        enumerate_basis(d, n)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(str(info.value)) < 120
+
+
+def test_many_variables_enumerate_without_deep_recursion():
+    bas = enumerate_basis(1, 2000)
+    assert len(bas) == 2001 and bas.exponent_array.shape == (2001, 2000)
+    np.testing.assert_array_equal(bas.exponent_array[1:], np.eye(2000, dtype=np.int64))
+    assert enumerate_basis(0, 5000).exponent_array.tolist() == [[0] * 5000]
+
+
 def test_eval_monomial_examples():
-    assert eval_monomial([3.0, -2.0], MultiIndex((0, 0))) == 1.0
+    assert _monomial([3.0, -2.0], (0, 0)) == 1.0
     # the square of the second coefficient of sqrt(2)*t is 1
-    assert eval_monomial([0.0, 1.0], MultiIndex((0, 2))) == 1.0
-    assert eval_monomial([2.0, 3.0], MultiIndex((3, 1))) == 24.0
-
-
-def test_eval_monomial_short_vector_is_fine_outside_support():
-    # trailing zero exponents do not require coefficients
-    assert eval_monomial([2.0], MultiIndex((2, 0, 0))) == 4.0
-    with pytest.raises(InputError):
-        eval_monomial([2.0], MultiIndex((1, 1)))
+    assert _monomial([0.0, 1.0], (0, 2)) == 1.0
+    assert _monomial([2.0, 3.0], (3, 1)) == 24.0
 
 
 def test_monomial_vector_examples():
     bas22 = enumerate_basis(2, 2)
     assert np.array_equal(
-        eval_monomial_vector(np.zeros(5), bas22), [1, 0, 0, 0, 0, 0]
+        eval_monomial_matrix(np.zeros((1, 5)), bas22)[0], [1, 0, 0, 0, 0, 0]
     )
     assert np.array_equal(
-        eval_monomial_vector([1.0, 1.0], bas22), np.ones(6)
+        eval_monomial_matrix([[1.0, 1.0]], bas22)[0], np.ones(6)
     )
     bas12 = enumerate_basis(1, 2)
-    assert np.array_equal(eval_monomial_vector([2.0, 3.0], bas12), [1, 2, 3])
+    assert np.array_equal(eval_monomial_matrix([[2.0, 3.0]], bas12)[0], [1, 2, 3])
 
 
 def test_monomial_vector_leading_entry_is_one():
@@ -115,12 +141,15 @@ def test_monomial_vector_leading_entry_is_one():
 
 
 def test_matrix_agrees_with_vector():
+    # each row of a batch equals the product formula prod_k c[k] ** a[k]
     rng = np.random.default_rng(11)
     bas = enumerate_basis(4, 3)
     C = rng.normal(size=(8, 3))
     V = eval_monomial_matrix(C, bas)
     for i in range(8):
-        np.testing.assert_allclose(V[i], eval_monomial_vector(C[i], bas), rtol=1e-13)
+        want = np.prod(C[i] ** bas.exponent_array, axis=1)
+        np.testing.assert_allclose(V[i], want, rtol=1e-13)
+        np.testing.assert_array_equal(V[i], eval_monomial_matrix(C[i:i + 1], bas)[0])
 
 
 def test_matrix_rejects_nonfinite():
@@ -129,22 +158,22 @@ def test_matrix_rejects_nonfinite():
         eval_monomial_matrix([[1.0, np.nan]], bas)
 
 
-@st.composite
-def _index_pair(draw):
-    n = draw(st.integers(1, 4))
-    mk = lambda: MultiIndex(tuple(draw(st.integers(0, 3)) for _ in range(n)))
-    return n, mk(), mk()
-
-
 @settings(max_examples=60, deadline=None)
-@given(_index_pair(), st.data())
-def test_monomials_are_multiplicative(pair, data):
-    n, a, b = pair
+@given(st.integers(1, 4), st.data())
+def test_monomials_are_multiplicative(n, data):
+    # for every pair of exponent rows a, b with a + b in the basis, the
+    # column of a + b is the product of the columns of a and b
+    bas = enumerate_basis(4, n)
     coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     c = [data.draw(coords) for _ in range(n)]
-    left = eval_monomial(c, a + b)
-    right = eval_monomial(c, a) * eval_monomial(c, b)
-    assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
+    v = eval_monomial_matrix([c], bas)[0]
+    rows = bas.exponent_array.tolist()
+    column = {tuple(row): k for k, row in enumerate(rows)}
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            k = column.get(tuple(x + y for x, y in zip(a, b)))
+            if k is not None:
+                assert v[k] == pytest.approx(v[i] * v[j], rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,16 +186,8 @@ def test_scaling_covariance_per_index(d, n, s, data):
     bas = enumerate_basis(d, n)
     coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     c = np.array([data.draw(coords) for _ in range(n)])
-    v = eval_monomial_vector(c, bas)
-    v_scaled = eval_monomial_vector(s * c, bas)
-    for ix, a, b in zip(bas.indices, v, v_scaled):
-        assert b == pytest.approx(s ** ix.total_degree * a, rel=1e-12, abs=1e-12)
+    v = eval_monomial_matrix(c[None, :], bas)[0]
+    v_scaled = eval_monomial_matrix(s * c[None, :], bas)[0]
+    for degree, a, b in zip(bas.exponent_array.sum(axis=1).tolist(), v, v_scaled):
+        assert b == pytest.approx(s ** degree * a, rel=1e-12, abs=1e-12)
 
-
-def test_multi_index_helpers():
-    a = MultiIndex((0, 2, 0))
-    assert a.total_degree == 2
-    assert a.support_length == 2
-    assert MultiIndex((0, 0)).support_length == 0
-    with pytest.raises(InputError):
-        MultiIndex((1, -1))

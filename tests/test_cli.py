@@ -47,7 +47,7 @@ def test_synth_is_byte_reproducible(tmp_path):
     a.mkdir(), b.mkdir()
     for d in (a, b):
         assert main(["synth", "example1", "--count", "25", "--seed", "3",
-                     "--deterministic", "--output", str(d / "x")]) == 0
+                     "--output", str(d / "x")]) == 0
     for suffix in ("_data.csv", "_curves.csv", "_outlier.csv", "_nominal.csv"):
         assert (a / ("x" + suffix)).read_bytes() == (b / ("x" + suffix)).read_bytes()
 
@@ -397,17 +397,22 @@ def test_fit_on_overflowing_coefficients_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error" in err and "Traceback" not in err
 
 
-def test_model_with_nan_moments_is_an_input_error(ws, tmp_path):
+def _resealed(path, payload):
+    """Write model payload lines to path under a valid checksum; return path."""
     import hashlib
+    text = "\n".join(payload) + "\n"
+    path.write_text(text + f"checksum sha256 {hashlib.sha256(text.encode()).hexdigest()}\n")
+    return str(path)
+
+
+def test_model_with_nan_moments_is_an_input_error(ws, tmp_path):
     payload = open(ws["model"], encoding="utf-8").read().splitlines()[:-1]
     row = payload.index("S") + 2
     cells = payload[row].split()
     cells[1] = "nan"
     payload[row] = " ".join(cells)
-    text = "\n".join(payload) + "\n"
-    bad = tmp_path / "nan-model.txt"
-    bad.write_text(text + f"checksum sha256 {hashlib.sha256(text.encode()).hexdigest()}\n")
-    assert main(["score", "--model", str(bad), "--input", ws["outlier"]]) == 2
+    bad = _resealed(tmp_path / "nan-model.txt", payload)
+    assert main(["score", "--model", bad, "--input", ws["outlier"]]) == 2
 
 
 def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, capsys):
@@ -455,3 +460,48 @@ def test_overflowing_rows_raise_no_warnings(ws, tmp_path):
         assert main(["fit", "--input", str(src), "--output", str(tmp_path / "f.txt")]) == 3
     # the two probes whose CD value overflowed sit in a last, open bin
     assert (tmp_path / "h.txt").read_text().splitlines()[-1].endswith(" inf 2")
+
+
+# --- option values and degree caps -------------------------------------------------
+
+@pytest.mark.parametrize("command", ["fit", "score", "baseline"])
+def test_zero_quadrature_points_is_an_input_error(ws, tmp_path, command):
+    args = {
+        "fit": ["fit", "--output", str(tmp_path / "m.txt")],
+        "score": ["score", "--model", ws["model"]],
+        "baseline": ["baseline", "--model", ws["model"], "--calibration", ws["data"]],
+    }[command]
+    assert main(args + ["--input", ws["curves"], "--quad-points", "0"]) == 2
+
+
+def test_headers_print_the_quadrature_points_used(ws, tmp_path, capsys):
+    def header(argv):
+        capsys.readouterr()
+        assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    assert "quad_points=64 " in header(["fit", "--input", ws["curves"], "--quad-points", "64"])
+    assert "quad_points=256 " in header(["fit", "--input", ws["curves"]])
+    score = ["score", "--model", ws["model"], "--input", ws["curves"]]
+    assert "quad_points=64 " in header(score + ["--quad-points", "64"])
+    assert "quad_points=256 " in header(score)
+    baseline = ["baseline", "--model", ws["model"], "--input", ws["outlier"],
+                "--calibration", ws["data"]]
+    assert "quad_points=65 " in header(baseline + ["--quad-points", "65"])
+    assert "quad_points=129 " in header(baseline)
+
+
+def test_fit_with_a_huge_degree_pair_is_an_input_error(ws, tmp_path, capsys):
+    assert main(["fit", "--input", ws["data"], "--output", str(tmp_path / "m.txt"),
+                 "--degree-d", "200000", "--degree-n", "100000"]) == 2
+    assert "more than 10000 monomials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [["d"], ["d", "n"]])
+def test_model_with_a_huge_degree_is_an_input_error(ws, tmp_path, capsys, fields):
+    payload = open(ws["model"], encoding="utf-8").read().splitlines()[:-1]
+    for key in fields:
+        payload[payload.index(f"{key} 4")] = f"{key} 1000000"
+    bad = _resealed(tmp_path / "huge-degree.txt", payload)
+    assert main(["info", "--model", bad]) == 2
+    assert "more than 10000 monomials" in capsys.readouterr().err

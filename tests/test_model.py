@@ -123,8 +123,8 @@ def test_identity_moment_matrix_gives_squared_norm():
 def test_training_scores_lie_in_unit_interval():
     data = gaussian_dataset(60, 2, seed=9)
     model = fit(data, 2, 2, epsilon=0.0)
-    for _, cv in data.entries:
-        lam = christoffel_value(model, cv)
+    for row in data.coeffs:
+        lam = christoffel_value(model, row)
         assert 0.0 < lam <= 1.0 + 1e-12
 
 
@@ -365,7 +365,7 @@ def test_dataset_rejects_mixed_domains():
 
 def test_dataset_keeps_ids():
     data = TrajectoryDataset.from_coefficients([[1.0], [2.0]], ids=["a", "b"])
-    assert [cv.id for cv in data.coefficient_vectors] == ["a", "b"]
+    assert data.ids == ("a", "b")
 
 
 def _retag(text: str, edit) -> str:
@@ -535,10 +535,7 @@ def test_dataset_holds_one_read_only_copy_of_the_rows():
     head = data.coefficient_matrix(2)
     assert head.shape == (6, 2) and np.shares_memory(head, data.coeffs)
     assert data.ids == tuple(f"r{i}" for i in range(6)) and data.curves is None
-    vectors = data.coefficient_vectors
-    assert [cv.id for cv in vectors] == list(data.ids)
-    assert all(np.array_equal(cv.coeffs, row) for cv, row in zip(vectors, data.coeffs))
-    assert [tr for tr, _ in data.entries] == [None] * 6
+    assert all(np.array_equal(data.coeffs[i], C[i]) for i in range(1, 6))
 
 
 def test_dataset_from_trajectories_keeps_the_curves():
@@ -546,15 +543,15 @@ def test_dataset_from_trajectories_keeps_the_curves():
     trajs = [SampledTrajectory(times=x, values=x ** k, id=f"p{k}") for k in range(3)]
     data = TrajectoryDataset.from_trajectories(trajs, n=3)
     assert data.curves == tuple(trajs) and data.ids == ("p0", "p1", "p2")
-    assert [tr for tr, _ in data.entries] == trajs
 
 
 @pytest.mark.parametrize("rows, ids, message", [
     ([[1.0, 2.0], [3.0]], None, "must form an"),
     ([[1.0], [2.0]], ["a"], "as many ids"),
     ([[1.0], [np.inf]], ["a", "b"], "non-finite entries \\(id='b'\\)"),
-    ([1.0, 2.0], None, "1-D coefficient vector"),
+    ([1.0, 2.0], None, "an \\(N, k\\) array, got shape \\(2,\\)"),
     (np.empty((3, 0)), None, "non-empty"),
+    (np.zeros((2, 3, 4)), None, "an \\(N, k\\) array, got shape \\(2, 3, 4\\)"),
 ])
 def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
     with pytest.raises(InputError, match=message):

@@ -14,9 +14,7 @@ from trajcf.projection import (
     default_quad_points,
     project,
     project_samples,
-    reconstruct,
     reconstruct_batch,
-    resample_to_nodes,
     values_on_nodes,
 )
 
@@ -91,7 +89,7 @@ def test_project_then_reconstruct_polynomial():
     poly = lambda x: 0.3 - 0.5 * x + 0.8 * x**3
     c = project(_traj_on_cheb_nodes(poly, M=256), n=4, quad_points=256)
     grid = np.linspace(-1, 1, 1001)
-    err = np.max(np.abs(reconstruct(c, grid) - poly(grid)))
+    err = np.max(np.abs(reconstruct_batch(c.coeffs[None, :], grid)[0] - poly(grid)))
     assert err <= 1e-10
 
 
@@ -150,47 +148,50 @@ def test_project_input_validation():
 
 # --- resampling ------------------------------------------------------------
 
+def _resample(traj, nodes):
+    """One curve's piecewise-linear values at unit-interval nodes."""
+    return values_on_nodes(traj.unit_times(), traj.values[:, None], nodes)[0]
+
+
 def test_resample_midpoint_of_line():
     traj = SampledTrajectory(times=np.array([-1.0, 1.0]), values=np.array([0.0, 2.0]))
-    assert resample_to_nodes(traj, [0.0])[0] == pytest.approx(1.0)
+    assert _resample(traj, [0.0])[0] == pytest.approx(1.0)
 
 
 def test_resample_hits_sample_times_exactly():
     t = np.array([-0.9, -0.2, 0.4, 0.8])
     v = np.array([1.0, -2.0, 0.5, 3.0])
     traj = SampledTrajectory(times=t, values=v)
-    np.testing.assert_array_equal(resample_to_nodes(traj, t), v)
+    np.testing.assert_array_equal(_resample(traj, t), v)
 
 
 def test_resample_clamps_beyond_range():
     traj = SampledTrajectory(times=np.array([-0.5, 0.5]), values=np.array([2.0, 7.0]))
-    out = resample_to_nodes(traj, [-0.9, 0.9])
+    out = _resample(traj, [-0.9, 0.9])
     assert out[0] == 2.0 and out[1] == 7.0
-
-
-def test_resample_rejects_nodes_outside_unit_interval():
-    traj = SampledTrajectory(times=np.array([-0.5, 0.5]), values=np.array([0.0, 1.0]))
-    with pytest.raises(InputError):
-        resample_to_nodes(traj, [1.5])
 
 
 # --- reconstruction --------------------------------------------------------
 
 def test_reconstruct_constant():
-    assert reconstruct([1.0, 0.0, 0.0], 0.37) == pytest.approx(1.0)
+    assert reconstruct_batch([[1.0, 0.0, 0.0]], [0.37])[0, 0] == pytest.approx(1.0)
 
 
 def test_reconstruct_linear_unit():
-    assert reconstruct([0.0, 1.0], 1 / math.sqrt(2)) == pytest.approx(1.0)
+    assert reconstruct_batch([[0.0, 1.0]], [1 / math.sqrt(2)])[0, 0] == pytest.approx(1.0)
 
 
 def test_reconstruct_batch_matches_scalar():
+    # each row is the series c_1 + sum_{k>=2} c_k sqrt(2) T_{k-1}, and a
+    # one-row call gives the same values
     rng = np.random.default_rng(3)
     C = rng.normal(size=(5, 6))
     t = np.linspace(-1, 1, 17)
     batch = reconstruct_batch(C, t)
+    scale = np.r_[1.0, np.full(5, math.sqrt(2.0))]
     for i in range(5):
-        np.testing.assert_allclose(batch[i], reconstruct(C[i], t), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(batch[i], cheb.chebval(t, C[i] * scale), rtol=1e-13, atol=1e-13)
+        np.testing.assert_array_equal(batch[i], reconstruct_batch(C[i:i + 1], t)[0])
 
 
 # --- containers ------------------------------------------------------------

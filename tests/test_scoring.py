@@ -9,8 +9,8 @@ from trajcf.projection import (
     CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
-    reconstruct,
-    resample_to_nodes,
+    reconstruct_batch,
+    values_on_nodes,
 )
 from trajcf.scoring import (
     PointwiseChristoffel,
@@ -85,7 +85,7 @@ def test_threshold_must_be_positive():
 
 def test_tie_with_threshold_is_an_inlier(small_family):
     exp, model = small_family
-    probe = exp.dataset.coefficient_vectors[0]
+    probe = CoefficientVector(coeffs=exp.dataset.coeffs[0], id=exp.dataset.ids[0])
     cd = cd_value(model, probe)
     thr = Threshold(value=cd, method="quantile(1)", calibration_size=1)
     assert classify(model, thr, probe).verdict == "Inlier"
@@ -124,7 +124,7 @@ def test_report_line_column_order():
 
 def test_member_probe_scores_zero(small_family):
     exp, _ = small_family
-    member_curve = exp.dataset.entries[3][0]
+    member_curve = exp.dataset.curves[3]
     assert nearest_trajectory_score(exp.dataset, member_curve) == 0.0
 
 
@@ -140,11 +140,11 @@ def test_nearest_matches_exhaustive_distances():
     C = rng.normal(size=(6, 3))
     data = TrajectoryDataset.from_coefficients(C)
     probe = rng.normal(size=3)
-    from trajcf.projection import chebyshev_quadrature_nodes, reconstruct
     nodes = chebyshev_quadrature_nodes(256)
-    pv = reconstruct(probe, nodes)
+    pv = reconstruct_batch(probe[None, :], nodes)[0]
     brute = min(
-        math.sqrt(float(np.mean((pv - reconstruct(row, nodes)) ** 2))) for row in C
+        math.sqrt(float(np.mean((pv - reconstruct_batch(row[None, :], nodes)[0]) ** 2)))
+        for row in C
     )
     got = nearest_trajectory_score(data, CoefficientVector(coeffs=probe))
     assert got == pytest.approx(brute, rel=1e-12)
@@ -172,7 +172,7 @@ def test_member_probe_stays_above_the_floor(small_family):
     # so any whisker below it keeps every member clean
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
-    member = exp.dataset.entries[0][1]
+    member = CoefficientVector(coeffs=exp.dataset.coeffs[0], id=exp.dataset.ids[0])
     assert cloud.fraction_below(member, 0.99 * cloud.cloud_floor) == 0.0
 
 
@@ -180,7 +180,7 @@ def test_cloud_floor_is_positive(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
     assert cloud.cloud_floor > 0.0
-    lam = cloud.profile(exp.dataset.entries[1][1])
+    lam = cloud.profile(CoefficientVector(coeffs=exp.dataset.coeffs[1], id=exp.dataset.ids[1]))
     assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
 
 
@@ -192,7 +192,7 @@ def test_naive_rejects_negative_delta(small_family):
 
 def test_naive_accepts_curve_probes(small_family):
     exp, _ = small_family
-    traj = exp.dataset.entries[2][0]
+    traj = exp.dataset.curves[2]
     frac = naive_pointwise_score(exp.dataset, traj, d2=3, delta=1e-12)
     assert frac == 0.0
 
@@ -216,11 +216,13 @@ def test_classify_batch_equals_classify_row_by_row(small_family):
 
 def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
     exp, _ = small_family
-    curves = [tr for tr, _ in exp.dataset.entries]
+    curves = exp.dataset.curves
     nodes = chebyshev_quadrature_nodes(256)
-    G = np.stack([resample_to_nodes(tr, nodes) for tr in curves])
+    G = np.stack([values_on_nodes(tr.unit_times(), tr.values[:, None], nodes)[0]
+                  for tr in curves])
     shifted = SampledTrajectory(times=curves[3].times, values=curves[3].values + 0.05)
-    probes = np.vstack([G[[5, 17, 100]], resample_to_nodes(shifted, nodes)])
+    probes = np.vstack([G[[5, 17, 100]],
+                        values_on_nodes(shifted.unit_times(), shifted.values[:, None], nodes)])
     got = nearest_distances(G, probes)
     assert got[:3].tolist() == [0.0, 0.0, 0.0]
     assert got[3] == nearest_trajectory_score(exp.dataset, shifted) > 0.0
@@ -231,8 +233,8 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
 def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
-    probes = [exp.outlier] + [cv for _, cv in exp.dataset.entries[:5]]
-    values = np.stack([reconstruct(cv, cloud.nodes) for cv in probes])
+    probes = [exp.outlier] + [CoefficientVector(coeffs=row) for row in exp.dataset.coeffs[:5]]
+    values = np.vstack([reconstruct_batch(cv.coeffs[None, :], cloud.nodes) for cv in probes])
     delta = 2.0 * cloud.cloud_floor
     batch = cloud.fractions_below(values, delta)
     assert batch.tolist() == [cloud.fraction_below(p, delta) for p in probes]

@@ -5,7 +5,7 @@ import pytest
 
 from trajcf.errors import InputError
 from trajcf.model import fit, cd_value, default_epsilon
-from trajcf.projection import reconstruct
+from trajcf.projection import reconstruct_batch
 from trajcf.synth import (
     CURVE_SAMPLE_POINTS,
     NOMINAL_COEFFS,
@@ -96,11 +96,11 @@ def test_outlier_uses_the_larger_radius():
 
 def test_curves_match_their_coefficients():
     exp = generate_example1(5, seed=2)
-    traj, cv = exp.dataset.entries[3]
+    traj, coeffs = exp.dataset.curves[3], exp.dataset.coeffs[3]
     assert traj.times.size == CURVE_SAMPLE_POINTS
     assert np.all(np.diff(traj.times) > 0)
-    assert np.allclose(traj.values, reconstruct(cv.coeffs, traj.times), atol=1e-14)
-    assert traj.id == cv.id == "g0003"
+    assert np.allclose(traj.values, reconstruct_batch(coeffs[None, :], traj.times)[0], atol=1e-14)
+    assert traj.id == exp.dataset.ids[3] == "g0003"
 
 
 def test_nominal_curve_is_the_average_of_three_waves():
@@ -109,7 +109,7 @@ def test_nominal_curve_is_the_average_of_three_waves():
     target = (np.polynomial.chebyshev.chebval(t, [0, 1])
               + np.polynomial.chebyshev.chebval(t, [0, 0, 1])
               + np.polynomial.chebyshev.chebval(t, [0, 0, 0, 1])) / 3.0
-    assert np.allclose(reconstruct(exp.nominal.coeffs, t), target, atol=1e-15)
+    assert np.allclose(reconstruct_batch(exp.nominal.coeffs[None, :], t)[0], target, atol=1e-15)
 
 
 def test_second_family_outlier_carries_the_extra_harmonic():
