@@ -37,6 +37,7 @@ from .projection import (
     default_quad_points,
     project,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
     project_samples,
+    quad_point_count,
     reconstruct_batch,
     unit_times,
     values_on_nodes,
@@ -232,6 +233,8 @@ def _batch_from_input(parsed, domain, n: int, quad_points, path: str, mismatch_e
         coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
         return _Batch(ids, coeffs, domain, times, values)
     _, ids, coeffs = parsed
+    if quad_points is not None:  # unused by coefficient rows, but checked as for curves
+        quad_point_count(n, quad_points)
     if ids and coeffs.shape[1] == 0:
         raise InputError("coefficients must form a non-empty 1-D sequence")
     finite = np.isfinite(coeffs).all(axis=1)
@@ -366,13 +369,13 @@ def cmd_fit(args) -> int:
         ("domain", f"{args.domain[0]:g}:{args.domain[1]:g}"),
     ])
     parsed = _read_input(args.input)
-    _, dataset = _dataset_from_input(parsed, args.domain, args.degree_n, quad, args.input)
+    _, dataset = _dataset_from_input(parsed, args.domain, args.degree_n, args.quad_points,
+                                     args.input)
     model = _model.fit(dataset, args.degree_d, args.degree_n, epsilon=args.epsilon)
     _model.save(model, args.output)
     print(f"# fitted: m={model.size} N={model.sample_count} "
           f"epsilon={model.epsilon!r} "
-          f"smallest_eigenvalue={float(model.eigenvalues[0])!r} "
-          f"largest_eigenvalue={float(model.eigenvalues[-1])!r}")
+          f"effective_dimension={model.effective_dimension()!r}")
     print(f"# wrote {args.output}")
     return EXIT_OK
 
@@ -506,8 +509,9 @@ def cmd_info(args) -> int:
     print(f"epsilon {model.epsilon!r}")
     print(f"N {model.sample_count}")
     print(f"domain {model.domain[0]:g}:{model.domain[1]:g}")
-    print(f"smallest_eigenvalue {float(model.eigenvalues[0])!r}")
-    print(f"largest_eigenvalue {float(model.eigenvalues[-1])!r}")
+    spectrum = model.spectrum()
+    print(f"smallest_eigenvalue {float(spectrum[0])!r}")
+    print(f"largest_eigenvalue {float(spectrum[-1])!r}")
     print(f"provenance {model.provenance}")
     return EXIT_OK
 

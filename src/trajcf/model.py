@@ -14,11 +14,13 @@ of order m on it: the in-sample average of cd_value is exactly m when
 eps = 0.  That dichotomy is the anomaly score.
 
 Numerically the model keeps the raw sum S = N*M (exact bookkeeping for
-updates and persistence) together with a spectral factorization
-M + eps*I = Q diag(s) Q^T.  Every operation (fit, load, update, downdate)
-takes that factorization from S alone, by the symmetric eigendecomposition
-of S/N + eps*I in `_factor_from_moments`, so a fitted model and its saved
-and reloaded copy have bit-identical factors and scores.
+updates and persistence) together with one Cholesky factor: the inverse
+W = L^{-1} of the lower-triangular L with L L^T = M + eps*I, so that
+cd_value(h) = ||W v(h)||^2.  Every operation (fit, load, update, downdate)
+takes W from S alone in `_factor_from_moments`, so a fitted model and its
+saved and reloaded copy have bit-identical factors and scores.  No spectrum
+is needed to score; only the eps = 0 singularity check, downdate's
+positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
 """
 
 from __future__ import annotations
@@ -158,20 +160,24 @@ def _require_finite(S: np.ndarray) -> None:
         )
 
 
-def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of S/N + eps*I by symmetric eigendecomposition."""
+def _symmetrized(S: np.ndarray) -> np.ndarray:
+    """A freshly summed S, checked finite and made exactly symmetric."""
     _require_finite(S)
+    return (S + S.T) / 2.0
+
+
+def _shifted_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
+    """S/N + eps*I, with S/N symmetrized first."""
     M = S / N
     M = (M + M.T) / 2.0
     if eps > 0.0:
-        M = M + eps * np.eye(M.shape[0])
-    s, Q = np.linalg.eigh(M)
-    return s, Q
+        M.flat[::M.shape[0] + 1] += eps
+    return M
 
 
-def _require_invertible(s: np.ndarray, eps: float) -> None:
-    if eps > 0.0:
-        return
+def _require_invertible(M: np.ndarray) -> None:
+    """Fail unless the unregularized moment matrix M clears the eigenvalue floor."""
+    s = np.linalg.eigvalsh(M)
     smax = float(s[-1]) if s.size else 0.0
     smin = float(s[0]) if s.size else 0.0
     if smax <= 0.0 or smin <= SINGULAR_RCOND * smax:
@@ -182,24 +188,68 @@ def _require_invertible(s: np.ndarray, eps: float) -> None:
         )
 
 
+# Largest diagonal block `_invert_lower` hands to np.linalg.inv whole.
+INVERSE_LEAF_ROWS = 64
+
+
+def _invert_lower(L: np.ndarray) -> None:
+    """Overwrite the nonsingular lower-triangular L with its inverse, by the
+    two-block recursion
+
+        [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]].
+
+    numpy has no triangular solve, and one full-size np.linalg.inv (an LU
+    with pivoting) costs several times more than these matrix products.
+    """
+    m = L.shape[0]
+    if m <= INVERSE_LEAF_ROWS:
+        L[...] = np.tril(np.linalg.inv(L))  # the LU's pivoting leaves rounding above
+        return
+    h = m // 2
+    _invert_lower(L[:h, :h])
+    _invert_lower(L[h:, h:])
+    np.negative(L[h:, h:] @ (L[h:, :h] @ L[:h, :h]), out=L[h:, :h])
+
+
+def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
+    """The inverse Cholesky factor W = L^{-1} of S/N + eps*I (lower triangular).
+
+    At eps = 0 the matrix must first clear the eigenvalue floor; a Cholesky
+    breakdown at any eps is a NumericalError.
+    """
+    _require_finite(S)
+    M = _shifted_moments(S, N, eps)
+    if eps == 0.0:
+        _require_invertible(M)
+    try:
+        W = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        advice = "refit with epsilon > 0" if eps == 0.0 else "refit with a larger epsilon"
+        raise NumericalError(
+            f"the moment matrix is not numerically positive definite at "
+            f"epsilon = {eps!r} (Cholesky factorization failed: {exc}); {advice}"
+        ) from exc
+    _invert_lower(W)
+    return W
+
+
 # Rows per block in `_cd_from_factor`; bounds its temporaries to
 # CD_BLOCK_ROWS x m floats whatever the batch size.
 CD_BLOCK_ROWS = 256
 
 
-def _cd_from_factor(s: np.ndarray, Q: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Quadratic forms v^T (Q diag(s) Q^T)^{-1} v for each row v of V.
+def _cd_from_factor(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each row v of V.
 
     A row whose monomials overflowed (an inf or nan entry) scores inf.
     """
     out = np.empty(V.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
         for start in range(0, V.shape[0], CD_BLOCK_ROWS):
-            W = V[start:start + CD_BLOCK_ROWS] @ Q
-            W *= W
-            W /= s
-            out[start:start + CD_BLOCK_ROWS] = W.sum(axis=1)
-    # An overflowed row sums to inf, or to nan where an inf meets a zero of Q
+            Z = V[start:start + CD_BLOCK_ROWS] @ W.T
+            Z *= Z
+            out[start:start + CD_BLOCK_ROWS] = Z.sum(axis=1)
+    # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf
     return out
@@ -223,15 +273,13 @@ class ChristoffelModel:
     epsilon: float
     sample_count: int
     moment_sum: np.ndarray = field(repr=False)       # S = sum_i v(g_i) v(g_i)^T
-    eigenvalues: np.ndarray = field(repr=False)      # of S/N + eps*I, ascending
-    eigenvectors: np.ndarray = field(repr=False)     # matching columns
+    inverse_factor: np.ndarray = field(repr=False)   # W = L^{-1}, L L^T = S/N + eps*I
     domain: tuple[float, float] = (-1.0, 1.0)
     provenance: str = "fit"
 
     def __post_init__(self) -> None:
         self.moment_sum.setflags(write=False)
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
+        self.inverse_factor.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -241,6 +289,18 @@ class ChristoffelModel:
     def moment_matrix(self) -> np.ndarray:
         """The averaged (unregularized) moment matrix S / N."""
         return self.moment_sum / self.sample_count
+
+    def effective_dimension(self) -> float:
+        """m - eps * trace((S/N + eps*I)^{-1}) = sum_i (1 - eps/s_i) over the
+        eigenvalues s_i of S/N + eps*I: the in-sample mean CD value.  It is m
+        at eps = 0 and needs no spectrum, since the trace is ||W||_F^2."""
+        return self.size - self.epsilon * float(np.vdot(self.inverse_factor, self.inverse_factor))
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of S/N + eps*I, ascending: an O(m^3) eigensolve for
+        reports; scoring never needs it."""
+        M = _shifted_moments(self.moment_sum, self.sample_count, self.epsilon)
+        return np.linalg.eigvalsh(M)
 
     def _probe_matrix(self, coeffs) -> np.ndarray:
         """Monomial vectors of one or many probes, with mismatch checks."""
@@ -279,7 +339,8 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         Empty dataset, short coefficient vectors, invalid degrees or
         epsilon, basis cap exceeded.
     NumericalError
-        Singular moment matrix at epsilon = 0, or monomials that overflow.
+        Singular moment matrix at epsilon = 0, a Cholesky breakdown, or
+        monomials that overflow.
     """
     bas = enumerate_basis(d, n)
     C = data.coefficient_matrix(bas.n)
@@ -287,19 +348,16 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         V = eval_monomial_matrix(C, bas)
         S = V.T @ V
-    _require_finite(S)
-    S = (S + S.T) / 2.0
+    S = _symmetrized(S)
     if epsilon is None:
         eps = default_epsilon(S, N)
     else:
         eps = float(epsilon)
         if not math.isfinite(eps) or eps < 0.0:
             raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    s, Q = _factor_from_moments(S, N, eps)
-    _require_invertible(s, eps)
     return ChristoffelModel(
         d=bas.d, n=bas.n, basis=bas, epsilon=eps, sample_count=N,
-        moment_sum=S, eigenvalues=s, eigenvectors=Q,
+        moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
         domain=data.domain, provenance="fit",
     )
 
@@ -307,13 +365,13 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
 def cd_value(model: ChristoffelModel, c) -> float:
     """Anomaly score v(c)^T (S/N + eps*I)^{-1} v(c); always >= 0."""
     V = model._probe_matrix(coeff_array(c))
-    return float(_cd_from_factor(model.eigenvalues, model.eigenvectors, V)[0])
+    return float(_cd_from_factor(model.inverse_factor, V)[0])
 
 
 def cd_values(model: ChristoffelModel, coeff_matrix) -> np.ndarray:
     """Vectorized `cd_value` over the rows of an (N, >=n) array."""
     V = model._probe_matrix(coeff_matrix)
-    return _cd_from_factor(model.eigenvalues, model.eigenvectors, V)
+    return _cd_from_factor(model.inverse_factor, V)
 
 
 def christoffel_value(model: ChristoffelModel, c) -> float:
@@ -333,9 +391,8 @@ def kernel(model: ChristoffelModel, c1, c2) -> float:
     """Evaluation kernel v(c1)^T (S/N + eps*I)^{-1} v(c2) (symmetric)."""
     V1 = model._probe_matrix(coeff_array(c1))
     V2 = model._probe_matrix(coeff_array(c2))
-    W1 = model.eigenvectors.T @ V1[0]
-    W2 = model.eigenvectors.T @ V2[0]
-    return float(np.sum(W1 * W2 / model.eigenvalues))
+    W = model.inverse_factor
+    return float(np.dot(W @ V1[0], W @ V2[0]))
 
 
 def extremal_polynomial(model: ChristoffelModel, h) -> np.ndarray:
@@ -346,11 +403,12 @@ def extremal_polynomial(model: ChristoffelModel, h) -> np.ndarray:
     second moment (1/N) sum_i (w . v(g_i))^2 equals christoffel_value(h).
     """
     V = model._probe_matrix(coeff_array(h))
-    W = model.eigenvectors.T @ V[0]
-    cd = float(np.sum(W * W / model.eigenvalues))
+    W = model.inverse_factor
+    z = W @ V[0]
+    cd = float(np.dot(z, z))
     if cd <= 0.0 or not math.isfinite(cd):
         raise NumericalError(f"cannot normalize the extremal polynomial: CD value {cd!r}")
-    return model.eigenvectors @ (W / model.eigenvalues) / cd
+    return W.T @ z / cd
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +427,9 @@ def update(model: ChristoffelModel, c_new) -> ChristoffelModel:
     V = model._probe_matrix(c_new)
     if V.shape[0] == 0:
         return model
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _refactored
-        S = model.moment_sum + V.T @ V
-    grown = _refactored(model, S, model.sample_count + V.shape[0], "update")
-    _require_invertible(grown.eigenvalues, grown.epsilon)
-    return grown
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
+        S = _symmetrized(model.moment_sum + V.T @ V)
+    return _refactored(model, S, model.sample_count + V.shape[0], "update")
 
 
 def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
@@ -394,29 +450,23 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
             f"cannot downdate below one absorbed trajectory "
             f"({V.shape[0]} removed from {model.sample_count})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _refactored
-        S = model.moment_sum - V.T @ V
-    shrunk = _refactored(model, S, N, "downdate")
-    # Smallest eigenvalue of S itself, recovered from the shifted spectrum.
-    smin_S = N * (float(shrunk.eigenvalues[0]) - model.epsilon)
-    tol = 1e-10 * max(float(np.trace(shrunk.moment_sum)), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
+        S = _symmetrized(model.moment_sum - V.T @ V)
+    smin_S = float(np.linalg.eigvalsh(S)[0])
+    tol = 1e-10 * max(float(np.trace(S)), 1.0)
     if smin_S < -tol:
         raise NumericalError(
             f"downdate breaks positive semidefiniteness (eigenvalue {smin_S:.6e}); "
             f"the trajectory does not belong to the absorbed set"
         )
-    _require_invertible(shrunk.eigenvalues, model.epsilon)
-    return shrunk
+    return _refactored(model, S, N, "downdate")
 
 
 def _refactored(model: ChristoffelModel, S: np.ndarray, N: int, operation: str) -> ChristoffelModel:
-    """The model with moment sum S over N trajectories, refactorized."""
-    _require_finite(S)
-    S = (S + S.T) / 2.0
-    s, Q = _factor_from_moments(S, N, model.epsilon)
+    """The model with the symmetric moment sum S over N trajectories, refactorized."""
     return replace(
-        model, sample_count=N, moment_sum=S, eigenvalues=s, eigenvectors=Q,
-        provenance=operation,
+        model, sample_count=N, moment_sum=S,
+        inverse_factor=_factor_from_moments(S, N, model.epsilon), provenance=operation,
     )
 
 
@@ -603,12 +653,10 @@ def load(source) -> ChristoffelModel:
         raise InputError(f"model file sample count must be >= 1, got {N}")
     if eps < 0.0 or not math.isfinite(eps):
         raise InputError(f"model file epsilon must be finite and >= 0, got {eps}")
-    s, Q = _factor_from_moments(S, N, eps)
-    _require_invertible(s, eps)
     # Preserve the original creator so save(load(f)) reproduces f's bytes.
     return ChristoffelModel(
         d=d, n=n, basis=bas, epsilon=eps, sample_count=N,
-        moment_sum=S, eigenvalues=s, eigenvectors=Q,
+        moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
         domain=domain, provenance=fields.get("created-by", "fit"),
     )
 

@@ -189,7 +189,7 @@ def values_on_nodes(unit_times: np.ndarray, values, nodes) -> np.ndarray:
     return out
 
 
-def _quad_points(n: int, quad_points: int | None) -> int:
+def quad_point_count(n: int, quad_points: int | None) -> int:
     """Validate the truncation n; return the quadrature point count M for it."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InputError(f"harmonic truncation must be an integer >= 1, got {n!r}")
@@ -248,7 +248,7 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
         Row k equals ``project`` of curve k: one (n x T) operator applied
         to all columns at once.
     """
-    M = _quad_points(n, quad_points)
+    M = quad_point_count(n, quad_points)
     t = np.asarray(times, dtype=float)
     V = np.asarray(values, dtype=float)
     if t.ndim != 1 or V.ndim != 2 or V.shape[0] != t.size:

@@ -287,8 +287,7 @@ class PointwiseChristoffel:
 
     d2: int
     nodes: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    inverse_factor: np.ndarray  # of the regularized moment matrix, as in ChristoffelModel
     epsilon: float
     cloud_floor: float  # smallest pointwise Christoffel value on the cloud itself
 
@@ -307,11 +306,11 @@ class PointwiseChristoffel:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the factorization
             S = V.T @ V
         eps = _model.default_epsilon(S, count)
-        s, Q = _model._factor_from_moments(S, count, eps)
-        cloud_cd = _model._cd_from_factor(s, Q, V)
+        W = _model._factor_from_moments(S, count, eps)
+        cloud_cd = _model._cd_from_factor(W, V)
         floor = float(1.0 / cloud_cd.max())
         return cls(
-            d2=int(d2), nodes=nodes, eigenvalues=s, eigenvectors=Q,
+            d2=int(d2), nodes=nodes, inverse_factor=W,
             epsilon=eps, cloud_floor=floor,
         )
 
@@ -323,7 +322,7 @@ class PointwiseChristoffel:
         """
         F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
         pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
-        cd = _model._cd_from_factor(self.eigenvalues, self.eigenvectors,
+        cd = _model._cd_from_factor(self.inverse_factor,
                                     eval_monomial_matrix(pts, enumerate_basis(self.d2, 2)))
         return (1.0 / cd).reshape(F.shape)
 

@@ -64,6 +64,20 @@ def test_fit_reports_the_basis_dimension(ws, tmp_path, capsys):
     assert out.read_bytes() == open(ws["model"], "rb").read()
 
 
+@pytest.mark.parametrize("d, n", [(4, 4), (8, 5)])
+def test_fit_prints_the_effective_dimension_as_the_in_sample_mean_cd(tmp_path, capsys, d, n):
+    prefix = str(tmp_path / "e1")
+    assert main(["synth", "example1", "--count", "2000", "--seed", "0", "--output", prefix]) == 0
+    out = str(tmp_path / "m.txt")
+    capsys.readouterr()
+    assert main(["fit", "--input", prefix + "_data.csv", "--output", out,
+                 "--degree-d", str(d), "--degree-n", str(n)]) == 0
+    fitted = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("# fitted:"))
+    printed = float(fitted.split("effective_dimension=")[1])
+    in_sample = cd_values(load(out), generate_example1(2000, seed=0).dataset.coefficient_matrix(n))
+    assert printed == pytest.approx(float(np.mean(in_sample)), rel=1e-8)
+
+
 def test_fit_accepts_the_trajectory_layout(ws, tmp_path):
     out = tmp_path / "mcurves.txt"
     assert main(["fit", "--input", ws["curves"], "--output", str(out),
@@ -417,9 +431,9 @@ def test_model_with_nan_moments_is_an_input_error(ws, tmp_path):
 
 def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, capsys):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
     assert main(["info", "--model", ws["model"]]) == 3
     assert "numerical error" in capsys.readouterr().err
 
@@ -472,6 +486,17 @@ def test_zero_quadrature_points_is_an_input_error(ws, tmp_path, command):
         "baseline": ["baseline", "--model", ws["model"], "--calibration", ws["data"]],
     }[command]
     assert main(args + ["--input", ws["curves"], "--quad-points", "0"]) == 2
+
+
+def test_bad_quadrature_points_on_coefficient_rows_are_an_input_error(ws, tmp_path, capsys):
+    # no quadrature runs for coefficient rows, but the option is checked as for curves
+    capsys.readouterr()
+    assert main(["fit", "--input", ws["data"], "--output", str(tmp_path / "m.txt"),
+                 "--quad-points", "-5"]) == 2
+    assert "quadrature point count must be an integer >= 2, got -5" in capsys.readouterr().err
+    assert main(["score", "--model", ws["model"], "--input", ws["data"],
+                 "--quad-points", "0"]) == 2
+    assert "quadrature point count must be an integer >= 2, got 0" in capsys.readouterr().err
 
 
 def test_headers_print_the_quadrature_points_used(ws, tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_christoffel_value_overflow_returns_zero():
     tiny = ChristoffelModel(
         d=base.d, n=base.n, basis=base.basis, epsilon=base.epsilon,
         sample_count=base.sample_count, moment_sum=base.moment_sum.copy(),
-        eigenvalues=np.array([5e-324, 1.0, 1.0]), eigenvectors=np.eye(3),
+        inverse_factor=np.diag([1e200, 1.0, 1.0]),  # the inverse of a pivot of 1e-200
         domain=base.domain, provenance="crafted",
     )
     assert math.isinf(cd_value(tiny, [1.0, 1.0]))
@@ -454,8 +454,7 @@ def example1_data():
 def test_fit_and_its_reloaded_copy_are_bit_identical(example1_data, d, n, epsilon):
     model = fit(example1_data, d, n, epsilon=epsilon)
     reloaded = load(io.StringIO(dumps(model)))
-    np.testing.assert_array_equal(reloaded.eigenvalues, model.eigenvalues)
-    np.testing.assert_array_equal(reloaded.eigenvectors, model.eigenvectors)
+    np.testing.assert_array_equal(reloaded.inverse_factor, model.inverse_factor)
     probes = np.vstack([example1_data.coefficient_matrix(n)[:50],
                         np.random.default_rng(70).normal(size=(20, n))])
     np.testing.assert_array_equal(cd_values(reloaded, probes), cd_values(model, probes))
@@ -472,9 +471,43 @@ def test_every_fit_at_zero_epsilon_that_succeeds_also_loads(example1_data):
                 outcomes.append(False)
                 continue
             reloaded = load(io.StringIO(dumps(model)))
-            np.testing.assert_array_equal(reloaded.eigenvalues, model.eigenvalues)
+            np.testing.assert_array_equal(reloaded.inverse_factor, model.inverse_factor)
             outcomes.append(True)
     assert any(outcomes) and not all(outcomes)  # both sides of the singularity test occur
+
+
+def test_cholesky_breakdown_is_a_numerical_error(example1_data, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(NumericalError, match="refit with epsilon > 0"):
+        fit(example1_data, 2, 2, epsilon=0.0)
+
+
+def _refined_cd(A, V):
+    """v^T A^{-1} v for each column v of V, by an LU solve refined with
+    long-double residuals: a reference independent of the model's factor."""
+    X = np.linalg.solve(A, V)
+    A_long, V_long = A.astype(np.longdouble), V.astype(np.longdouble)
+    for _ in range(3):
+        X = X + np.linalg.solve(A, (V_long - A_long @ X.astype(np.longdouble)).astype(float))
+    return np.einsum("ij,ij->j", V_long, X.astype(np.longdouble)).astype(float)
+
+
+def test_cd_values_match_a_refined_solve_at_degree_8():
+    # (8, 5): m = 1287 and cond(S/N + eps*I) near 1e11, where scores from a
+    # symmetric eigendecomposition are about 1e-6 off and a Cholesky factor's 1e-9
+    from trajcf.synth import generate_example1
+    exp = generate_example1(2000, seed=0)
+    model = fit(exp.dataset, 8, 5)
+    probes = np.vstack([exp.dataset.coefficient_matrix(5)[:20],
+                        generate_example1(20, seed=100).dataset.coefficient_matrix(5),
+                        exp.outlier.coeffs[None, :5]])
+    A = model.moment_matrix()
+    A = (A + A.T) / 2.0 + model.epsilon * np.eye(model.size)
+    reference = _refined_cd(A, model._probe_matrix(probes).T)
+    np.testing.assert_allclose(cd_values(model, probes), reference, rtol=1e-8)
 
 
 def _crafted(moment_sum):
