@@ -23,7 +23,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +37,6 @@ from .projection import (
     project,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
     project_samples,
     quad_point_count,
-    reconstruct_batch,
-    unit_times,
-    values_on_nodes,
 )
 
 EXIT_OK = 0
@@ -205,56 +201,28 @@ def _check_times_in_domain(times: np.ndarray, domain, path: str, exc_cls) -> Non
         )
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """The curves or coefficient rows of one input file, as arrays."""
-
-    ids: list
-    coeffs: np.ndarray                # (K, >= n), one curve per row
-    domain: tuple
-    times: np.ndarray | None = None   # the shared sample grid of a trajectory file
-    values: np.ndarray | None = None  # (T, K) samples, one curve per column
-
-    def on_nodes(self, nodes) -> np.ndarray:
-        """Every curve at unit-interval nodes, (K, M): sampled curves by
-        linear interpolation, coefficient rows as truncated series."""
-        if not self.ids:
-            return np.empty((0, len(nodes)))
-        if self.values is not None:
-            return values_on_nodes(unit_times(self.times, self.domain), self.values, nodes)
-        return reconstruct_batch(self.coeffs, nodes)
-
-
-def _batch_from_input(parsed, domain, n: int, quad_points, path: str, mismatch_exc) -> _Batch:
+def _batch_from_input(parsed, domain, n: int, quad_points, path: str,
+                      mismatch_exc) -> TrajectoryDataset:
     """Curves projected to n coefficients in one pass, or coefficient rows as given."""
     if parsed[0] == "traj":
         _, ids, times, values = parsed
         _check_times_in_domain(times, domain, path, mismatch_exc)
         coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
-        return _Batch(ids, coeffs, domain, times, values)
+        return TrajectoryDataset(coeffs, ids=ids, domain=domain, times=times, values=values)
     _, ids, coeffs = parsed
     if quad_points is not None:  # unused by coefficient rows, but checked as for curves
         quad_point_count(n, quad_points)
-    if ids and coeffs.shape[1] == 0:
-        raise InputError("coefficients must form a non-empty 1-D sequence")
-    finite = np.isfinite(coeffs).all(axis=1)
-    if not finite.all():
-        raise InputError(
-            f"coefficient vector contains non-finite entries (id={ids[int(np.argmin(finite))]!r})"
-        )
-    return _Batch(ids, coeffs, domain)
+    return TrajectoryDataset(coeffs, ids=ids, domain=domain)
 
 
-def _dataset_from_input(parsed, domain, n: int, quad_points,
-                        path: str) -> tuple[_Batch, TrajectoryDataset]:
+def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> TrajectoryDataset:
     if parsed[0] == "traj":
         _, ids, times, _values = parsed
         if not ids or times.size == 0:
             raise InputError(f"{path}: no trajectories to fit")
     elif parsed[2].shape[0] == 0 or parsed[2].shape[1] == 0:
         raise InputError(f"{path}: no coefficient data to fit")
-    batch = _batch_from_input(parsed, domain, n, quad_points, path, InputError)
-    return batch, TrajectoryDataset.from_coefficients(batch.coeffs, domain=domain, ids=batch.ids)
+    return _batch_from_input(parsed, domain, n, quad_points, path, InputError)
 
 
 def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
@@ -265,12 +233,13 @@ def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
             writer.writerow([i or ""] + [repr(x) for x in row])
 
 
-def _write_trajectory_csv(path: str, ids, times, value_columns) -> None:
+def _write_trajectory_csv(path: str, ids, times, values) -> None:
+    """Curves sampled at ``times``, ``values`` (T, K) one curve per column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + list(ids))
-        for i, t in enumerate(times):
-            writer.writerow([repr(float(t))] + [repr(float(col[i])) for col in value_columns])
+        for t, row in zip(times.tolist(), values):
+            writer.writerow([repr(t)] + [repr(x) for x in row.tolist()])
 
 
 def _write_histogram(path: str, cds) -> None:
@@ -293,11 +262,11 @@ def _write_histogram(path: str, cds) -> None:
             fh.write(f"{float(edges[i])!r} {float(edges[i + 1])!r} {int(cnt)}\n")
 
 
-def _write_overlay(path: str, probes: _Batch) -> None:
+def _write_overlay(path: str, probes: TrajectoryDataset) -> None:
     """Plot-ready curves: 201 uniformly spaced points across the domain."""
     lo, hi = probes.domain
     t = np.linspace(lo, hi, 201)
-    _write_trajectory_csv(path, probes.ids, t, probes.on_nodes(np.linspace(-1.0, 1.0, 201)))
+    _write_trajectory_csv(path, probes.ids, t, probes.on_nodes(np.linspace(-1.0, 1.0, 201)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +306,10 @@ def _resolve_threshold(model, args, calibration: TrajectoryDataset | None):
     return thr, f"no calibration data given; defaulting to multiple({_FALLBACK_MULTIPLE:g})"
 
 
-def _load_calibration(args, model):
-    """The --calibration file as (batch, dataset), or (None, None) without one."""
+def _load_calibration(args, model) -> TrajectoryDataset | None:
+    """The --calibration file as a dataset, or None without one."""
     if getattr(args, "calibration", None) is None:
-        return None, None
+        return None
     parsed = _read_input(args.calibration)
     return _dataset_from_input(parsed, model.domain, model.n,
                                getattr(args, "quad_points", None), args.calibration)
@@ -369,8 +338,8 @@ def cmd_fit(args) -> int:
         ("domain", f"{args.domain[0]:g}:{args.domain[1]:g}"),
     ])
     parsed = _read_input(args.input)
-    _, dataset = _dataset_from_input(parsed, args.domain, args.degree_n, args.quad_points,
-                                     args.input)
+    dataset = _dataset_from_input(parsed, args.domain, args.degree_n, args.quad_points,
+                                  args.input)
     model = _model.fit(dataset, args.degree_d, args.degree_n, epsilon=args.epsilon)
     _model.save(model, args.output)
     print(f"# fitted: m={model.size} N={model.sample_count} "
@@ -386,7 +355,7 @@ def cmd_score(args) -> int:
         raise MismatchError(
             f"probe domain {args.domain} does not match the model domain {model.domain}"
         )
-    _, calibration = _load_calibration(args, model)
+    calibration = _load_calibration(args, model)
     threshold, note = _resolve_threshold(model, args, calibration)
     _header("score", [
         ("model", args.model), ("input", args.input),
@@ -456,9 +425,7 @@ def cmd_synth(args) -> int:
     outlier_path = f"{prefix}_outlier.csv"
     nominal_path = f"{prefix}_nominal.csv"
     _write_wide_csv(data_path, exp.dataset.ids, exp.dataset.coefficient_matrix(n))
-    curves = exp.dataset.curves
-    _write_trajectory_csv(curves_path, exp.dataset.ids,
-                          curves[0].times, [tr.values for tr in curves])
+    _write_trajectory_csv(curves_path, exp.dataset.ids, exp.dataset.times, exp.dataset.values)
     for path, vec in ((outlier_path, exp.outlier), (nominal_path, exp.nominal)):
         _write_wide_csv(path, [vec.id], vec.coeffs[None, :n])
     for p in (data_path, curves_path, outlier_path, nominal_path):
@@ -468,7 +435,7 @@ def cmd_synth(args) -> int:
 
 def cmd_baseline(args) -> int:
     model = _model.load(args.model)
-    references, calibration = _load_calibration(args, model)
+    calibration = _load_calibration(args, model)
     if calibration is None:
         raise InputError("baseline scoring needs --calibration (the reference database)")
     threshold, note = _resolve_threshold(model, args, calibration)
@@ -488,7 +455,7 @@ def cmd_baseline(args) -> int:
     probes = _batch_from_input(parsed, model.domain, model.n,
                                args.quad_points, args.input, MismatchError)
     nodes = chebyshev_quadrature_nodes(_scoring.NEAREST_QUAD_POINTS)
-    l2 = _scoring.nearest_distances(references.on_nodes(nodes), probes.on_nodes(nodes))
+    l2 = _scoring.nearest_distances(calibration.on_nodes(nodes), probes.on_nodes(nodes))
     reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids,
                                       baseline_l2=l2)
     fractions = cloud.fractions_below(probes.on_nodes(cloud.nodes), delta)

@@ -36,7 +36,7 @@ import numpy as np
 from . import projection as _projection
 from .basis import BasisEnumeration, enumerate_basis, eval_monomial_matrix
 from .errors import InputError, MismatchError, NumericalError
-from .projection import CoefficientVector, SampledTrajectory, coeff_array
+from .projection import CoefficientVector, coeff_array
 
 # Relative eigenvalue floor below which an unregularized moment matrix is
 # declared singular.  Legitimate dense datasets sit many decades above it.
@@ -55,19 +55,22 @@ _BASIS_ORDERING = "graded-lex"
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    """Reference database: one (N, k) array of coefficient rows.
+    """A set of curves: one (N, k) array of coefficient rows.
 
-    Row i holds the first k orthonormal coefficients of curve i.  ``ids``
-    labels the rows (None for an unlabelled row); ``curves`` holds the
-    SampledTrajectory of every row when the rows were projected from
-    curves, and is None for datasets built from coefficients.  The array
-    is copied, checked once for finiteness and made read-only.
+    Row i holds the first k orthonormal coefficients of curve i, and
+    ``ids`` labels the rows (None for an unlabelled row).  When the rows
+    were projected from curves sampled on one grid, ``times`` (T,) holds
+    that grid and ``values`` (T, N) the samples, one curve per column;
+    both are None for coefficient rows.  The arrays are copied and made
+    read-only, and the rows are checked once for finiteness.  A dataset
+    may be empty (a probe file may hold no curves); `fit` refuses one.
     """
 
     coeffs: np.ndarray
     ids: tuple | None = None
-    curves: tuple[SampledTrajectory, ...] | None = None
     domain: tuple[float, float] = (-1.0, 1.0)
+    times: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -77,23 +80,33 @@ class TrajectoryDataset:
         if C.ndim != 2:
             raise InputError(f"coefficient rows must form an (N, k) array, got shape {C.shape}")
         N = C.shape[0]
-        if N == 0:
-            raise InputError("a trajectory dataset cannot be empty")
-        if C.shape[1] == 0:
+        if N and C.shape[1] == 0:
             raise InputError("coefficients must form a non-empty 1-D sequence")
         ids = (None,) * N if self.ids is None else tuple(self.ids)
-        curves = None if self.curves is None else tuple(self.curves)
-        if len(ids) != N or (curves is not None and len(curves) != N):
-            raise InputError(f"{N} coefficient rows need as many ids and curves")
+        if len(ids) != N:
+            raise InputError(f"{N} coefficient rows need as many ids")
         finite = np.isfinite(C).all(axis=1)
         if not finite.all():
             raise InputError(
                 f"coefficient vector contains non-finite entries (id={ids[int(np.argmin(finite))]!r})"
             )
+        if self.values is not None:
+            t = np.array(self.times, dtype=float)
+            V = np.array(self.values, dtype=float)
+            if t.ndim != 1 or V.shape != (t.size, N):
+                raise InputError(
+                    f"samples of {N} curves on {t.size} times must form a "
+                    f"({t.size}, {N}) array, got shape {V.shape}"
+                )
+            t.setflags(write=False)
+            V.setflags(write=False)
+            object.__setattr__(self, "times", t)
+            object.__setattr__(self, "values", V)
+        elif self.times is not None:
+            raise InputError("sample times need their values")
         C.setflags(write=False)
         object.__setattr__(self, "coeffs", C)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
 
     def __len__(self) -> int:
@@ -103,10 +116,21 @@ class TrajectoryDataset:
         """First n coefficients of every row, (N, n): a read-only view."""
         if self.coeffs.shape[1] < n:
             raise InputError(
-                f"{len(self)} coefficient vector(s) have fewer than {n} entries "
-                f"(first offender: {self.ids[0] or '#0'})"
+                f"{len(self)} coefficient vector(s) have fewer than {n} entries"
+                + (f" (first offender: {self.ids[0] or '#0'})" if self.ids else "")
             )
         return self.coeffs[:, :n]
+
+    def on_nodes(self, nodes) -> np.ndarray:
+        """Every curve at unit-interval nodes, (N, M): sampled curves by
+        linear interpolation, coefficient rows as truncated series."""
+        nodes = np.asarray(nodes, dtype=float)
+        if len(self) == 0:
+            return np.empty((0, nodes.size))
+        if self.values is not None:
+            return _projection.values_on_nodes(
+                _projection.unit_times(self.times, self.domain), self.values, nodes)
+        return _projection.reconstruct_batch(self.coeffs, nodes)
 
     @classmethod
     def from_coefficients(cls, coeffs, domain=(-1.0, 1.0), ids=None) -> "TrajectoryDataset":
@@ -115,31 +139,30 @@ class TrajectoryDataset:
 
     @classmethod
     def from_trajectories(cls, trajectories, n: int, quad_points: int | None = None) -> "TrajectoryDataset":
-        """Project curves to n coefficients; the dataset keeps the curves.
+        """Project curves to n coefficients with one `project_samples` call.
 
-        Curves that share a sample grid are projected together by one
-        `project_samples` call.
+        The curves must share one domain and one sample grid; the dataset
+        keeps the grid and the samples.
         """
         trajectories = tuple(trajectories)
         if not trajectories:
             raise InputError("a trajectory dataset cannot be empty")
-        domain = trajectories[0].domain
+        first = trajectories[0]
         for tr in trajectories:
-            if tr.domain != domain:
+            if tr.domain != first.domain:
                 raise InputError(
-                    f"trajectories mix domains {domain} and {tr.domain}; "
+                    f"trajectories mix domains {first.domain} and {tr.domain}; "
                     "project them separately"
                 )
+            if not np.array_equal(tr.times, first.times):
+                raise InputError(
+                    f"trajectory {tr.id!r} is not sampled on the grid of {first.id!r}; "
+                    "a dataset holds one sample grid"
+                )
         ids = [tr.id for tr in trajectories]
-        blocks = [
-            (positions, _projection.project_samples(
-                first.times, values, n, quad_points, domain, ids=[ids[i] for i in positions]))
-            for positions, first, values in _projection.shared_grids(trajectories)
-        ]
-        C = np.empty((len(trajectories), int(n)))
-        for positions, block in blocks:
-            C[positions] = block
-        return cls(C, ids=ids, curves=trajectories, domain=domain)
+        values = np.stack([tr.values for tr in trajectories], axis=1)
+        C = _projection.project_samples(first.times, values, n, quad_points, first.domain, ids=ids)
+        return cls(C, ids=ids, domain=first.domain, times=first.times, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +365,11 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         Singular moment matrix at epsilon = 0, a Cholesky breakdown, or
         monomials that overflow.
     """
+    N = len(data)
+    if N == 0:
+        raise InputError("a trajectory dataset cannot be empty")
     bas = enumerate_basis(d, n)
     C = data.coefficient_matrix(bas.n)
-    N = len(data)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         V = eval_monomial_matrix(C, bas)
         S = V.T @ V

@@ -290,21 +290,6 @@ def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> 
     return CoefficientVector(coeffs=c[0], id=traj.id)
 
 
-def shared_grids(trajectories):
-    """Group curves by sample grid and domain.
-
-    Yields ``(positions, first, values)``: the positions of one group's
-    curves in ``trajectories``, its first curve (for the grid and domain)
-    and the group's samples stacked as a (T, K) matrix.
-    """
-    groups: dict = {}
-    for i, tr in enumerate(trajectories):
-        groups.setdefault((tr.times.tobytes(), tr.domain), []).append(i)
-    for positions in groups.values():
-        first = trajectories[positions[0]]
-        yield positions, first, np.stack([trajectories[i].values for i in positions], axis=1)
-
-
 def reconstruct_batch(coeff_matrix, t) -> np.ndarray:
     """Evaluate many truncated series at the same points.
 

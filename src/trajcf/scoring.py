@@ -37,7 +37,6 @@ from .projection import (
     chebyshev_quadrature_nodes,
     coeff_array,
     reconstruct_batch,
-    shared_grids,
     values_on_nodes,
 )
 
@@ -204,25 +203,14 @@ def classify_batch(
 NEAREST_QUAD_POINTS = 256
 
 
-def _subject_values(subjects, nodes: np.ndarray) -> np.ndarray:
-    """Curves and coefficient vectors evaluated at unit-interval nodes, (K, M).
-
-    Curves are linearly interpolated, all curves on one grid together;
-    coefficient vectors (or raw sequences, all of one length) are
-    evaluated exactly as truncated series, all together.
-    """
-    out = np.empty((len(subjects), nodes.size))
-    curves = [i for i, sub in enumerate(subjects) if isinstance(sub, SampledTrajectory)]
-    for positions, first, values in shared_grids([subjects[i] for i in curves]):
-        finite = np.isfinite(values).all(axis=0)
-        if not finite.all():
-            bad = subjects[curves[positions[int(np.argmin(finite))]]]
-            raise InputError(f"trajectory values contain non-finite entries (id={bad.id!r})")
-        out[[curves[p] for p in positions]] = values_on_nodes(first.unit_times(), values, nodes)
-    series = [i for i, sub in enumerate(subjects) if not isinstance(sub, SampledTrajectory)]
-    if series:
-        out[series] = reconstruct_batch([coeff_array(subjects[i]) for i in series], nodes)
-    return out
+def _probe_values(f, nodes: np.ndarray) -> np.ndarray:
+    """One probe at unit-interval nodes, (1, M): a curve by linear
+    interpolation, a coefficient vector as a truncated series."""
+    if isinstance(f, SampledTrajectory):
+        if not np.isfinite(f.values).all():
+            raise InputError(f"trajectory values contain non-finite entries (id={f.id!r})")
+        return values_on_nodes(f.unit_times(), f.values[:, None], nodes)
+    return reconstruct_batch(coeff_array(f)[None, :], nodes)
 
 
 def nearest_distances(reference_values, probe_values) -> np.ndarray:
@@ -267,12 +255,8 @@ def nearest_trajectory_score(
     ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  A one-probe call of
     `nearest_distances`.
     """
-    if len(data) == 0:
-        raise InputError("nearest-trajectory score needs a non-empty database")
     nodes = chebyshev_quadrature_nodes(quad_points)
-    references = (_subject_values(data.curves, nodes) if data.curves is not None
-                  else reconstruct_batch(data.coeffs, nodes))
-    return float(nearest_distances(references, _subject_values([f], nodes))[0])
+    return float(nearest_distances(data.on_nodes(nodes), _probe_values(f, nodes))[0])
 
 
 @dataclass(frozen=True)
@@ -328,7 +312,7 @@ class PointwiseChristoffel:
 
     def profile(self, f) -> np.ndarray:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) along the probe."""
-        return self.profiles(_subject_values([f], self.nodes))[0]
+        return self.profiles(_probe_values(f, self.nodes))[0]
 
     def fractions_below(self, values, delta: float) -> np.ndarray:
         """Per probe row of `profiles` input, the fraction of nodes where
@@ -339,7 +323,7 @@ class PointwiseChristoffel:
 
     def fraction_below(self, f, delta: float) -> float:
         """Fraction of nodes where the probe's pointwise value drops under delta."""
-        return float(self.fractions_below(_subject_values([f], self.nodes), delta)[0])
+        return float(self.fractions_below(_probe_values(f, self.nodes), delta)[0])
 
 
 def naive_pointwise_score(

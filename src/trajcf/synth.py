@@ -34,12 +34,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import TrajectoryDataset
-from .projection import (
-    CoefficientVector,
-    SampledTrajectory,
-    chebyshev_quadrature_nodes,
-    reconstruct_batch,
-)
+from .projection import CoefficientVector, chebyshev_quadrature_nodes, reconstruct_batch
 
 # Orthonormal coefficients of the shared nominal curve (T1 + T2 + T3)/3:
 # T_k = e_{k+1} / sqrt(2) for k >= 1, hence the 1/(3 sqrt 2) entries.
@@ -114,8 +109,8 @@ def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray
     return (radius * u ** (1.0 / dim) / norm) * direction
 
 
-def _generate_family(spec: SynthSpec) -> tuple[np.ndarray, TrajectoryDataset]:
-    """Coefficient matrix and dataset (with 33-point curves) for one spec."""
+def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
+    """The dataset of one spec: its coefficient rows and their 33-point curves."""
     g0 = np.asarray(spec.nominal, dtype=float)
     coords = np.asarray(spec.perturbed_coords, dtype=int)
     C = np.tile(g0, (spec.sample_count, 1))
@@ -124,8 +119,7 @@ def _generate_family(spec: SynthSpec) -> tuple[np.ndarray, TrajectoryDataset]:
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
     values = reconstruct_batch(C, nodes)
     ids = [f"g{i:04d}" for i in range(spec.sample_count)]
-    curves = [SampledTrajectory(times=nodes, values=v, id=i) for v, i in zip(values, ids)]
-    return C, TrajectoryDataset(C, ids=ids, curves=curves, domain=(-1.0, 1.0))
+    return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values.T)
 
 
 def generate_example1(
@@ -142,7 +136,7 @@ def generate_example1(
         nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
         radius=radius, sample_count=N, seed=seed,
     )
-    _, dataset = _generate_family(spec)
+    dataset = _generate_family(spec)
     r_out = OUTLIER_RADIUS_FACTOR * radius if outlier_radius is None else outlier_radius
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     coords = np.asarray(PERTURBED_COORDS, dtype=int)
@@ -166,7 +160,7 @@ def generate_example2(
         nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
         radius=radius, sample_count=N, seed=seed,
     )
-    _, dataset = _generate_family(spec)
+    dataset = _generate_family(spec)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     out[4] = outlier_epsilon / math.sqrt(2.0)
     return SyntheticExperiment(

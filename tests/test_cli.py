@@ -357,6 +357,22 @@ def test_nan_sample_is_an_input_error_naming_the_curve(ws, tmp_path, capsys):
         assert "id='b'" in capsys.readouterr().err
 
 
+def test_non_finite_coefficient_row_is_an_input_error_naming_the_row(ws, tmp_path, capsys):
+    src = tmp_path / "inf.csv"
+    src.write_text("id,c1,c2,c3,c4\na,0.1,0.2,0.3,0.4\nb,0.1,inf,0.3,0.4\n")
+    model, out = ws["model"], str(tmp_path / "m.txt")
+    for argv in (["fit", "--input", str(src), "--output", out],
+                 ["score", "--model", model, "--input", str(src)],
+                 ["update", "--model", model, "--input", str(src), "--output", out],
+                 ["downdate", "--model", model, "--input", str(src), "--output", out],
+                 ["baseline", "--model", model, "--input", str(src), "--calibration", ws["data"]],
+                 ["score", "--model", model, "--input", ws["outlier"], "--calibration", str(src)],
+                 ["baseline", "--model", model, "--input", ws["outlier"], "--calibration", str(src)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "non-finite entries (id='b')" in capsys.readouterr().err, argv
+
+
 def test_probe_times_outside_the_model_domain(ws, tmp_path):
     src = tmp_path / "late.csv"
     src.write_text("t,a\n0,0.1\n1,0.2\n2,0.3\n")

@@ -23,7 +23,12 @@ from trajcf.model import (
     update,
 )
 from trajcf.basis import enumerate_basis, eval_monomial_matrix
-from trajcf.projection import CoefficientVector, SampledTrajectory
+from trajcf.projection import (
+    CoefficientVector,
+    SampledTrajectory,
+    chebyshev_quadrature_nodes,
+    reconstruct_batch,
+)
 
 
 def gaussian_dataset(N, n, seed, scale=1.0):
@@ -57,8 +62,8 @@ def test_fit_validates_epsilon_and_empty_data():
     data = gaussian_dataset(10, 2, seed=0)
     with pytest.raises(InputError):
         fit(data, 2, 2, epsilon=-1.0)
-    with pytest.raises(InputError):
-        TrajectoryDataset(np.empty((0, 2)))
+    with pytest.raises(InputError, match="cannot be empty"):
+        fit(TrajectoryDataset(np.empty((0, 2))), 2, 2)
 
 
 def test_fit_rejects_short_coefficient_vectors():
@@ -363,6 +368,55 @@ def test_dataset_rejects_mixed_domains():
         TrajectoryDataset.from_trajectories([a, b], n=2)
 
 
+def test_dataset_rejects_a_second_sample_grid():
+    x = np.linspace(-1, 1, 9)
+    a = SampledTrajectory(times=x, values=x, id="a")
+    b = SampledTrajectory(times=x ** 3, values=x, id="b")
+    c = SampledTrajectory(times=x[:-1], values=x[:-1], id="c")
+    for other in (b, c):
+        with pytest.raises(InputError, match=f"trajectory '{other.id}' is not sampled on the grid"):
+            TrajectoryDataset.from_trajectories([a, a, other], n=2)
+
+
+def test_on_nodes_interpolates_samples_as_np_interp_does():
+    rng = np.random.default_rng(41)
+    times = np.sort(rng.uniform(0.2, 1.9, 12))          # nodes beyond both ends clamp
+    trajs = [SampledTrajectory(times=times, values=rng.normal(size=12), id=f"p{k}",
+                               domain=(0.0, 2.0)) for k in range(5)]
+    data = TrajectoryDataset.from_trajectories(trajs, n=4)
+    nodes = chebyshev_quadrature_nodes(97)
+    got = data.on_nodes(nodes)
+    assert got.shape == (5, 97)
+    for row, tr in zip(got, trajs):
+        assert row.tolist() == np.interp(nodes, tr.unit_times(), tr.values).tolist()
+
+
+def test_on_nodes_evaluates_coefficient_rows_as_series():
+    C = np.random.default_rng(42).normal(size=(6, 4))
+    nodes = chebyshev_quadrature_nodes(33)
+    got = TrajectoryDataset.from_coefficients(C).on_nodes(nodes)
+    assert got.tolist() == reconstruct_batch(C, nodes).tolist()
+
+
+def test_empty_dataset_is_allowed_but_cannot_be_fitted():
+    empty = TrajectoryDataset(np.empty((0, 4)))
+    assert len(empty) == 0 and empty.ids == ()
+    assert empty.on_nodes(chebyshev_quadrature_nodes(16)).shape == (0, 16)
+    sampled = TrajectoryDataset(np.empty((0, 4)), times=np.linspace(-1, 1, 5),
+                                values=np.empty((5, 0)))
+    assert sampled.on_nodes(np.linspace(-1, 1, 7)).shape == (0, 7)
+    with pytest.raises(InputError, match="cannot be empty"):
+        fit(empty, 2, 4)
+
+
+def test_dataset_samples_need_one_column_per_row():
+    t = np.linspace(-1, 1, 5)
+    with pytest.raises(InputError, match="must form a \\(5, 2\\) array, got shape \\(5, 3\\)"):
+        TrajectoryDataset(np.zeros((2, 3)), times=t, values=np.zeros((5, 3)))
+    with pytest.raises(InputError, match="sample times need their values"):
+        TrajectoryDataset(np.zeros((2, 3)), times=t)
+
+
 def test_dataset_keeps_ids():
     data = TrajectoryDataset.from_coefficients([[1.0], [2.0]], ids=["a", "b"])
     assert data.ids == ("a", "b")
@@ -567,7 +621,8 @@ def test_dataset_holds_one_read_only_copy_of_the_rows():
     assert data.coeffs[0, 0] != 99.0 and not data.coeffs.flags.writeable
     head = data.coefficient_matrix(2)
     assert head.shape == (6, 2) and np.shares_memory(head, data.coeffs)
-    assert data.ids == tuple(f"r{i}" for i in range(6)) and data.curves is None
+    assert data.ids == tuple(f"r{i}" for i in range(6))
+    assert data.times is None and data.values is None
     assert all(np.array_equal(data.coeffs[i], C[i]) for i in range(1, 6))
 
 
@@ -575,7 +630,10 @@ def test_dataset_from_trajectories_keeps_the_curves():
     x = np.linspace(-1, 1, 33)
     trajs = [SampledTrajectory(times=x, values=x ** k, id=f"p{k}") for k in range(3)]
     data = TrajectoryDataset.from_trajectories(trajs, n=3)
-    assert data.curves == tuple(trajs) and data.ids == ("p0", "p1", "p2")
+    assert np.array_equal(data.times, x) and not data.times.flags.writeable
+    assert all(np.array_equal(data.values[:, k], tr.values) for k, tr in enumerate(trajs))
+    assert data.values.shape == (33, 3) and not data.values.flags.writeable
+    assert data.ids == ("p0", "p1", "p2")
 
 
 @pytest.mark.parametrize("rows, ids, message", [

@@ -124,7 +124,8 @@ def test_report_line_column_order():
 
 def test_member_probe_scores_zero(small_family):
     exp, _ = small_family
-    member_curve = exp.dataset.curves[3]
+    data = exp.dataset
+    member_curve = SampledTrajectory(data.times, data.values[:, 3])
     assert nearest_trajectory_score(exp.dataset, member_curve) == 0.0
 
 
@@ -133,6 +134,15 @@ def test_constant_against_zero_database():
     for c in (0.7, -1.2):
         probe = CoefficientVector(coeffs=np.array([c, 0.0]))
         assert nearest_trajectory_score(data, probe) == pytest.approx(abs(c), rel=1e-12)
+
+
+def test_empty_database_is_refused_by_every_baseline():
+    empty = TrajectoryDataset(np.empty((0, 2)))
+    probe = CoefficientVector(coeffs=np.array([0.5, 0.0]))
+    with pytest.raises(InputError, match="non-empty database"):
+        nearest_trajectory_score(empty, probe)
+    with pytest.raises(InputError, match="non-empty database"):
+        PointwiseChristoffel.fit(empty, d2=2)
 
 
 def test_nearest_matches_exhaustive_distances():
@@ -192,7 +202,7 @@ def test_naive_rejects_negative_delta(small_family):
 
 def test_naive_accepts_curve_probes(small_family):
     exp, _ = small_family
-    traj = exp.dataset.curves[2]
+    traj = SampledTrajectory(exp.dataset.times, exp.dataset.values[:, 2])
     frac = naive_pointwise_score(exp.dataset, traj, d2=3, delta=1e-12)
     assert frac == 0.0
 
@@ -216,7 +226,8 @@ def test_classify_batch_equals_classify_row_by_row(small_family):
 
 def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
     exp, _ = small_family
-    curves = exp.dataset.curves
+    data = exp.dataset
+    curves = [SampledTrajectory(data.times, data.values[:, i]) for i in range(len(data))]
     nodes = chebyshev_quadrature_nodes(256)
     G = np.stack([values_on_nodes(tr.unit_times(), tr.values[:, None], nodes)[0]
                   for tr in curves])

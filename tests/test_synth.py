@@ -5,7 +5,7 @@ import pytest
 
 from trajcf.errors import InputError
 from trajcf.model import fit, cd_value, default_epsilon
-from trajcf.projection import reconstruct_batch
+from trajcf.projection import SampledTrajectory, reconstruct_batch
 from trajcf.synth import (
     CURVE_SAMPLE_POINTS,
     NOMINAL_COEFFS,
@@ -96,7 +96,9 @@ def test_outlier_uses_the_larger_radius():
 
 def test_curves_match_their_coefficients():
     exp = generate_example1(5, seed=2)
-    traj, coeffs = exp.dataset.curves[3], exp.dataset.coeffs[3]
+    data = exp.dataset
+    traj = SampledTrajectory(data.times, data.values[:, 3], id=data.ids[3])
+    coeffs = data.coeffs[3]
     assert traj.times.size == CURVE_SAMPLE_POINTS
     assert np.all(np.diff(traj.times) > 0)
     assert np.allclose(traj.values, reconstruct_batch(coeffs[None, :], traj.times)[0], atol=1e-14)
