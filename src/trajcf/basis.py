@@ -13,16 +13,19 @@ the constant monomial always comes first.  For (d=2, n=2) that is
 
     (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 
-The count is binomial(n + d, n); `BasisEnumeration.exponent_array` holds
-the rows and `eval_monomial_matrix` evaluates them.  Everything here is a
-pure function of its arguments; results are safe to share across threads.
+The count is binomial(n + d, n).  `BasisEnumeration` stores each monomial
+of degree >= 1 as its parent, the monomial with the last variable of its
+multiset removed, times that variable; `eval_monomial_matrix` evaluates
+the basis one grade at a time from those pairs, and
+`BasisEnumeration.exponents` derives the exponent rows on request.
+Everything here is a pure function of its arguments; results are safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -41,19 +44,27 @@ class BasisEnumeration:
     ----------
     degree_pair : (int, int)
         ``(d, n)``: algebraic degree bound and number of variables.
-    exponent_array : ndarray of int64, shape (m, n), read-only
-        Row i holds the exponents of the i-th monomial; row 0 is the
-        constant.
+    parents, variables : ndarray of intp, shape (m,), read-only
+        Monomial i >= 1 is monomial ``parents[i]`` times variable
+        ``variables[i]`` (0-based), the largest variable of its multiset;
+        the parent lies in the grade below.  Entry 0, the constant, holds 0
+        in both.
+    grade_starts : tuple of int, length d + 2
+        Grade g occupies indices ``grade_starts[g]:grade_starts[g + 1]``;
+        the last entry is m.
     """
 
     degree_pair: tuple[int, int]
-    exponent_array: np.ndarray = field(repr=False, compare=False)
+    parents: np.ndarray = field(repr=False, compare=False)
+    variables: np.ndarray = field(repr=False, compare=False)
+    grade_starts: tuple[int, ...] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.exponent_array.setflags(write=False)
+        self.parents.setflags(write=False)
+        self.variables.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.exponent_array.shape[0]
+        return self.grade_starts[-1]
 
     @property
     def d(self) -> int:
@@ -63,6 +74,20 @@ class BasisEnumeration:
     def n(self) -> int:
         return self.degree_pair[1]
 
+    def exponents(self) -> np.ndarray:
+        """Exponent rows, a new (m, n) int64 array: row i holds the
+        exponents of monomial i, row 0 the constant's zeros.
+
+        Built on request, one grade at a time from the parents; evaluation
+        never needs it, and at n in the thousands it is the largest object
+        here by far.
+        """
+        expo = np.zeros((len(self), self.n), dtype=np.int64)
+        for lo, hi in zip(self.grade_starts[1:-1], self.grade_starts[2:]):
+            expo[lo:hi] = expo[self.parents[lo:hi]]
+            expo[np.arange(lo, hi), self.variables[lo:hi]] += 1
+        return expo
+
 
 def basis_size(d: int, n: int) -> int:
     """Dimension of P_{d,n}: binomial(n + d, n)."""
@@ -71,7 +96,7 @@ def basis_size(d: int, n: int) -> int:
 
 def _require_within_cap(d: int, n: int) -> None:
     """Raise `InputError` if binomial(n + d, n) > MAX_BASIS_SIZE, or if the
-    exponent rows would be wider than the cap (only possible at d = 0).
+    number of variables exceeds the cap (only possible alone at d = 0).
 
     The binomial is built one factor at a time: the partial products
     binomial(max(d, n) + i, i), i = 1 .. min(d, n), never decrease, so a
@@ -89,21 +114,6 @@ def _require_within_cap(d: int, n: int) -> None:
         raise InputError(f"harmonic degree {n} exceeds the cap of {MAX_BASIS_SIZE}")
 
 
-def _grade(total: int, slots: int) -> np.ndarray:
-    """Exponent rows, shape (k, slots), of every monomial of degree ``total``,
-    in descending lexicographic order.
-
-    A monomial is the multiset of its variables' indices, and
-    `combinations_with_replacement` lists those multisets in ascending
-    lexicographic order, which is descending order of the exponent rows.
-    """
-    combos = list(combinations_with_replacement(range(slots), total))
-    rows = np.zeros((len(combos), slots), dtype=np.int64)
-    variables = np.array(combos, dtype=np.int64).reshape(len(combos), total)
-    np.add.at(rows, (np.arange(len(combos))[:, None], variables), 1)
-    return rows
-
-
 def enumerate_basis(d: int, n: int) -> BasisEnumeration:
     """Enumerate the monomial basis of P_{d,n}.
 
@@ -117,7 +127,7 @@ def enumerate_basis(d: int, n: int) -> BasisEnumeration:
     Returns
     -------
     BasisEnumeration
-        binomial(n + d, n) exponent rows, graded lexicographic, constant
+        binomial(n + d, n) monomials, graded lexicographic, constant
         monomial first.
 
     Raises
@@ -136,8 +146,21 @@ def enumerate_basis(d: int, n: int) -> BasisEnumeration:
         raise InputError(f"harmonic degree must be >= 1, got {n}")
     d, n = int(d), int(n)
     _require_within_cap(d, n)
-    expo = np.vstack([_grade(total, n) for total in range(d + 1)])
-    return BasisEnumeration(degree_pair=(d, n), exponent_array=expo)
+    # Grade g extends each monomial of grade g - 1 by every variable no
+    # smaller than its last (the constant by every variable).  That lists
+    # the multisets of variable indices in ascending lexicographic order,
+    # which is descending order of their exponent rows.
+    parents, variables, starts = [0], [0], [0, 1]
+    for _ in range(d):
+        for p in range(starts[-2], starts[-1]):
+            for v in range(variables[p], n):
+                parents.append(p)
+                variables.append(v)
+        starts.append(len(parents))
+    return BasisEnumeration(
+        degree_pair=(d, n), parents=np.array(parents, dtype=np.intp),
+        variables=np.array(variables, dtype=np.intp), grade_starts=tuple(starts),
+    )
 
 
 def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
@@ -157,9 +180,12 @@ def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
 
     Notes
     -----
-    Powers of each variable are tabulated once up to the largest exponent
-    that occurs, then gathered per monomial, so the cost is O(N * m) gathers
-    rather than O(N * m * d) exponentiations.
+    The matrix is filled as its transpose, one monomial per row, and
+    returned as a transposed (Fortran-ordered) view.  Row 0 is set to 1,
+    then each grade is filled with one product of its parents' rows,
+    filled the grade before, and its variables' rows of ``coeffs.T``:
+    O(N * m) multiplications on whole contiguous rows, and no temporary
+    larger than one grade.
     """
     C = np.asarray(coeffs, dtype=float)
     if C.ndim != 2 or C.shape[1] < basis.n:
@@ -169,19 +195,13 @@ def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:
         )
     if not np.all(np.isfinite(C[:, : basis.n])):
         raise InputError("coefficient vectors contain non-finite entries")
-    expo = basis.exponent_array
-    N = C.shape[0]
-    out = np.ones((N, len(basis)), dtype=float)
+    Ct = np.ascontiguousarray(C[:, : basis.n].T)
+    out = np.empty((len(basis), C.shape[0]), dtype=float)
+    out[0] = 1.0
+    starts = basis.grade_starts
     # Large coefficients overflow to inf (and inf * 0 to nan): fitting
     # rejects such a moment matrix and scoring gives such a row cd = inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(basis.n):
-            top = int(expo[:, k].max())
-            if top == 0:
-                continue
-            powers = np.empty((N, top + 1), dtype=float)
-            powers[:, 0] = 1.0
-            for p in range(1, top + 1):
-                powers[:, p] = powers[:, p - 1] * C[:, k]
-            out *= powers[:, expo[:, k]]
-    return out
+        for lo, hi in zip(starts[1:-1], starts[2:]):
+            np.multiply(out[basis.parents[lo:hi]], Ct[basis.variables[lo:hi]], out=out[lo:hi])
+    return out.T

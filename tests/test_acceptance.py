@@ -9,6 +9,7 @@ bit-stable across runs.
 import functools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_c11_cli_pipeline_is_byte_reproducible(tmp_path):
     mismatched = [
         a.rsplit("/", 1)[-1]
         for a, b in zip(*artifacts)
-        if open(a, "rb").read() != open(b, "rb").read()
+        if Path(a).read_bytes() != Path(b).read_bytes()
     ]
     elapsed = time.perf_counter() - t0
     ok = not mismatched

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from trajcf.errors import InputError
 def _monomial(c, a) -> float:
     """c^a: the column of exponent row ``a`` in the monomial matrix of c."""
     bas = enumerate_basis(sum(a), len(a))
-    col = bas.exponent_array.tolist().index(list(a))
+    col = bas.exponents().tolist().index(list(a))
     return float(eval_monomial_matrix([c], bas)[0, col])
 
 
@@ -37,12 +38,12 @@ def test_exhaustive_counts_small_grid():
 
 def test_degree_zero_is_only_the_constant():
     bas = enumerate_basis(0, 5)
-    assert bas.exponent_array.tolist() == [[0, 0, 0, 0, 0]]
+    assert bas.exponents().tolist() == [[0, 0, 0, 0, 0]]
 
 
 def test_graded_lex_order_d2_n2():
     bas = enumerate_basis(2, 2)
-    assert bas.exponent_array.tolist() == [
+    assert bas.exponents().tolist() == [
         [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2],
     ]
 
@@ -54,26 +55,26 @@ def test_order_matches_a_sorted_reference():
         for n in range(1, 5):
             want = sorted((a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d),
                           key=lambda a: (sum(a), [-x for x in a]))
-            assert enumerate_basis(d, n).exponent_array.tolist() == [list(a) for a in want]
+            assert enumerate_basis(d, n).exponents().tolist() == [list(a) for a in want]
 
 
 def test_enumeration_is_deterministic():
     a = enumerate_basis(3, 3)
     b = enumerate_basis(3, 3)
     assert a == b
-    assert np.array_equal(a.exponent_array, b.exponent_array)
+    assert np.array_equal(a.exponents(), b.exponents())
 
 
 def test_constant_first_and_degrees_ascending():
     bas = enumerate_basis(5, 3)
-    degrees = bas.exponent_array.sum(axis=1).tolist()
+    degrees = bas.exponents().sum(axis=1).tolist()
     assert degrees[0] == 0
     assert degrees == sorted(degrees)
 
 
 def test_nesting_is_prefix_closed_as_sets():
     def padded_set(bas, width):
-        return {tuple(row) + (0,) * (width - len(row)) for row in bas.exponent_array.tolist()}
+        return {tuple(row) + (0,) * (width - len(row)) for row in bas.exponents().tolist()}
 
     small = padded_set(enumerate_basis(2, 2), 4)
     assert small <= padded_set(enumerate_basis(3, 2), 4)
@@ -109,9 +110,9 @@ def test_huge_degree_pairs_fail_at_once(d, n):
 
 def test_many_variables_enumerate_without_deep_recursion():
     bas = enumerate_basis(1, 2000)
-    assert len(bas) == 2001 and bas.exponent_array.shape == (2001, 2000)
-    np.testing.assert_array_equal(bas.exponent_array[1:], np.eye(2000, dtype=np.int64))
-    assert enumerate_basis(0, 5000).exponent_array.tolist() == [[0] * 5000]
+    assert len(bas) == 2001 and bas.exponents().shape == (2001, 2000)
+    np.testing.assert_array_equal(bas.exponents()[1:], np.eye(2000, dtype=np.int64))
+    assert enumerate_basis(0, 5000).exponents().tolist() == [[0] * 5000]
 
 
 def test_eval_monomial_examples():
@@ -147,9 +148,47 @@ def test_matrix_agrees_with_vector():
     C = rng.normal(size=(8, 3))
     V = eval_monomial_matrix(C, bas)
     for i in range(8):
-        want = np.prod(C[i] ** bas.exponent_array, axis=1)
+        want = np.prod(C[i] ** bas.exponents(), axis=1)
         np.testing.assert_allclose(V[i], want, rtol=1e-13)
         np.testing.assert_array_equal(V[i], eval_monomial_matrix(C[i:i + 1], bas)[0])
+
+
+@pytest.mark.parametrize("d", range(0, 7))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_matrix_matches_the_power_product_formula(d, n):
+    # each monomial is d or fewer roundings from the exact value, as is the
+    # reference prod_k c[k] ** a[k]; the tolerance is set from that count
+    rng = np.random.default_rng(100 * d + n)
+    bas = enumerate_basis(d, n)
+    C = rng.uniform(-3.0, 3.0, size=(40, n))
+    want = np.prod(C[:, None, :] ** bas.exponents()[None, :, :], axis=2)
+    rtol = 4 * d * np.finfo(float).eps
+    np.testing.assert_allclose(eval_monomial_matrix(C, bas), want, rtol=rtol, atol=0.0)
+
+
+def test_the_parent_of_a_monomial_drops_its_last_variable():
+    bas = enumerate_basis(4, 3)
+    expo = bas.exponents()
+    for i in range(1, len(bas)):
+        grown = expo[bas.parents[i]].copy()
+        grown[bas.variables[i]] += 1
+        assert grown.tolist() == expo[i].tolist()
+        assert not expo[i, bas.variables[i] + 1:].any()
+    degrees = expo.sum(axis=1)
+    for g, (lo, hi) in enumerate(zip(bas.grade_starts, bas.grade_starts[1:])):
+        assert (degrees[lo:hi] == g).all()
+
+
+def test_many_variables_enumerate_in_bounded_memory():
+    # the exponent rows of (1, 9999) alone would be 800 MB
+    tracemalloc.start()
+    try:
+        bas = enumerate_basis(1, 9999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bas) == 10_000
+    assert peak < 10e6
 
 
 def test_matrix_rejects_nonfinite():
@@ -167,7 +206,7 @@ def test_monomials_are_multiplicative(n, data):
     coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     c = [data.draw(coords) for _ in range(n)]
     v = eval_monomial_matrix([c], bas)[0]
-    rows = bas.exponent_array.tolist()
+    rows = bas.exponents().tolist()
     column = {tuple(row): k for k, row in enumerate(rows)}
     for i, a in enumerate(rows):
         for j, b in enumerate(rows):
@@ -188,6 +227,6 @@ def test_scaling_covariance_per_index(d, n, s, data):
     c = np.array([data.draw(coords) for _ in range(n)])
     v = eval_monomial_matrix(c[None, :], bas)[0]
     v_scaled = eval_monomial_matrix(s * c[None, :], bas)[0]
-    for degree, a, b in zip(bas.exponent_array.sum(axis=1).tolist(), v, v_scaled):
+    for degree, a, b in zip(bas.exponents().sum(axis=1).tolist(), v, v_scaled):
         assert b == pytest.approx(s ** degree * a, rel=1e-12, abs=1e-12)
 

@@ -1,5 +1,7 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,12 @@ def ws(tmp_path_factory):
 
 def test_synth_writes_the_four_artifacts(ws):
     for key in ("data", "curves", "outlier", "nominal"):
-        lines = open(ws[key], encoding="utf-8").read().splitlines()
+        lines = Path(ws[key]).read_text(encoding="utf-8").splitlines()
         assert lines, key
-    data_lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    data_lines = Path(ws["data"]).read_text(encoding="utf-8").splitlines()
     assert len(data_lines) == 121                       # header + one row per curve
     assert data_lines[0] == "id,c1,c2,c3,c4,c5"
-    outlier_lines = open(ws["outlier"], encoding="utf-8").read().splitlines()
+    outlier_lines = Path(ws["outlier"]).read_text(encoding="utf-8").splitlines()
     assert len(outlier_lines) == 2
     assert outlier_lines[1].startswith("outlier,")
 
@@ -61,7 +63,7 @@ def test_fit_reports_the_basis_dimension(ws, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "m=70" in text and "N=120" in text
     # same input, same flags: the model file is byte-identical
-    assert out.read_bytes() == open(ws["model"], "rb").read()
+    assert out.read_bytes() == Path(ws["model"]).read_bytes()
 
 
 @pytest.mark.parametrize("d, n", [(4, 4), (8, 5)])
@@ -225,8 +227,8 @@ def test_score_side_artifacts(ws, tmp_path):
 # --- update / downdate --------------------------------------------------------------
 
 def _concat_wide(dst, first, second):
-    a = open(first, encoding="utf-8").read().splitlines()
-    b = open(second, encoding="utf-8").read().splitlines()
+    a = Path(first).read_text(encoding="utf-8").splitlines()
+    b = Path(second).read_text(encoding="utf-8").splitlines()
     dst.write_text("\n".join(a + b[1:]) + "\n")
 
 
@@ -257,7 +259,28 @@ def test_update_with_no_rows_is_the_identity(ws, tmp_path):
     out = tmp_path / "same.txt"
     assert main(["update", "--model", ws["model"], "--input", str(src),
                  "--output", str(out)]) == 0
-    assert out.read_bytes() == open(ws["model"], "rb").read()
+    assert out.read_bytes() == Path(ws["model"]).read_bytes()
+
+
+@pytest.mark.parametrize("header", ["id", "id,c1", "coef"])
+@pytest.mark.parametrize("command", ["score", "baseline", "update", "downdate"])
+def test_a_probe_file_with_no_rows_is_no_probes_whatever_its_width(ws, tmp_path, capsys,
+                                                                   header, command):
+    src = tmp_path / "none.csv"
+    src.write_text(header + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--model", ws["model"], "--input", str(src), "--output", str(out)]
+    if command == "baseline":
+        argv += ["--calibration", ws["data"]]
+    assert main(argv) == 0, capsys.readouterr().err
+    if command in ("score", "baseline"):
+        header = "id,cd,christoffel,threshold,verdict,baseline_l2"
+        if command == "baseline":
+            header += ",naive_fraction"
+        assert out.read_text().splitlines() == [header]
+        assert "probes=0" in capsys.readouterr().out
+    else:
+        assert out.read_bytes() == Path(ws["model"]).read_bytes()
 
 
 def test_update_then_downdate_round_trips(ws, tmp_path):
@@ -280,7 +303,7 @@ def test_update_then_downdate_round_trips(ws, tmp_path):
 # --- baseline --------------------------------------------------------------------
 
 def test_baseline_member_probe(ws, tmp_path):
-    data_lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    data_lines = Path(ws["data"]).read_text(encoding="utf-8").splitlines()
     member = tmp_path / "member.csv"
     member.write_text("\n".join(data_lines[:2]) + "\n")
     rep = tmp_path / "rep.csv"
@@ -382,7 +405,7 @@ def test_probe_times_outside_the_model_domain(ws, tmp_path):
 
 
 def test_downdate_batch_with_a_row_never_absorbed_is_a_numerical_error(ws, tmp_path, capsys):
-    lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    lines = Path(ws["data"]).read_text(encoding="utf-8").splitlines()
     src = tmp_path / "mixed.csv"
     src.write_text("\n".join(lines[:4] + ["stranger,3.0,3.0,-3.0,3.0,0.0"]) + "\n")
     assert main(["downdate", "--model", ws["model"], "--input", str(src),
@@ -405,7 +428,7 @@ def test_scoring_evaluates_monomials_once_per_stage_whatever_the_probe_count(
 
     monkeypatch.setattr(trajcf.model, "eval_monomial_matrix", counting)
     monkeypatch.setattr(trajcf.scoring, "eval_monomial_matrix", counting)
-    lines = open(ws["data"], encoding="utf-8").read().splitlines()
+    lines = Path(ws["data"]).read_text(encoding="utf-8").splitlines()
     counts = []
     for k in (7, 70):
         src = tmp_path / f"probes{k}.csv"
@@ -436,7 +459,7 @@ def _resealed(path, payload):
 
 
 def test_model_with_nan_moments_is_an_input_error(ws, tmp_path):
-    payload = open(ws["model"], encoding="utf-8").read().splitlines()[:-1]
+    payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
     row = payload.index("S") + 2
     cells = payload[row].split()
     cells[1] = "nan"
@@ -540,7 +563,7 @@ def test_fit_with_a_huge_degree_pair_is_an_input_error(ws, tmp_path, capsys):
 
 @pytest.mark.parametrize("fields", [["d"], ["d", "n"]])
 def test_model_with_a_huge_degree_is_an_input_error(ws, tmp_path, capsys, fields):
-    payload = open(ws["model"], encoding="utf-8").read().splitlines()[:-1]
+    payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
     for key in fields:
         payload[payload.index(f"{key} 4")] = f"{key} 1000000"
     bad = _resealed(tmp_path / "huge-degree.txt", payload)

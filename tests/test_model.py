@@ -647,3 +647,43 @@ def test_dataset_from_trajectories_keeps_the_curves():
 def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
     with pytest.raises(InputError, match=message):
         TrajectoryDataset.from_coefficients(rows, ids=ids)
+
+
+# --- the row-blocked data plane ----------------------------------------------------
+
+@pytest.fixture(scope="module", params=[(3, 4), (4, 4), (8, 5)], ids=["m35", "m70", "m1287"])
+def fitted_example1(request):
+    """A model fitted on 2000 example1 rows, and 300 held-out probe rows."""
+    from trajcf.synth import generate_example1
+    d, n = request.param
+    model = fit(generate_example1(2000, seed=0).dataset, d, n)
+    return model, generate_example1(300, seed=9).dataset.coefficient_matrix(n)
+
+
+def test_panelled_cd_values_match_a_dense_product(fitted_example1):
+    model, probes = fitted_example1
+    Z = model._probe_matrix(probes) @ model.inverse_factor.T
+    np.testing.assert_allclose(cd_values(model, probes), np.einsum("ij,ij->i", Z, Z), rtol=1e-12)
+
+
+def test_a_probes_cd_value_does_not_depend_on_its_batch(fitted_example1):
+    # every block is padded to one shape, so a probe gets the same bits alone,
+    # in a chunk of any size or at any position of a larger batch
+    model, probes = fitted_example1
+    whole = cd_values(model, probes)
+    for i in range(0, len(probes), 10):
+        assert cd_value(model, probes[i]) == whole[i]
+    for k in (4, 16, 100):
+        chunks = [cd_values(model, probes[s:s + k]) for s in range(0, len(probes), k)]
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+
+
+@pytest.mark.parametrize("d, n", [(4, 4), (8, 5)])
+def test_blocked_moment_sum_matches_one_product(d, n):
+    from trajcf.model import MOMENT_BLOCK_ROWS
+    from trajcf.synth import generate_example1
+    C = generate_example1(2 * MOMENT_BLOCK_ROWS + 500, seed=4).dataset.coefficient_matrix(n)
+    V = eval_monomial_matrix(C, enumerate_basis(d, n))
+    S = fit(TrajectoryDataset.from_coefficients(C), d, n).moment_sum
+    want = V.T @ V
+    assert np.max(np.abs(S - want)) <= 1e-15 * np.max(np.abs(want))
