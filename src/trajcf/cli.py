@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -225,21 +226,33 @@ def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> Traje
     return _batch_from_input(parsed, domain, n, quad_points, path, InputError)
 
 
+# Data rows are joined here rather than by csv.writer, which costs more than
+# the repr of each cell; they match its default dialect byte for byte.
+_CSV_EOL = "\r\n"
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as csv.writer quotes a cell that is not alone in its
+    row (QUOTE_MINIMAL)."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
+        csv.writer(fh).writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
         for i, row in zip(ids, coeffs.tolist()):
-            writer.writerow([i or ""] + [repr(x) for x in row])
+            fh.write(",".join([_csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL)
 
 
 def _write_trajectory_csv(path: str, ids, times, values) -> None:
     """Curves sampled at ``times``, ``values`` (T, K) one curve per column."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(ids))
+        csv.writer(fh).writerow(["t"] + list(ids))
         for t, row in zip(times.tolist(), values):
-            writer.writerow([repr(t)] + [repr(x) for x in row.tolist()])
+            fh.write(",".join(map(repr, [t, *row.tolist()])) + _CSV_EOL)
 
 
 def _write_histogram(path: str, cds) -> None:

@@ -22,7 +22,10 @@ fifth coefficient stays zero).
 Reproducibility: every trajectory draws from its own counter-based Philox
 stream keyed (seed, index) — inlier i uses (seed, i), the experiment-1
 outlier uses (seed, N) — so datasets are byte-identical across runs,
-platforms, and any parallel generation order.
+platforms, and any parallel generation order.  A family builds one
+generator and re-keys it to (seed, i), counter 0, before curve i; that is
+the stream a fresh ``Philox(key=(seed, i))`` gives, so the draws, and the
+files written from them, are the same as with one generator per curve.
 """
 
 from __future__ import annotations
@@ -63,9 +66,12 @@ class SynthSpec:
         if self.radius <= 0.0 or not math.isfinite(self.radius):
             raise InputError(f"perturbation radius must be > 0, got {self.radius!r}")
         if self.sample_count < 1:
-            raise InputError(f"sample count must be >= 1, got {self.sample_count}")
-        if self.seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {self.seed}")
+            raise InputError(f"sample count (--count) must be >= 1, got {self.sample_count}")
+        # The (count, n) coefficient array must have a size numpy can shape.
+        if self.sample_count > np.iinfo(np.intp).max // (8 * max(len(self.nominal), 1)):
+            raise InputError(f"sample count (--count) is too large, got {self.sample_count}")
+        if not 0 <= self.seed < 2**64:  # a Philox key word is 64 bits
+            raise InputError(f"seed (--seed) must be an integer in [0, 2**64), got {self.seed}")
         if any(k < 0 or k >= len(self.nominal) for k in self.perturbed_coords):
             raise InputError(
                 f"perturbed coordinates {self.perturbed_coords} leave the "
@@ -87,6 +93,23 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     """The (seed, index)-keyed Philox stream for one trajectory."""
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _streams(seed: int, count: int):
+    """The streams ``_stream(seed, i)`` for i < count, in order.
+
+    One generator is re-keyed before each yield by restoring a fresh
+    instance's state with the key's second word set to i, which is what
+    ``Philox(key=(seed, i))`` starts from; building one Philox per curve
+    costs more than drawing from it.  Use each stream before the next.
+    """
+    rng = _stream(seed, 0)
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
+    for i in range(count):
+        key[1] = i
+        rng.bit_generator.state = state
+        yield rng
 
 
 def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -113,9 +136,12 @@ def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
     """The dataset of one spec: its coefficient rows and their 33-point curves."""
     g0 = np.asarray(spec.nominal, dtype=float)
     coords = np.asarray(spec.perturbed_coords, dtype=int)
+    eta = np.empty((spec.sample_count, coords.size))
+    for i, rng in enumerate(_streams(spec.seed, spec.sample_count)):
+        eta[i] = sample_ball(coords.size, spec.radius, rng)
     C = np.tile(g0, (spec.sample_count, 1))
-    for i in range(spec.sample_count):
-        C[i, coords] += sample_ball(coords.size, spec.radius, _stream(spec.seed, i))
+    C[:, coords] += eta
+    del eta  # reconstruct_batch's temporaries set synth's peak memory
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
     values = reconstruct_batch(C, nodes)
     ids = [f"g{i:04d}" for i in range(spec.sample_count)]

@@ -1,11 +1,14 @@
 """End-to-end command-line tests, run in-process through main(argv)."""
 
+import csv
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajcf.cli import main
+from trajcf.cli import _write_trajectory_csv, _write_wide_csv, main
 from trajcf.model import cd_value, cd_values, load
 from trajcf.synth import generate_example1
 
@@ -52,6 +55,90 @@ def test_synth_is_byte_reproducible(tmp_path):
                      "--output", str(d / "x")]) == 0
     for suffix in ("_data.csv", "_curves.csv", "_outlier.csv", "_nominal.csv"):
         assert (a / ("x" + suffix)).read_bytes() == (b / ("x" + suffix)).read_bytes()
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--count", "3", "--seed", str(2**64)], "--seed"),
+    (["--count", "100000000000000000000"], "--count"),
+    (["--count", str(2**62)], "--count"),
+])
+def test_synth_with_a_huge_seed_or_count_is_an_input_error(tmp_path, capsys, flags, flag):
+    # numpy refuses each of these while computing a shape, before allocating
+    assert main(["synth", "example1", *flags, "--output", str(tmp_path / "x")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _csv_writer_wide(path, ids, coeffs):
+    """The wide writer as it was, one csv.writer row per curve: the oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
+        for i, row in zip(ids, coeffs.tolist()):
+            writer.writerow([i or ""] + [repr(x) for x in row])
+
+
+def _csv_writer_trajectory(path, ids, times, values):
+    """The trajectory writer as it was, one csv.writer row per time: the oracle."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + list(ids))
+        for t, row in zip(times.tolist(), values):
+            writer.writerow([repr(t)] + [repr(x) for x in row.tolist()])
+
+
+_AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "", None, "plain", ' lead']
+_AWKWARD_VALUES = [-0.0, 5e-324, 1e22, 1e-07, math.inf, -math.inf, math.nan, 0.1, -1.5e-300]
+
+
+@pytest.mark.parametrize("ids, coeffs", [
+    (_AWKWARD_IDS, np.resize(np.array(_AWKWARD_VALUES), (len(_AWKWARD_IDS), 5))),
+    ([], np.empty((0, 5))),                              # zero rows
+], ids=["cells", "no-rows"])
+def test_wide_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, coeffs):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    _write_wide_csv(str(ours), ids, coeffs)
+    _csv_writer_wide(str(oracle), ids, coeffs)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("ids, times, values", [
+    (_AWKWARD_IDS[:-2] + ["", "x"], np.array(_AWKWARD_VALUES),
+     np.resize(np.array(_AWKWARD_VALUES[::-1]), (len(_AWKWARD_VALUES), len(_AWKWARD_IDS)))),
+    ([], np.array(_AWKWARD_VALUES), np.empty((len(_AWKWARD_VALUES), 0))),  # zero curves
+    (["a", "b"], np.empty(0), np.empty((0, 2))),                             # zero rows
+    ([], np.empty(0), np.empty((0, 0))),
+], ids=["cells", "no-curves", "no-rows", "nothing"])
+def test_trajectory_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, times, values):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    _write_trajectory_csv(str(ours), ids, times, values)
+    _csv_writer_trajectory(str(oracle), ids, times, values)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def test_synth_files_match_the_csv_writer_oracle(tmp_path):
+    exp = generate_example1(40, 2)
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    data = exp.dataset
+    _write_wide_csv(str(ours), data.ids, data.coefficient_matrix(5))
+    _csv_writer_wide(str(oracle), data.ids, data.coefficient_matrix(5))
+    assert ours.read_bytes() == oracle.read_bytes()
+    _write_trajectory_csv(str(ours), data.ids, data.times, data.values)
+    _csv_writer_trajectory(str(oracle), data.ids, data.times, data.values)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def test_trajectory_writer_memory_stays_row_sized(tmp_path):
+    # Formatting the whole (33, 11000) table at once peaks near 27 MB, and
+    # raised the benchmark's peak RSS with it; a row at a time stays near 1 MB.
+    data = generate_example1(11000, 0).dataset
+    tracemalloc.start()
+    try:
+        _write_trajectory_csv(str(tmp_path / "c.csv"), data.ids, data.times, data.values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # --- fit -------------------------------------------------------------------------

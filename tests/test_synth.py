@@ -5,11 +5,13 @@ import pytest
 
 from trajcf.errors import InputError
 from trajcf.model import fit, cd_value, default_epsilon
-from trajcf.projection import SampledTrajectory, reconstruct_batch
+from trajcf.projection import SampledTrajectory, chebyshev_quadrature_nodes, reconstruct_batch
 from trajcf.synth import (
     CURVE_SAMPLE_POINTS,
     NOMINAL_COEFFS,
+    PERTURBED_COORDS,
     SynthSpec,
+    _stream,
     generate_example1,
     generate_example2,
     sample_ball,
@@ -68,6 +70,27 @@ def test_per_index_streams_make_prefixes_agree():
     small = generate_example1(30, seed=5).dataset.coefficient_matrix(5)
     large = generate_example1(60, seed=5).dataset.coefficient_matrix(5)
     assert np.array_equal(small, large[:30])
+
+
+def _one_generator_per_curve(N, seed, radius=0.1):
+    """The family as first built, one Philox stream per curve added row by
+    row: the oracle for the re-keyed generator."""
+    coords = np.asarray(PERTURBED_COORDS)
+    C = np.tile(np.asarray(NOMINAL_COEFFS), (N, 1))
+    for i in range(N):
+        C[i, coords] += sample_ball(coords.size, radius, _stream(seed, i))
+    return C
+
+
+@pytest.mark.parametrize("generate", [generate_example1, generate_example2])
+@pytest.mark.parametrize("N", [1, 2, 300])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_re_keyed_generator_matches_one_stream_per_curve(generate, N, seed):
+    exp = generate(N, seed)
+    C = _one_generator_per_curve(N, seed)
+    assert exp.dataset.coeffs.tobytes() == C.tobytes()
+    nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
+    assert exp.dataset.values.tobytes() == reconstruct_batch(C, nodes).T.tobytes()
 
 
 def test_different_seeds_differ():
@@ -157,6 +180,17 @@ def test_spec_validation():
     with pytest.raises(InputError):
         SynthSpec(nominal=(0.0, 1.0), perturbed_coords=(0,), radius=0.1,
                   sample_count=10, seed=-1)
+
+
+@pytest.mark.parametrize("count, seed, flag", [
+    (3, 2**64, "--seed"),
+    (10**20, 0, "--count"),
+    (2**62, 0, "--count"),
+])
+def test_spec_rejects_a_seed_or_count_numpy_cannot_hold(count, seed, flag):
+    with pytest.raises(InputError, match=flag):
+        SynthSpec(nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS, radius=0.1,
+                  sample_count=count, seed=seed)
 
 
 def test_generator_rejects_bad_counts():
