@@ -608,6 +608,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"trajcf: i/o error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"trajcf: input error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def run() -> None:

@@ -31,12 +31,20 @@ padded with zero rows to CD_BLOCK_ROWS, so every product has one shape and
 a probe gets the same bits alone or in any batch.  Each block meets W in
 panels of CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper
 triangle.
+
+Model files are bounded the same way.  `save` ranks the cells of S by one
+sort of their bit patterns, formats each distinct value once and builds
+the text of S a row at a time from an int32 rank matrix filled by panels
+of SAVE_PANEL_ROWS rows, so it never holds an m x m array of Python
+objects.  `load` reads and hashes the file line by line, holds its text
+once, as lines, and lets it go before the factorization.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -578,8 +586,12 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _payload_lines(model: ChristoffelModel) -> list[str]:
-    lines = [
+# Rows of S per panel of ranks in `save`.
+SAVE_PANEL_ROWS = 128
+
+
+def _header(model: ChristoffelModel) -> str:
+    return "\n".join([
         _FORMAT_HEADER,
         f"d {model.d}",
         f"n {model.n}",
@@ -590,22 +602,52 @@ def _payload_lines(model: ChristoffelModel) -> list[str]:
         f"basis {_BASIS_ORDERING}",
         f"created-by {model.provenance}",
         "S",
-    ]
-    # Format each distinct value of S once.  Keying on the bit pattern keeps
-    # -0.0 apart from 0.0; the text is that of `_format_float` per cell.
-    # One sort ranks the cells: a rank steps up where the sorted bits change.
-    S = np.ascontiguousarray(model.moment_sum, dtype=np.float64)
-    bits = S.view(np.int64).ravel()
-    order = np.argsort(bits, kind="stable")
-    ranked = bits[order]
-    new = np.empty(ranked.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    cells = np.empty(bits.size, dtype=np.intp)
-    cells[order] = np.cumsum(new) - 1
-    text = np.array([_format_float(x) for x in ranked[new].view(np.float64).tolist()], dtype=object)
-    lines.extend(" ".join(row) for row in text[cells.reshape(S.shape)].tolist())
-    return lines
+    ]) + "\n"
+
+
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct entries of an int64 array, ascending: one sort of a copy,
+    keeping the first entry of each run."""
+    ranked = np.sort(bits, axis=None)
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    return ranked[first]
+
+
+def _ranks(bits: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """The index in ``distinct`` of every cell of the square ``bits``, as an
+    int32 matrix filled by panels of SAVE_PANEL_ROWS rows from the bottom up.
+
+    A panel s:e searches its cells left of e; right of e it copies the
+    transpose of the panels below wherever their bits mirror its own, as they
+    do for every S that `fit`, `update` and `downdate` return, and searches
+    only where they do not (a hand-edited file).
+    """
+    m = bits.shape[0]
+    R = np.empty((m, m), dtype=np.int32)
+    for s in reversed(range(0, m, SAVE_PANEL_ROWS)):
+        e = min(s + SAVE_PANEL_ROWS, m)
+        R[s:e, :e] = np.searchsorted(distinct, bits[s:e, :e])
+        if np.array_equal(bits[s:e, e:], bits[e:, s:e].T):
+            R[s:e, e:] = R[e:, s:e].T
+        else:
+            R[s:e, e:] = np.searchsorted(distinct, bits[s:e, e:])
+    return R
+
+
+def _matrix_rows(S: np.ndarray) -> list[str]:
+    """The text of each row of S, newline included.
+
+    Each distinct value of S is formatted once.  Keying on the bit pattern
+    keeps -0.0 apart from 0.0; the text is that of `_format_float` per cell.
+    Besides the rows' text, this holds the distinct values' texts, an int32
+    rank per cell and one row of cells at a time.
+    """
+    bits = np.ascontiguousarray(S, dtype=np.float64).view(np.int64)
+    distinct = _distinct(bits)
+    text = np.array([_format_float(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return [" ".join(text[ranks].tolist()) + "\n" for ranks in _ranks(bits, distinct)]
 
 
 def save(model: ChristoffelModel, sink) -> None:
@@ -614,17 +656,23 @@ def save(model: ChristoffelModel, sink) -> None:
     All floats use 17 significant digits, so the decimal text round-trips
     float64 values bit-exactly; a sha256 checksum of the payload guards
     against truncation and corruption.  ``sink`` is a path or a text file
-    object.
+    object.  S is ranked by panels of rows and formatted a row at a time,
+    so besides the file's text `save` holds about half the size of S (an
+    int32 rank per cell) and the texts of its distinct values.  The whole
+    text is built before a path is opened, so a failure leaves an existing
+    file as it was.
     """
-    lines = _payload_lines(model)
-    payload = "\n".join(lines) + "\n"
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    text = payload + f"checksum sha256 {digest}\n"
+    chunks = [_header(model), *_matrix_rows(model.moment_sum)]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk.encode("utf-8"))
+    chunks.append(f"checksum sha256 {digest.hexdigest()}\n")
     if hasattr(sink, "write"):
-        sink.write(text)
+        for chunk in chunks:
+            sink.write(chunk)
     else:
         with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _parse_scalar(fields: dict, key: str, conv):
@@ -673,19 +721,29 @@ def _parse_matrix(rows: list[str]):
     return _parse_matrix_cells(rows) if S is None else S
 
 
-def load(source) -> ChristoffelModel:
-    """Read a model written by `save` and rebuild its factorization."""
+def _lines(fh) -> list[str]:
+    """The lines of a text file as ``str.splitlines`` gives them for its whole
+    text (which also breaks at \\x0c, \\x1c, \\u2028 and the like), read one
+    line at a time, so the whole text is never held besides its lines."""
+    return [part for ln in fh for part in ln.splitlines()]
+
+
+def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
+    """The fields and the S rows of a model file whose checksum holds.
+
+    The lines are hashed one at a time and dropped on return, so `load`
+    holds the file's text once, as lines, and only until S is parsed.
+    """
     if hasattr(source, "read"):
-        text = source.read()
+        lines = _lines(source)
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                lines = _lines(fh)
         except UnicodeDecodeError as exc:
             raise InputError(f"model file is not UTF-8 text: {exc}") from exc
-    if not text.strip():
+    if all(not ln or ln.isspace() for ln in lines):
         raise InputError("model file is empty")
-    lines = text.splitlines()
     if lines[0] != _FORMAT_HEADER:
         raise InputError(
             f"unsupported model format header {lines[0]!r} (expected {_FORMAT_HEADER!r})"
@@ -693,22 +751,31 @@ def load(source) -> ChristoffelModel:
     if not lines[-1].startswith("checksum sha256 "):
         raise InputError("model file is missing its checksum line (truncated?)")
     stated = lines[-1].split()[-1]
-    payload = "\n".join(lines[:-1]) + "\n"
-    actual = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if actual != stated:
+    digest = hashlib.sha256()  # of "\n".join(lines[:-1]) + "\n", line by line
+    for ln in itertools.islice(lines, len(lines) - 1):
+        digest.update(ln.encode("utf-8"))
+        digest.update(b"\n")
+    if digest.hexdigest() != stated:
         raise InputError("model file checksum mismatch: payload corrupted")
 
     fields: dict[str, str] = {}
     body = lines[1:-1]
     for marker, ln in enumerate(body):
         if ln.strip() == "S":
-            matrix_rows = _parse_matrix(body[marker + 1:])
-            break
+            return fields, _parse_matrix(body[marker + 1:])
         key, _, value = ln.partition(" ")
         fields[key] = value
-    else:
-        matrix_rows = []
+    return fields, []
 
+
+def load(source) -> ChristoffelModel:
+    """Read a model written by `save` and rebuild its factorization.
+
+    ``source`` is a path or a text file object.  The text is read line by
+    line and let go once S is parsed, before the factorization: no second
+    copy of it, joined or encoded, is made.
+    """
+    fields, matrix_rows = _read_document(source)
     d = _parse_scalar(fields, "d", int)
     n = _parse_scalar(fields, "n", int)
     m = _parse_scalar(fields, "m", int)

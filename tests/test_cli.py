@@ -564,6 +564,25 @@ def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, caps
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, command", [
+    ("trajcf.synth.generate_example1", ["synth", "example1", "--count", "5"]),
+    ("trajcf.model.fit", ["fit", "--input", None, "--degree-d", "2", "--degree-n", "2"]),
+], ids=["synth", "fit"])
+def test_running_out_of_memory_is_an_input_error(ws, tmp_path, monkeypatch, capsys, target, command):
+    # synth example1 --count 2**56 raises numpy's _ArrayMemoryError, a MemoryError
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 EiB for an array with shape "
+                          "(72057594037927936, 33) and data type float64")
+
+    monkeypatch.setattr(target, exhausted)
+    out = tmp_path / "out"
+    argv = [ws["data"] if arg is None else arg for arg in command] + ["--output", str(out)]
+    assert main(argv) == 2
+    assert ("trajcf: input error: not enough memory: Unable to allocate 2.00 EiB"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- overflowing probes -------------------------------------------------------------
 
 OVERFLOW_ROWS = "id,c1,c2,c3,c4,c5\nbig80,1e80,-1e80,1e80,0,1e80\nbig200,1e200,0,0,0,0\n"

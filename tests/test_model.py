@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,14 +571,16 @@ def _crafted(moment_sum):
     return replace(fit(gaussian_dataset(10, 3, seed=71), 1, 3), moment_sum=moment_sum)
 
 
+_SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1.0 / 3.0, 0.1, -7.0, 2.0 ** -1022, 1e-300]
+
+
 def test_payload_formats_every_cell_as_the_per_cell_loop_does():
-    from trajcf.model import _payload_lines
-    pool = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308,
-            1.0 / 3.0, 0.1, -7.0, 2.0 ** -1022, 1e-300]
     rng = np.random.default_rng(72)
-    S = np.array(pool)[rng.integers(len(pool), size=(4, 4))]  # 16 cells from 11 values
+    # 16 cells from 11 values
+    S = np.array(_SPECIAL_VALUES)[rng.integers(len(_SPECIAL_VALUES), size=(4, 4))]
     S[0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
-    lines = _payload_lines(_crafted(S))
+    lines = dumps(_crafted(S)).splitlines()[:-1]
     rows = lines[lines.index("S") + 1:]
     assert rows == [" ".join("%.17g" % x for x in row) for row in S.tolist()]
     assert rows[0].split()[:2] == ["-0", "0"]
@@ -597,6 +600,147 @@ def test_asymmetric_moment_sum_in_a_hand_edited_file_saves_back_byte_for_byte():
     model = load(io.StringIO(edited))
     assert model.moment_sum[0, 2] != model.moment_sum[2, 0]
     assert dumps(model) == edited
+
+
+def _argsort_payload_lines(model):
+    """The payload lines as an argsort ranking of every cell and one m x m
+    gather of texts wrote them: the reference for the panelled writer."""
+    lines = [
+        "trajcf model 1", f"d {model.d}", f"n {model.n}", f"m {model.size}",
+        f"epsilon {model.epsilon:.17g}", f"N {model.sample_count}",
+        f"domain {model.domain[0]:.17g} {model.domain[1]:.17g}",
+        "basis graded-lex", f"created-by {model.provenance}", "S",
+    ]
+    S = np.ascontiguousarray(model.moment_sum, dtype=np.float64)
+    bits = S.view(np.int64).ravel()
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    cells = np.empty(bits.size, dtype=np.intp)
+    cells[order] = np.cumsum(new) - 1
+    text = np.array(["%.17g" % x for x in ranked[new].view(np.float64).tolist()], dtype=object)
+    lines.extend(" ".join(row) for row in text[cells.reshape(S.shape)].tolist())
+    return lines
+
+
+def _argsort_document(model):
+    import hashlib
+    payload = "\n".join(_argsort_payload_lines(model)) + "\n"
+    return payload + f"checksum sha256 {hashlib.sha256(payload.encode('utf-8')).hexdigest()}\n"
+
+
+def _assert_same_text(got, want):
+    """got == want, reporting the first line that differs (pytest's own diff
+    of two long texts takes minutes)."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ first at line {first}")
+
+
+def _special_matrix(size, symmetric, seed):
+    """A size x size matrix of special values; a symmetric one mirrors its
+    upper triangle bit for bit, so -0.0 stays -0.0."""
+    rng = np.random.default_rng(seed)
+    A = np.array(_SPECIAL_VALUES)[rng.integers(len(_SPECIAL_VALUES), size=(size, size))]
+    if symmetric:
+        A = np.where(np.triu(np.ones((size, size), dtype=bool)), A, A.T)
+    return A
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
+def test_model_file_matches_the_argsort_writer_byte_for_byte(size, symmetric):
+    from trajcf.model import SAVE_PANEL_ROWS
+    assert SAVE_PANEL_ROWS == 128  # the sizes straddle one panel edge
+    S = _special_matrix(size, symmetric, seed=size + 1000 * symmetric)
+    model = _crafted(S)
+    _assert_same_text(dumps(model), _argsort_document(model))
+
+
+def test_signed_zeros_in_different_panels_keep_their_signs():
+    S = np.random.default_rng(76).normal(size=(300, 300))
+    S = S + S.T
+    S[5, 0] = S[0, 5] = -0.0                # first panel only
+    S[250, 200] = S[200, 250] = 0.0         # a later panel
+    S[270, 10] = -0.0                       # equal values, mirrored bits differ
+    S[10, 270] = 0.0
+    model = _crafted(S)
+    text = dumps(model)
+    _assert_same_text(text, _argsort_document(model))
+    rows = text.splitlines()[10:-1]
+    assert rows[0].split()[5] == rows[5].split()[0] == "-0"
+    assert rows[200].split()[250] == rows[250].split()[200] == "0"
+    assert (rows[270].split()[10], rows[10].split()[270]) == ("-0", "0")
+    parsed = np.array([[float(x) for x in row.split()] for row in rows])
+    np.testing.assert_array_equal(parsed, S)
+    np.testing.assert_array_equal(np.signbit(parsed), np.signbit(S))
+
+
+def test_dumps_is_the_bytes_save_writes_to_a_path(tmp_path):
+    model = fit(gaussian_dataset(200, 3, seed=77), 4, 3)
+    path = tmp_path / "m.txt"
+    save(model, path)
+    _assert_same_text(path.read_bytes().decode("utf-8"), dumps(model))
+    _assert_same_text(dumps(model), _argsort_document(model))
+
+
+@pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\u2028"], ids=["x0c", "x1c", "u2028"])
+@pytest.mark.parametrize("where", ["header", "matrix"])
+@pytest.mark.parametrize("rehash", [False, True], ids=["stated", "rehashed"])
+def test_a_line_break_inside_a_line_fails_the_checksum(tmp_path, mark, where, rehash):
+    # str.splitlines breaks at these marks too, so the lines no longer join
+    # back to the bytes the checksum covers, whichever checksum the file states
+    import hashlib
+    lines = dumps(fit(gaussian_dataset(30, 3, seed=78), 2, 3)).splitlines()
+    row = 8 if where == "header" else 12
+    lines[row] = lines[row][:4] + mark + lines[row][4:]
+    payload = "\n".join(lines[:-1]) + "\n"
+    if rehash:
+        lines[-1] = f"checksum sha256 {hashlib.sha256(payload.encode('utf-8')).hexdigest()}"
+    text = payload + lines[-1] + "\n"
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    for source in (io.StringIO(text), path):
+        with pytest.raises(InputError, match="checksum mismatch"):
+            load(source)
+
+
+@pytest.fixture(scope="module")
+def model_m1287():
+    from trajcf.synth import generate_example1
+    return fit(generate_example1(2000, seed=0).dataset, 8, 5)
+
+
+def _traced(f, *args):
+    """f(*args) and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_save_memory_stays_under_twice_the_moment_sum(model_m1287, tmp_path):
+    # An argsort ranking of every cell and one m x m gather of texts peaked
+    # at 5.3 x S.nbytes here; int32 ranks and text a row at a time, near 1.3
+    _, peak = _traced(save, model_m1287, tmp_path / "m.txt")
+    assert peak < 2 * model_m1287.moment_sum.nbytes
+
+
+def test_load_memory_stays_under_four_times_the_moment_sum(model_m1287, tmp_path):
+    # Counting the S and W it keeps.  With the text, its stripped copy, its
+    # lines and their rejoined payload alive together load peaked at 5.4 x
+    # S.nbytes; with the lines alone, dropped before the factorization, near 3.5
+    path = tmp_path / "m.txt"
+    save(model_m1287, path)
+    reloaded, peak = _traced(load, path)
+    assert peak < 4 * model_m1287.moment_sum.nbytes
+    np.testing.assert_array_equal(reloaded.moment_sum, model_m1287.moment_sum)
 
 
 def test_overflowing_probes_score_inf_and_are_outliers():
