@@ -31,7 +31,6 @@ from .model import (
     update,
 )
 from .projection import (
-    CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     project,
@@ -46,7 +45,6 @@ from .scoring import (
     calibrate,
     classify,
     classify_batch,
-    naive_pointwise_score,
     nearest_distances,
     nearest_trajectory_score,
 )
@@ -60,10 +58,10 @@ __all__ = [
     "ChristoffelModel", "TrajectoryDataset", "cd_value", "cd_value_after_update",
     "cd_values", "christoffel_value", "downdate", "extremal_polynomial",
     "fit", "kernel", "load", "save", "update",
-    "CoefficientVector", "SampledTrajectory", "chebyshev_quadrature_nodes",
+    "SampledTrajectory", "chebyshev_quadrature_nodes",
     "project", "project_samples", "reconstruct_batch", "values_on_nodes",
     "PointwiseChristoffel", "ScoreReport", "Threshold", "calibrate", "classify",
-    "classify_batch", "naive_pointwise_score", "nearest_distances", "nearest_trajectory_score",
+    "classify_batch", "nearest_distances", "nearest_trajectory_score",
     "SynthSpec", "SyntheticExperiment", "generate_example1", "generate_example2",
     "sample_ball",
     "__version__",

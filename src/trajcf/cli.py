@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import re
 import sys
 
@@ -34,6 +33,7 @@ from .errors import InputError, MismatchError, NumericalError
 from .model import TrajectoryDataset
 from .projection import (
     chebyshev_quadrature_nodes,
+    check_domain,
     default_quad_points,
     project,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
     project_samples,
@@ -294,9 +294,10 @@ def _domain_arg(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"domain must be numeric lo:hi, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+    try:
+        return check_domain((lo, hi))
+    except InputError:
         raise argparse.ArgumentTypeError(f"domain needs lo < hi, got {text!r}")
-    return (lo, hi)
 
 
 def _header(command: str, pairs) -> None:
@@ -431,17 +432,13 @@ def cmd_synth(args) -> int:
         exp = _synth.generate_example1(args.count, args.seed, radius=args.radius)
     else:
         exp = _synth.generate_example2(args.count, args.seed, radius=args.radius)
-    n = len(exp.nominal.coeffs)
-    prefix = args.output
-    data_path = f"{prefix}_data.csv"
-    curves_path = f"{prefix}_curves.csv"
-    outlier_path = f"{prefix}_outlier.csv"
-    nominal_path = f"{prefix}_nominal.csv"
-    _write_wide_csv(data_path, exp.dataset.ids, exp.dataset.coefficient_matrix(n))
+    paths = [f"{args.output}_{part}.csv" for part in ("data", "curves", "outlier", "nominal")]
+    data_path, curves_path, outlier_path, nominal_path = paths
+    _write_wide_csv(data_path, exp.dataset.ids, exp.dataset.coeffs)
     _write_trajectory_csv(curves_path, exp.dataset.ids, exp.dataset.times, exp.dataset.values)
-    for path, vec in ((outlier_path, exp.outlier), (nominal_path, exp.nominal)):
-        _write_wide_csv(path, [vec.id], vec.coeffs[None, :n])
-    for p in (data_path, curves_path, outlier_path, nominal_path):
+    _write_wide_csv(outlier_path, ["outlier"], exp.outlier[None, :])
+    _write_wide_csv(nominal_path, ["nominal"], exp.nominal[None, :])
+    for p in paths:
         print(f"# wrote {p}")
     return EXIT_OK
 

@@ -46,6 +46,7 @@ import hashlib
 import io
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -54,7 +55,7 @@ import numpy as np
 from . import projection as _projection
 from .basis import BasisEnumeration, enumerate_basis, eval_monomial_matrix
 from .errors import InputError, MismatchError, NumericalError
-from .projection import CoefficientVector, coeff_array
+from .projection import check_domain, coeff_array
 
 # Relative eigenvalue floor below which an unregularized moment matrix is
 # declared singular.  Legitimate dense datasets sit many decades above it.
@@ -125,7 +126,7 @@ class TrajectoryDataset:
         C.setflags(write=False)
         object.__setattr__(self, "coeffs", C)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
+        object.__setattr__(self, "domain", check_domain(self.domain))
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
@@ -391,8 +392,6 @@ class ChristoffelModel:
     def _probe_rows(self, coeffs) -> np.ndarray:
         """The first n coefficients of one or many probes, (K, n), with
         mismatch checks.  A batch of no rows is no probes, whatever its width."""
-        if isinstance(coeffs, CoefficientVector):
-            coeffs = coeffs.coeffs
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim == 1:
             arr = arr[None, :]
@@ -471,7 +470,12 @@ def christoffel_value(model: ChristoffelModel, c) -> float:
     [0, 1]: the constant polynomial 1 is feasible for the variational
     characterization, and the empirical measure has mass 1.
     """
-    cd = cd_value(model, c)
+    return _reciprocal(cd_value(model, c))
+
+
+def _reciprocal(cd: float) -> float:
+    """The Christoffel value 1 / cd of a CD value: 0.0 where cd overflowed
+    to inf (or nan), inf where it is 0."""
     if not math.isfinite(cd):
         return 0.0
     return 1.0 / cd if cd > 0.0 else math.inf
@@ -785,9 +789,10 @@ def load(source) -> ChristoffelModel:
     if len(dom_parts) != 2:
         raise InputError(f"model file domain is malformed: {fields.get('domain')!r}")
     try:
-        domain = (float(dom_parts[0]), float(dom_parts[1]))
+        lo, hi = float(dom_parts[0]), float(dom_parts[1])
     except ValueError as exc:
         raise InputError(f"model file domain is malformed: {fields.get('domain')!r}") from exc
+    domain = check_domain((lo, hi))  # the rule fit --domain applies
     ordering = fields.get("basis", "")
     if ordering != _BASIS_ORDERING:
         raise InputError(f"unsupported basis ordering {ordering!r}")
@@ -808,6 +813,8 @@ def load(source) -> ChristoffelModel:
         raise InputError("model file moment matrix has non-finite entries")
     if N < 1:
         raise InputError(f"model file sample count must be >= 1, got {N}")
+    if N > sys.float_info.max:  # S / N takes N as a float
+        raise InputError(f"model file sample count has {len(str(N))} digits, beyond float range")
     if eps < 0.0 or not math.isfinite(eps):
         raise InputError(f"model file epsilon must be finite and >= 0, got {eps}")
     # Preserve the original creator so save(load(f)) reproduces f's bytes.

@@ -70,9 +70,13 @@ class SampledTrajectory:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "domain", domain)
 
-    def unit_times(self) -> np.ndarray:
-        """Sample times mapped affinely onto [-1, 1]."""
-        return unit_times(self.times, self.domain)
+
+def check_domain(domain) -> tuple[float, float]:
+    """A time domain (lo, hi) as floats; both finite and lo < hi."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise InputError(f"invalid domain interval ({lo}, {hi})")
+    return lo, hi
 
 
 def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]:
@@ -87,9 +91,7 @@ def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]
         raise InputError("trajectory times contain non-finite entries")
     if np.any(np.diff(times) <= 0):
         raise InputError(f"trajectory times must be strictly increasing (id={curve_id!r})")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise InputError(f"invalid domain interval ({lo}, {hi})")
+    lo, hi = check_domain(domain)
     span = hi - lo
     if times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span:
         raise InputError(
@@ -106,34 +108,8 @@ def unit_times(times: np.ndarray, domain) -> np.ndarray:
     return 2.0 * (times - lo) / (hi - lo) - 1.0
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """The first n_max orthonormal coefficients <f, e_k> of a curve."""
-
-    coeffs: np.ndarray
-    id: str | None = None
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 1:
-            raise InputError("coefficients must form a non-empty 1-D sequence")
-        if not np.isfinite(c).all():
-            raise InputError(f"coefficient vector contains non-finite entries (id={self.id!r})")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n_max(self) -> int:
-        return int(self.coeffs.size)
-
-    def __len__(self) -> int:
-        return self.n_max
-
-
 def coeff_array(c) -> np.ndarray:
-    """Return the underlying 1-D float array of a CoefficientVector or array_like."""
-    if isinstance(c, CoefficientVector):
-        return c.coeffs
+    """One coefficient row as a 1-D float array."""
     arr = np.asarray(c, dtype=float)
     if arr.ndim != 1:
         raise InputError(f"expected a 1-D coefficient vector, got shape {arr.shape}")
@@ -266,7 +242,7 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
     return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
 
 
-def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> CoefficientVector:
+def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> np.ndarray:
     """Project a sampled curve onto the first n orthonormal coefficients.
 
     Parameters
@@ -280,14 +256,13 @@ def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> 
 
     Returns
     -------
-    CoefficientVector
+    ndarray, shape (n,)
         Entry 1 is the quadrature mean of f; entry k >= 2 is
         (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  A one-column call of
         `project_samples`.
     """
-    c = project_samples(traj.times, traj.values[:, None], n, quad_points,
-                        traj.domain, ids=[traj.id])
-    return CoefficientVector(coeffs=c[0], id=traj.id)
+    return project_samples(traj.times, traj.values[:, None], n, quad_points,
+                           traj.domain, ids=[traj.id])[0]
 
 
 def reconstruct_batch(coeff_matrix, t) -> np.ndarray:

@@ -35,11 +35,11 @@ from .basis import (
 from .errors import InputError, NumericalError
 from .model import ChristoffelModel, TrajectoryDataset
 from .projection import (
-    CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     coeff_array,
     reconstruct_batch,
+    unit_times,
     values_on_nodes,
 )
 
@@ -164,11 +164,11 @@ def classify(
     """Score one probe and compare against the threshold.
 
     Ties sit on the inlier side: a probe is an outlier only when its CD
-    value strictly exceeds tau.  A one-row call of `classify_batch`.
+    value strictly exceeds tau.  A one-row call of `classify_batch`; the
+    report's id is None (pass ``ids`` to `classify_batch` to label rows).
     """
-    probe_id = c.id if isinstance(c, CoefficientVector) else None
     return classify_batch(
-        model, threshold, coeff_array(c)[None, :], ids=[probe_id],
+        model, threshold, coeff_array(c)[None, :],
         baseline_l2=None if baseline_l2 is None else [baseline_l2],
     )[0]
 
@@ -188,9 +188,8 @@ def classify_batch(
     cds = _model.cd_values(model, coeffs)
     reports = []
     for i, cd in enumerate(cds.tolist()):
-        chris = 0.0 if not math.isfinite(cd) else (1.0 / cd if cd > 0.0 else math.inf)
         reports.append(ScoreReport(
-            id=None if ids is None else ids[i], cd=cd, christoffel=chris,
+            id=None if ids is None else ids[i], cd=cd, christoffel=_model._reciprocal(cd),
             threshold=threshold.value,
             verdict="Outlier" if cd > threshold.value else "Inlier",
             baseline_l2=None if baseline_l2 is None else float(baseline_l2[i]),
@@ -212,7 +211,7 @@ def _probe_values(f, nodes: np.ndarray) -> np.ndarray:
     if isinstance(f, SampledTrajectory):
         if not np.isfinite(f.values).all():
             raise InputError(f"trajectory values contain non-finite entries (id={f.id!r})")
-        return values_on_nodes(f.unit_times(), f.values[:, None], nodes)
+        return values_on_nodes(unit_times(f.times, f.domain), f.values[:, None], nodes)
     return reconstruct_batch(coeff_array(f)[None, :], nodes)
 
 
@@ -310,13 +309,10 @@ class PointwiseChristoffel:
         cd = _model._cd_rows(self.inverse_factor, enumerate_basis(self.d2, 2), pts)
         return (1.0 / cd).reshape(F.shape)
 
-    def profile(self, f) -> np.ndarray:
-        """Pointwise Christoffel values Lambda(t_j, f(t_j)) along the probe."""
-        return self.profiles(_probe_values(f, self.nodes))[0]
-
     def fractions_below(self, values, delta: float) -> np.ndarray:
         """Per probe row of `profiles` input, the fraction of nodes where
-        the pointwise value drops under delta."""
+        the pointwise value drops under delta.  delta = 0 gives 0; the
+        largest delta that flags no reference curve is `cloud_floor`."""
         if delta < 0.0 or not math.isfinite(delta):
             raise InputError(f"delta must be finite and >= 0, got {delta!r}")
         return np.mean(self.profiles(values) < delta, axis=1)
@@ -324,18 +320,3 @@ class PointwiseChristoffel:
     def fraction_below(self, f, delta: float) -> float:
         """Fraction of nodes where the probe's pointwise value drops under delta."""
         return float(self.fractions_below(_probe_values(f, self.nodes), delta)[0])
-
-
-def naive_pointwise_score(
-    data: TrajectoryDataset, f, d2: int, delta: float, quad_points: int = 129
-) -> float:
-    """Pointwise-baseline score: fraction of quadrature nodes where the
-    probe's bivariate Christoffel value falls below delta.
-
-    delta = 0 always yields 0 (the values are nonnegative).  No default
-    decision rule is attached to the fraction; callers choose delta — the
-    in-cloud floor (`PointwiseChristoffel.cloud_floor`) is the largest
-    delta that does not flag the reference data itself.
-    """
-    cloud = PointwiseChristoffel.fit(data, d2, quad_points)
-    return cloud.fraction_below(f, delta)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import TrajectoryDataset
-from .projection import CoefficientVector, chebyshev_quadrature_nodes, reconstruct_batch
+from .projection import chebyshev_quadrature_nodes, reconstruct_batch
 
 # Orthonormal coefficients of the shared nominal curve (T1 + T2 + T3)/3:
 # T_k = e_{k+1} / sqrt(2) for k >= 1, hence the 1/(3 sqrt 2) entries.
@@ -81,12 +81,21 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SyntheticExperiment:
-    """One generated family: references plus a designated outlier."""
+    """One generated family: references plus a designated outlier.
+
+    ``outlier`` and ``nominal`` are read-only (5,) coefficient rows.
+    """
 
     dataset: TrajectoryDataset
-    outlier: CoefficientVector
-    nominal: CoefficientVector
+    outlier: np.ndarray
+    nominal: np.ndarray
     spec: SynthSpec
+
+    def __post_init__(self) -> None:
+        for name in ("outlier", "nominal"):
+            row = np.array(getattr(self, name), dtype=float)
+            row.setflags(write=False)
+            object.__setattr__(self, name, row)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -167,12 +176,7 @@ def generate_example1(
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     coords = np.asarray(PERTURBED_COORDS, dtype=int)
     out[coords] += sample_ball(coords.size, r_out, _stream(seed, N))
-    return SyntheticExperiment(
-        dataset=dataset,
-        outlier=CoefficientVector(coeffs=out, id="outlier"),
-        nominal=CoefficientVector(coeffs=np.asarray(NOMINAL_COEFFS), id="nominal"),
-        spec=spec,
-    )
+    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
 
 
 def generate_example2(
@@ -189,9 +193,4 @@ def generate_example2(
     dataset = _generate_family(spec)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     out[4] = outlier_epsilon / math.sqrt(2.0)
-    return SyntheticExperiment(
-        dataset=dataset,
-        outlier=CoefficientVector(coeffs=out, id="outlier"),
-        nominal=CoefficientVector(coeffs=np.asarray(NOMINAL_COEFFS), id="nominal"),
-        spec=spec,
-    )
+    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)

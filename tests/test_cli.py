@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import assert_same_text
 from trajcf.cli import _write_trajectory_csv, _write_wide_csv, main
 from trajcf.model import cd_value, cd_values, load
 from trajcf.synth import generate_example1
@@ -54,7 +55,7 @@ def test_synth_is_byte_reproducible(tmp_path):
         assert main(["synth", "example1", "--count", "25", "--seed", "3",
                      "--output", str(d / "x")]) == 0
     for suffix in ("_data.csv", "_curves.csv", "_outlier.csv", "_nominal.csv"):
-        assert (a / ("x" + suffix)).read_bytes() == (b / ("x" + suffix)).read_bytes()
+        assert_same_text((a / ("x" + suffix)).read_bytes(), (b / ("x" + suffix)).read_bytes())
 
 
 @pytest.mark.parametrize("flags, flag", [
@@ -99,7 +100,7 @@ def test_wide_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, coeffs):
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     _write_wide_csv(str(ours), ids, coeffs)
     _csv_writer_wide(str(oracle), ids, coeffs)
-    assert ours.read_bytes() == oracle.read_bytes()
+    assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
 
 @pytest.mark.parametrize("ids, times, values", [
@@ -113,7 +114,7 @@ def test_trajectory_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, times
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     _write_trajectory_csv(str(ours), ids, times, values)
     _csv_writer_trajectory(str(oracle), ids, times, values)
-    assert ours.read_bytes() == oracle.read_bytes()
+    assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
 
 def test_synth_files_match_the_csv_writer_oracle(tmp_path):
@@ -122,10 +123,10 @@ def test_synth_files_match_the_csv_writer_oracle(tmp_path):
     data = exp.dataset
     _write_wide_csv(str(ours), data.ids, data.coefficient_matrix(5))
     _csv_writer_wide(str(oracle), data.ids, data.coefficient_matrix(5))
-    assert ours.read_bytes() == oracle.read_bytes()
+    assert_same_text(ours.read_bytes(), oracle.read_bytes())
     _write_trajectory_csv(str(ours), data.ids, data.times, data.values)
     _csv_writer_trajectory(str(oracle), data.ids, data.times, data.values)
-    assert ours.read_bytes() == oracle.read_bytes()
+    assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
 
 def test_trajectory_writer_memory_stays_row_sized(tmp_path):
@@ -150,7 +151,7 @@ def test_fit_reports_the_basis_dimension(ws, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "m=70" in text and "N=120" in text
     # same input, same flags: the model file is byte-identical
-    assert out.read_bytes() == Path(ws["model"]).read_bytes()
+    assert_same_text(out.read_bytes(), Path(ws["model"]).read_bytes())
 
 
 @pytest.mark.parametrize("d, n", [(4, 4), (8, 5)])
@@ -346,7 +347,7 @@ def test_update_with_no_rows_is_the_identity(ws, tmp_path):
     out = tmp_path / "same.txt"
     assert main(["update", "--model", ws["model"], "--input", str(src),
                  "--output", str(out)]) == 0
-    assert out.read_bytes() == Path(ws["model"]).read_bytes()
+    assert_same_text(out.read_bytes(), Path(ws["model"]).read_bytes())
 
 
 @pytest.mark.parametrize("header", ["id", "id,c1", "coef"])
@@ -367,7 +368,7 @@ def test_a_probe_file_with_no_rows_is_no_probes_whatever_its_width(ws, tmp_path,
         assert out.read_text().splitlines() == [header]
         assert "probes=0" in capsys.readouterr().out
     else:
-        assert out.read_bytes() == Path(ws["model"]).read_bytes()
+        assert_same_text(out.read_bytes(), Path(ws["model"]).read_bytes())
 
 
 def test_update_then_downdate_round_trips(ws, tmp_path):
@@ -675,3 +676,27 @@ def test_model_with_a_huge_degree_is_an_input_error(ws, tmp_path, capsys, fields
     bad = _resealed(tmp_path / "huge-degree.txt", payload)
     assert main(["info", "--model", bad]) == 2
     assert "more than 10000 monomials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, edited, message", [
+    ("domain -1 1", "domain 1 1", "invalid domain interval"),
+    ("domain -1 1", "domain nan 1", "invalid domain interval"),
+    ("domain -1 1", "domain -1 1e400", "invalid domain interval"),
+    ("N 120", "N 1" + "0" * 400, "beyond float range"),
+], ids=["empty-domain", "nan-domain", "inf-domain", "huge-N"])
+@pytest.mark.parametrize("command", ["info", "score"])
+def test_model_with_a_field_fit_never_writes_is_an_input_error(
+        ws, tmp_path, capsys, line, edited, message, command):
+    # fit --domain refuses each of these domains, so load must too; S / N
+    # needs N as a float.
+    payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
+    payload[payload.index(line)] = edited
+    bad = _resealed(tmp_path / "bad-field.txt", payload)
+    overlay = tmp_path / "overlay.csv"
+    argv = ["info", "--model", bad]
+    if command == "score":
+        argv = ["score", "--model", bad, "--input", ws["outlier"], "--overlay-out", str(overlay)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not overlay.exists()

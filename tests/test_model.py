@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import assert_same_text
 from trajcf.errors import InputError, MismatchError, NumericalError
 from trajcf.model import (
     ChristoffelModel,
@@ -25,10 +26,10 @@ from trajcf.model import (
 )
 from trajcf.basis import enumerate_basis, eval_monomial_matrix
 from trajcf.projection import (
-    CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     reconstruct_batch,
+    unit_times,
 )
 
 
@@ -288,7 +289,7 @@ def test_save_load_round_trip_text_and_scores():
     model = fit(data, 2, 2)
     text = dumps(model)
     reloaded = load(io.StringIO(text))
-    assert dumps(reloaded) == text  # byte-identical resave
+    assert_same_text(dumps(reloaded), text)  # byte-identical resave
     assert reloaded.sample_count == model.sample_count
     assert reloaded.epsilon == model.epsilon
     assert reloaded.domain == model.domain
@@ -389,7 +390,8 @@ def test_on_nodes_interpolates_samples_as_np_interp_does():
     got = data.on_nodes(nodes)
     assert got.shape == (5, 97)
     for row, tr in zip(got, trajs):
-        assert row.tolist() == np.interp(nodes, tr.unit_times(), tr.values).tolist()
+        want = np.interp(nodes, unit_times(tr.times, tr.domain), tr.values)
+        assert row.tolist() == want.tolist()
 
 
 def test_on_nodes_evaluates_coefficient_rows_as_series():
@@ -558,7 +560,7 @@ def test_cd_values_match_a_refined_solve_at_degree_8():
     model = fit(exp.dataset, 8, 5)
     probes = np.vstack([exp.dataset.coefficient_matrix(5)[:20],
                         generate_example1(20, seed=100).dataset.coefficient_matrix(5),
-                        exp.outlier.coeffs[None, :5]])
+                        exp.outlier[None, :5]])
     A = model.moment_matrix()
     A = (A + A.T) / 2.0 + model.epsilon * np.eye(model.size)
     reference = _refined_cd(A, model._probe_matrix(probes).T)
@@ -599,7 +601,7 @@ def test_asymmetric_moment_sum_in_a_hand_edited_file_saves_back_byte_for_byte():
     edited = _retag(text, skew)
     model = load(io.StringIO(edited))
     assert model.moment_sum[0, 2] != model.moment_sum[2, 0]
-    assert dumps(model) == edited
+    assert_same_text(dumps(model), edited)
 
 
 def _argsort_payload_lines(model):
@@ -631,15 +633,6 @@ def _argsort_document(model):
     return payload + f"checksum sha256 {hashlib.sha256(payload.encode('utf-8')).hexdigest()}\n"
 
 
-def _assert_same_text(got, want):
-    """got == want, reporting the first line that differs (pytest's own diff
-    of two long texts takes minutes)."""
-    if got != want:
-        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
-        first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
-        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ first at line {first}")
-
-
 def _special_matrix(size, symmetric, seed):
     """A size x size matrix of special values; a symmetric one mirrors its
     upper triangle bit for bit, so -0.0 stays -0.0."""
@@ -657,7 +650,7 @@ def test_model_file_matches_the_argsort_writer_byte_for_byte(size, symmetric):
     assert SAVE_PANEL_ROWS == 128  # the sizes straddle one panel edge
     S = _special_matrix(size, symmetric, seed=size + 1000 * symmetric)
     model = _crafted(S)
-    _assert_same_text(dumps(model), _argsort_document(model))
+    assert_same_text(dumps(model), _argsort_document(model))
 
 
 def test_signed_zeros_in_different_panels_keep_their_signs():
@@ -669,7 +662,7 @@ def test_signed_zeros_in_different_panels_keep_their_signs():
     S[10, 270] = 0.0
     model = _crafted(S)
     text = dumps(model)
-    _assert_same_text(text, _argsort_document(model))
+    assert_same_text(text, _argsort_document(model))
     rows = text.splitlines()[10:-1]
     assert rows[0].split()[5] == rows[5].split()[0] == "-0"
     assert rows[200].split()[250] == rows[250].split()[200] == "0"
@@ -683,8 +676,8 @@ def test_dumps_is_the_bytes_save_writes_to_a_path(tmp_path):
     model = fit(gaussian_dataset(200, 3, seed=77), 4, 3)
     path = tmp_path / "m.txt"
     save(model, path)
-    _assert_same_text(path.read_bytes().decode("utf-8"), dumps(model))
-    _assert_same_text(dumps(model), _argsort_document(model))
+    assert_same_text(path.read_bytes().decode("utf-8"), dumps(model))
+    assert_same_text(dumps(model), _argsort_document(model))
 
 
 @pytest.mark.parametrize("mark", ["\x0c", "\x1c", "\u2028"], ids=["x0c", "x1c", "u2028"])
@@ -791,6 +784,13 @@ def test_dataset_from_trajectories_keeps_the_curves():
 def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
     with pytest.raises(InputError, match=message):
         TrajectoryDataset.from_coefficients(rows, ids=ids)
+
+
+@pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (-1.0, math.inf)])
+def test_dataset_rejects_a_domain_that_load_rejects(domain):
+    # so fit never writes a model file that load refuses
+    with pytest.raises(InputError, match="invalid domain interval"):
+        TrajectoryDataset.from_coefficients([[0.5, 0.1]], domain=domain)
 
 
 # --- the row-blocked data plane ----------------------------------------------------

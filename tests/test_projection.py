@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from trajcf.errors import InputError
+from trajcf.model import TrajectoryDataset, cd_value, fit
 from trajcf.projection import (
-    CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     coeff_array,
@@ -15,6 +15,7 @@ from trajcf.projection import (
     project,
     project_samples,
     reconstruct_batch,
+    unit_times,
     values_on_nodes,
 )
 
@@ -57,21 +58,29 @@ def test_nodes_descending_in_unit_interval():
 
 # --- projection ------------------------------------------------------------
 
+def test_project_returns_one_row_of_project_samples():
+    traj = _traj_on_cheb_nodes(np.cos, domain=(0.0, 3.0))
+    c = project(traj, n=5)
+    assert type(c) is np.ndarray and c.shape == (5,) and c.dtype == float
+    shared = project_samples(traj.times, traj.values[:, None], 5, None, traj.domain)
+    assert c.tolist() == shared[0].tolist()
+
+
 def test_project_constant():
     c = project(_traj_on_cheb_nodes(lambda x: np.ones_like(x)), n=6, quad_points=256)
-    np.testing.assert_allclose(c.coeffs, [1, 0, 0, 0, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(c, [1, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_project_normalized_linear():
     c = project(_traj_on_cheb_nodes(lambda x: math.sqrt(2) * x), n=6, quad_points=256)
-    np.testing.assert_allclose(c.coeffs, [0, 1, 0, 0, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(c, [0, 1, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_project_two_t_squared():
     # 2t^2 = 1 + T_2(t): coefficients (1, 0, sqrt(2)/2, 0, ...)
     c = project(_traj_on_cheb_nodes(lambda x: 2.0 * x**2), n=6, quad_points=256)
     np.testing.assert_allclose(
-        c.coeffs, [1, 0, math.sqrt(2) / 2, 0, 0, 0], atol=1e-13
+        c, [1, 0, math.sqrt(2) / 2, 0, 0, 0], atol=1e-13
     )
 
 
@@ -81,7 +90,7 @@ def test_project_two_t_squared_uniform_grid():
     traj = SampledTrajectory(times=t, values=2.0 * t**2)
     c = project(traj, n=4)
     np.testing.assert_allclose(
-        c.coeffs, [1, 0, math.sqrt(2) / 2, 0], atol=1e-6
+        c, [1, 0, math.sqrt(2) / 2, 0], atol=1e-6
     )
 
 
@@ -89,7 +98,7 @@ def test_project_then_reconstruct_polynomial():
     poly = lambda x: 0.3 - 0.5 * x + 0.8 * x**3
     c = project(_traj_on_cheb_nodes(poly, M=256), n=4, quad_points=256)
     grid = np.linspace(-1, 1, 1001)
-    err = np.max(np.abs(reconstruct_batch(c.coeffs[None, :], grid)[0] - poly(grid)))
+    err = np.max(np.abs(reconstruct_batch(c[None, :], grid)[0] - poly(grid)))
     assert err <= 1e-10
 
 
@@ -97,7 +106,7 @@ def test_project_affine_domain_mapping():
     # f(t) = 1 on [0, 10] must project identically to f = 1 on [-1, 1]
     traj = SampledTrajectory(times=np.linspace(0, 10, 33), values=np.ones(33), domain=(0, 10))
     c = project(traj, n=3)
-    np.testing.assert_allclose(c.coeffs, [1, 0, 0], atol=1e-14)
+    np.testing.assert_allclose(c, [1, 0, 0], atol=1e-14)
 
 
 def test_discrete_orthonormality():
@@ -120,9 +129,9 @@ def test_projection_is_linear_on_common_grids(alpha, beta):
     f = np.sin(2.0 * x)
     g = x**2 - 0.3
     combined = SampledTrajectory(times=x, values=alpha * f + beta * g)
-    cf = project(SampledTrajectory(times=x, values=f), 5, 64).coeffs
-    cg = project(SampledTrajectory(times=x, values=g), 5, 64).coeffs
-    cc = project(combined, 5, 64).coeffs
+    cf = project(SampledTrajectory(times=x, values=f), 5, 64)
+    cg = project(SampledTrajectory(times=x, values=g), 5, 64)
+    cc = project(combined, 5, 64)
     np.testing.assert_allclose(cc, alpha * cf + beta * cg, atol=1e-10)
 
 
@@ -130,7 +139,7 @@ def test_truncated_energy_is_monotone_in_n():
     traj = _traj_on_cheb_nodes(lambda x: np.exp(x) * np.cos(3 * x), M=256)
     norms = []
     for n in range(1, 9):
-        c = project(traj, n, quad_points=256).coeffs
+        c = project(traj, n, quad_points=256)
         norms.append(float(np.sum(c * c)))
     assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -150,7 +159,7 @@ def test_project_input_validation():
 
 def _resample(traj, nodes):
     """One curve's piecewise-linear values at unit-interval nodes."""
-    return values_on_nodes(traj.unit_times(), traj.values[:, None], nodes)[0]
+    return values_on_nodes(unit_times(traj.times, traj.domain), traj.values[:, None], nodes)[0]
 
 
 def test_resample_midpoint_of_line():
@@ -209,12 +218,14 @@ def test_trajectory_validation():
 
 
 def test_coefficient_vector_validation():
-    cv = CoefficientVector(coeffs=np.array([1.0, 2.0]), id="a")
-    assert cv.n_max == 2 and len(cv) == 2
-    with pytest.raises(InputError):
-        CoefficientVector(coeffs=np.array([np.inf]))
+    row = coeff_array([1.0, 2.0])
+    assert row.shape == (2,) and row.tolist() == [1.0, 2.0]
     with pytest.raises(InputError):
         coeff_array(np.zeros((2, 2)))
+    rows = np.random.default_rng(3).normal(size=(20, 2))
+    model = fit(TrajectoryDataset.from_coefficients(rows), 1, 2)
+    with pytest.raises(InputError, match="non-finite"):
+        cd_value(model, np.array([np.inf, 0.0]))
 
 
 def test_default_quad_point_rule():
@@ -239,8 +250,9 @@ def test_shared_grid_projection_equals_per_curve_project(domain):
     E[:, 1:] *= math.sqrt(2.0)
     for k in range(12):
         traj = SampledTrajectory(times=times, values=values[:, k], id=ids[k], domain=domain)
-        np.testing.assert_allclose(C[k], project(traj, 6).coeffs, rtol=0, atol=1e-14)
-        direct = E.T @ np.interp(nodes, traj.unit_times(), values[:, k]) / 256
+        np.testing.assert_allclose(C[k], project(traj, 6), rtol=0, atol=1e-14)
+        t = unit_times(traj.times, traj.domain)
+        direct = E.T @ np.interp(nodes, t, values[:, k]) / 256
         np.testing.assert_allclose(C[k], direct, rtol=0, atol=1e-14)
 
 

@@ -6,10 +6,10 @@ import pytest
 from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, fit
 from trajcf.projection import (
-    CoefficientVector,
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     reconstruct_batch,
+    unit_times,
     values_on_nodes,
 )
 from trajcf.scoring import (
@@ -19,7 +19,6 @@ from trajcf.scoring import (
     calibrate,
     classify,
     classify_batch,
-    naive_pointwise_score,
     nearest_distances,
     nearest_rank,
     nearest_rank_quantile,
@@ -85,7 +84,7 @@ def test_threshold_must_be_positive():
 
 def test_tie_with_threshold_is_an_inlier(small_family):
     exp, model = small_family
-    probe = CoefficientVector(coeffs=exp.dataset.coeffs[0], id=exp.dataset.ids[0])
+    probe = exp.dataset.coeffs[0]
     cd = cd_value(model, probe)
     thr = Threshold(value=cd, method="quantile(1)", calibration_size=1)
     assert classify(model, thr, probe).verdict == "Inlier"
@@ -105,7 +104,7 @@ def test_report_reciprocal_and_id(small_family):
     exp, model = small_family
     thr = calibrate(model, exp.dataset)
     rep = classify(model, thr, exp.outlier)
-    assert rep.id == "outlier"
+    assert rep.id is None  # a row carries no id; classify_batch takes ids
     assert rep.christoffel == pytest.approx(1.0 / rep.cd, rel=1e-12)
 
 
@@ -132,13 +131,13 @@ def test_member_probe_scores_zero(small_family):
 def test_constant_against_zero_database():
     data = TrajectoryDataset.from_coefficients([[0.0, 0.0]])
     for c in (0.7, -1.2):
-        probe = CoefficientVector(coeffs=np.array([c, 0.0]))
+        probe = np.array([c, 0.0])
         assert nearest_trajectory_score(data, probe) == pytest.approx(abs(c), rel=1e-12)
 
 
 def test_empty_database_is_refused_by_every_baseline():
     empty = TrajectoryDataset(np.empty((0, 2)))
-    probe = CoefficientVector(coeffs=np.array([0.5, 0.0]))
+    probe = np.array([0.5, 0.0])
     with pytest.raises(InputError, match="non-empty database"):
         nearest_trajectory_score(empty, probe)
     with pytest.raises(InputError, match="non-empty database"):
@@ -156,7 +155,7 @@ def test_nearest_matches_exhaustive_distances():
         math.sqrt(float(np.mean((pv - reconstruct_batch(row[None, :], nodes)[0]) ** 2)))
         for row in C
     )
-    got = nearest_trajectory_score(data, CoefficientVector(coeffs=probe))
+    got = nearest_trajectory_score(data, probe)
     assert got == pytest.approx(brute, rel=1e-12)
 
 
@@ -164,7 +163,7 @@ def test_union_takes_the_min():
     d1 = TrajectoryDataset.from_coefficients([[0.0, 0.0]])
     d2 = TrajectoryDataset.from_coefficients([[1.0, 0.0]])
     union = TrajectoryDataset(np.vstack([d1.coeffs, d2.coeffs]))
-    probe = CoefficientVector(coeffs=np.array([0.9, 0.0]))
+    probe = np.array([0.9, 0.0])
     s1 = nearest_trajectory_score(d1, probe)
     s2 = nearest_trajectory_score(d2, probe)
     assert nearest_trajectory_score(union, probe) == pytest.approx(min(s1, s2), rel=1e-12)
@@ -174,7 +173,8 @@ def test_union_takes_the_min():
 
 def test_naive_fraction_zero_for_delta_zero(small_family):
     exp, _ = small_family
-    assert naive_pointwise_score(exp.dataset, exp.outlier, d2=3, delta=0.0) == 0.0
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
+    assert cloud.fraction_below(exp.outlier, 0.0) == 0.0
 
 
 def test_member_probe_stays_above_the_floor(small_family):
@@ -182,7 +182,7 @@ def test_member_probe_stays_above_the_floor(small_family):
     # so any whisker below it keeps every member clean
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
-    member = CoefficientVector(coeffs=exp.dataset.coeffs[0], id=exp.dataset.ids[0])
+    member = exp.dataset.coeffs[0]
     assert cloud.fraction_below(member, 0.99 * cloud.cloud_floor) == 0.0
 
 
@@ -190,20 +190,21 @@ def test_cloud_floor_is_positive(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
     assert cloud.cloud_floor > 0.0
-    lam = cloud.profile(CoefficientVector(coeffs=exp.dataset.coeffs[1], id=exp.dataset.ids[1]))
+    lam = cloud.profiles(reconstruct_batch(exp.dataset.coeffs[1:2], cloud.nodes))[0]
     assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
 
 
 def test_naive_rejects_negative_delta(small_family):
     exp, _ = small_family
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
     with pytest.raises(InputError):
-        naive_pointwise_score(exp.dataset, exp.outlier, d2=3, delta=-0.1)
+        cloud.fraction_below(exp.outlier, -0.1)
 
 
 def test_naive_accepts_curve_probes(small_family):
     exp, _ = small_family
     traj = SampledTrajectory(exp.dataset.times, exp.dataset.values[:, 2])
-    frac = naive_pointwise_score(exp.dataset, traj, d2=3, delta=1e-12)
+    frac = PointwiseChristoffel.fit(exp.dataset, d2=3).fraction_below(traj, 1e-12)
     assert frac == 0.0
 
 
@@ -212,13 +213,12 @@ def test_naive_accepts_curve_probes(small_family):
 def test_classify_batch_equals_classify_row_by_row(small_family):
     exp, model = small_family
     thr = calibrate(model, exp.dataset)
-    C = np.vstack([exp.dataset.coefficient_matrix(4)[:20], exp.outlier.coeffs[None, :4]])
+    C = np.vstack([exp.dataset.coefficient_matrix(4)[:20], exp.outlier[None, :4]])
     ids = [f"p{i}" for i in range(len(C))]
     batch = classify_batch(model, thr, C, ids=ids, baseline_l2=np.arange(len(C)))
     for i, rep in enumerate(batch):
-        single = classify(model, thr, CoefficientVector(coeffs=C[i], id=ids[i]),
-                          baseline_l2=float(i))
-        assert (rep.id, rep.verdict) == (single.id, single.verdict)
+        single = classify(model, thr, C[i], baseline_l2=float(i))
+        assert (rep.id, rep.verdict) == (ids[i], single.verdict)
         assert rep.baseline_l2 == single.baseline_l2
         assert rep.cd == pytest.approx(single.cd, rel=1e-12)
     assert batch[-1].verdict == "Outlier"
@@ -229,11 +229,13 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
     data = exp.dataset
     curves = [SampledTrajectory(data.times, data.values[:, i]) for i in range(len(data))]
     nodes = chebyshev_quadrature_nodes(256)
-    G = np.stack([values_on_nodes(tr.unit_times(), tr.values[:, None], nodes)[0]
-                  for tr in curves])
+
+    def on_nodes(tr):
+        return values_on_nodes(unit_times(tr.times, tr.domain), tr.values[:, None], nodes)[0]
+
+    G = np.stack([on_nodes(tr) for tr in curves])
     shifted = SampledTrajectory(times=curves[3].times, values=curves[3].values + 0.05)
-    probes = np.vstack([G[[5, 17, 100]],
-                        values_on_nodes(shifted.unit_times(), shifted.values[:, None], nodes)])
+    probes = np.vstack([G[[5, 17, 100]], on_nodes(shifted)])
     got = nearest_distances(G, probes)
     assert got[:3].tolist() == [0.0, 0.0, 0.0]
     assert got[3] == nearest_trajectory_score(exp.dataset, shifted) > 0.0
@@ -244,8 +246,8 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
 def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
-    probes = [exp.outlier] + [CoefficientVector(coeffs=row) for row in exp.dataset.coeffs[:5]]
-    values = np.vstack([reconstruct_batch(cv.coeffs[None, :], cloud.nodes) for cv in probes])
+    probes = [exp.outlier] + list(exp.dataset.coeffs[:5])
+    values = np.vstack([reconstruct_batch(row[None, :], cloud.nodes) for row in probes])
     delta = 2.0 * cloud.cloud_floor
     batch = cloud.fractions_below(values, delta)
     assert batch.tolist() == [cloud.fraction_below(p, delta) for p in probes]

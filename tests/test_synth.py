@@ -62,7 +62,15 @@ def test_generation_is_deterministic():
     Ca = a.dataset.coefficient_matrix(5)
     Cb = b.dataset.coefficient_matrix(5)
     assert np.array_equal(Ca, Cb)
-    assert np.array_equal(a.outlier.coeffs, b.outlier.coeffs)
+    assert np.array_equal(a.outlier, b.outlier)
+
+
+def test_outlier_and_nominal_are_read_only_rows():
+    for exp in (generate_example1(10, seed=2), generate_example2(10, seed=2)):
+        for row in (exp.outlier, exp.nominal):
+            assert type(row) is np.ndarray and row.shape == (5,)
+            assert not row.flags.writeable
+        assert exp.nominal.tolist() == list(NOMINAL_COEFFS)
 
 
 def test_per_index_streams_make_prefixes_agree():
@@ -112,7 +120,7 @@ def test_inliers_stay_in_the_small_ball():
 def test_outlier_uses_the_larger_radius():
     exp = generate_example1(200, seed=9)
     g0 = np.asarray(NOMINAL_COEFFS)
-    eta = exp.outlier.coeffs - g0
+    eta = exp.outlier - g0
     assert eta[4] == 0.0
     assert np.linalg.norm(eta) <= 1.0
 
@@ -134,13 +142,13 @@ def test_nominal_curve_is_the_average_of_three_waves():
     target = (np.polynomial.chebyshev.chebval(t, [0, 1])
               + np.polynomial.chebyshev.chebval(t, [0, 0, 1])
               + np.polynomial.chebyshev.chebval(t, [0, 0, 0, 1])) / 3.0
-    assert np.allclose(reconstruct_batch(exp.nominal.coeffs[None, :], t)[0], target, atol=1e-15)
+    assert np.allclose(reconstruct_batch(exp.nominal[None, :], t)[0], target, atol=1e-15)
 
 
 def test_second_family_outlier_carries_the_extra_harmonic():
     exp = generate_example2(50, seed=0)
-    assert exp.outlier.coeffs[4] == pytest.approx(0.1 / math.sqrt(2.0), rel=1e-15)
-    assert exp.outlier.coeffs[:4] == pytest.approx(list(NOMINAL_COEFFS[:4]), abs=0.0)
+    assert exp.outlier[4] == pytest.approx(0.1 / math.sqrt(2.0), rel=1e-15)
+    assert exp.outlier[:4] == pytest.approx(list(NOMINAL_COEFFS[:4]), abs=0.0)
 
 
 def test_second_family_drives_a_vanishing_moment_row():
