@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import re
 import sys
 
@@ -297,6 +298,9 @@ def _domain_arg(text: str):
     try:
         return check_domain((lo, hi))
     except InputError:
+        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:  # only its width overflows
+            raise argparse.ArgumentTypeError(
+                f"domain needs a finite width 2 * (hi - lo), got {text!r}")
         raise argparse.ArgumentTypeError(f"domain needs lo < hi, got {text!r}")
 
 

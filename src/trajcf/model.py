@@ -22,6 +22,14 @@ saved and reloaded copy have bit-identical factors and scores.  No spectrum
 is needed to score; only the eps = 0 singularity check, downdate's
 positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
 
+W is built in one m x m array: S/N is symmetrized there by panels, shifted,
+factored and inverted in place.  The factorization calls the gufunc behind
+np.linalg.cholesky with W as its output (`_cholesky_in_place`), because
+the public function returns a new array and so holds its input, its result
+and LAPACK's working copy at once; in place it holds W and that one copy,
+with the same bits.  A factorization therefore holds S, W and one LAPACK
+copy of W.
+
 Rows are never turned into one N x m monomial matrix.  `_moment_sum`
 (fit, update, downdate and the pointwise baseline) evaluates the monomials
 of MOMENT_BLOCK_ROWS rows at a time and adds that block's V^T V to S;
@@ -36,8 +44,11 @@ Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
 the text of S a row at a time from an int32 rank matrix filled by panels
 of SAVE_PANEL_ROWS rows, so it never holds an m x m array of Python
-objects.  `load` reads and hashes the file line by line, holds its text
-once, as lines, and lets it go before the factorization.
+objects.  `load` from a path checks d, n and m against the basis before it
+allocates S, then parses S LOAD_PANEL_ROWS lines at a time straight into
+it, hashing each line as it is read, so it never holds the file's text
+whole; anything that path does not expect, and a file object, is read
+again as a list of lines by the reader that gives every value and message.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import projection as _projection
 from .basis import BasisEnumeration, enumerate_basis, eval_monomial_matrix
@@ -202,16 +214,40 @@ def _require_finite(S: np.ndarray) -> None:
         )
 
 
+# Rows per panel of `_symmetrize_in_place`.
+SYMMETRIZE_PANEL_ROWS = 128
+
+
+def _symmetrize_in_place(M: np.ndarray) -> None:
+    """Overwrite the square M with (M + M.T) / 2, one panel of rows at a time.
+
+    Each pair of cells (i, j), (j, i) gets (a + b) / 2, the arithmetic of
+    ``(M + M.T) / 2`` (a + b equals b + a bit for bit), so the result is
+    bit-identical for any M, symmetric or not; no temporary exceeds one
+    panel of SYMMETRIZE_PANEL_ROWS columns below the diagonal.
+    """
+    m = M.shape[0]
+    for s in range(0, m, SYMMETRIZE_PANEL_ROWS):
+        e = min(s + SYMMETRIZE_PANEL_ROWS, m)
+        block = M[s:e, s:e]
+        block[...] = (block + block.T) / 2.0
+        lower = M[e:, s:e]
+        lower += M[s:e, e:].T
+        lower /= 2.0
+        M[s:e, e:] = lower.T
+
+
 def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """A freshly summed S, checked finite and made exactly symmetric."""
+    """A freshly summed S, checked finite and made exactly symmetric in place."""
     _require_finite(S)
-    return (S + S.T) / 2.0
+    _symmetrize_in_place(S)
+    return S
 
 
 def _shifted_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
-    """S/N + eps*I, with S/N symmetrized first."""
+    """S/N + eps*I as a new array, with S/N symmetrized first (in place)."""
     M = S / N
-    M = (M + M.T) / 2.0
+    _symmetrize_in_place(M)
     if eps > 0.0:
         M.flat[::M.shape[0] + 1] += eps
     return M
@@ -253,18 +289,38 @@ def _invert_lower(L: np.ndarray) -> None:
     np.negative(L[h:, h:] @ (L[h:, :h] @ L[:h, :h]), out=L[h:, :h])
 
 
+def _cholesky_in_place(M: np.ndarray) -> None:
+    """Overwrite the symmetric positive definite M with its lower Cholesky
+    factor L (zeros above the diagonal).
+
+    This is the gufunc behind np.linalg.cholesky, with the same LAPACK call
+    and the same bits, given M as its output: the public function allocates
+    a new result, so its input, its result and the gufunc's LAPACK copy
+    would be alive at once.  A breakdown raises LinAlgError with numpy's
+    message.
+    """
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(M, out=M, signature="d->d")
+    except FloatingPointError as exc:
+        raise np.linalg.LinAlgError("Matrix is not positive definite") from exc
+
+
 def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
     """The inverse Cholesky factor W = L^{-1} of S/N + eps*I (lower triangular).
 
     At eps = 0 the matrix must first clear the eigenvalue floor; a Cholesky
-    breakdown at any eps is a NumericalError.
+    breakdown at any eps is a NumericalError.  W is the only m x m array
+    made: S/N is symmetrized, shifted, factored (`_cholesky_in_place`) and
+    inverted in it, so besides S and W this holds one LAPACK copy of W
+    during the factorization and half of W in `_invert_lower`'s products.
     """
     _require_finite(S)
-    M = _shifted_moments(S, N, eps)
+    W = _shifted_moments(S, N, eps)
     if eps == 0.0:
-        _require_invertible(M)
+        _require_invertible(W)
     try:
-        W = np.linalg.cholesky(M)
+        _cholesky_in_place(W)
     except np.linalg.LinAlgError as exc:
         advice = "refit with epsilon > 0" if eps == 0.0 else "refit with a larger epsilon"
         raise NumericalError(
@@ -725,11 +781,12 @@ def _parse_matrix(rows: list[str]):
     return _parse_matrix_cells(rows) if S is None else S
 
 
-def _lines(fh) -> list[str]:
+def _line_parts(fh):
     """The lines of a text file as ``str.splitlines`` gives them for its whole
     text (which also breaks at \\x0c, \\x1c, \\u2028 and the like), read one
     line at a time, so the whole text is never held besides its lines."""
-    return [part for ln in fh for part in ln.splitlines()]
+    for ln in fh:
+        yield from ln.splitlines()
 
 
 def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
@@ -739,11 +796,11 @@ def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
     holds the file's text once, as lines, and only until S is parsed.
     """
     if hasattr(source, "read"):
-        lines = _lines(source)
+        lines = list(_line_parts(source))
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                lines = _lines(fh)
+                lines = list(_line_parts(fh))
         except UnicodeDecodeError as exc:
             raise InputError(f"model file is not UTF-8 text: {exc}") from exc
     if all(not ln or ln.isspace() for ln in lines):
@@ -772,14 +829,80 @@ def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
     return fields, []
 
 
+# Lines of S parsed per panel by `_stream_document`.
+LOAD_PANEL_ROWS = 128
+
+
+def _hashing(lines, digest):
+    """The lines, each added to ``digest`` with its newline as it passes."""
+    for ln in lines:
+        digest.update(ln.encode("utf-8"))
+        digest.update(b"\n")
+        yield ln
+
+
+def _stream_document(path) -> tuple[dict[str, str], np.ndarray] | None:
+    """What `_read_document` returns for the model file at ``path``, with S
+    parsed by `_float_table` LOAD_PANEL_ROWS lines at a time straight into
+    an (m, m) array, and the lines hashed as they are read.
+
+    The fields before S are read first, and S is allocated only once d, n
+    and m agree with the basis.  None wherever this path might differ from
+    `_read_document`: a header, field, panel, row count, checksum line or
+    checksum it does not expect, or text that is not UTF-8.  `load` then
+    reads the file again with `_read_document`, which gives its values, or
+    its message, as before.
+    """
+    digest = hashlib.sha256()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _line_parts(fh)
+            payload = _hashing(lines, digest)  # every line but the checksum line
+            if next(payload, None) != _FORMAT_HEADER:
+                return None
+            fields: dict[str, str] = {}
+            for ln in payload:
+                if ln.strip() == "S":
+                    break
+                key, _, value = ln.partition(" ")
+                fields[key] = value
+            else:
+                return None
+            try:
+                m = _parse_scalar(fields, "m", int)
+                if m != len(enumerate_basis(_parse_scalar(fields, "d", int),
+                                            _parse_scalar(fields, "n", int))):
+                    return None
+            except InputError:
+                return None
+            S = np.empty((m, m))
+            for s in range(0, m, LOAD_PANEL_ROWS):
+                e = min(s + LOAD_PANEL_ROWS, m)
+                panel = _float_table(list(itertools.islice(payload, e - s)))
+                if panel is None or panel.shape != (e - s, m):
+                    return None
+                S[s:e] = panel
+            last = next(lines, "")
+            if not last.startswith("checksum sha256 ") or next(lines, None) is not None:
+                return None
+    except UnicodeDecodeError:
+        return None
+    return (fields, S) if digest.hexdigest() == last.split()[-1] else None
+
+
 def load(source) -> ChristoffelModel:
     """Read a model written by `save` and rebuild its factorization.
 
-    ``source`` is a path or a text file object.  The text is read line by
-    line and let go once S is parsed, before the factorization: no second
-    copy of it, joined or encoded, is made.
+    ``source`` is a path or a text file object.  From a path, S is parsed
+    one panel of lines at a time into the array it is kept in
+    (`_stream_document`), so the file's text is never held whole; a file
+    object, or a file that path declines, is read as a list of lines
+    (`_read_document`), let go once S is parsed.  Either way the
+    factorization then holds S, W and one LAPACK copy of W
+    (`_factor_from_moments`), and the model, or the error, is the same.
     """
-    fields, matrix_rows = _read_document(source)
+    streamed = None if hasattr(source, "read") else _stream_document(source)
+    fields, matrix_rows = _read_document(source) if streamed is None else streamed
     d = _parse_scalar(fields, "d", int)
     n = _parse_scalar(fields, "n", int)
     m = _parse_scalar(fields, "m", int)

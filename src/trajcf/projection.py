@@ -72,10 +72,13 @@ class SampledTrajectory:
 
 
 def check_domain(domain) -> tuple[float, float]:
-    """A time domain (lo, hi) as floats; both finite and lo < hi."""
+    """A time domain (lo, hi) as floats: both finite, lo < hi, and a finite
+    2 * (hi - lo), so `unit_times` cannot overflow inside it."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InputError(f"invalid domain interval ({lo}, {hi})")
+    if not math.isfinite(2.0 * (hi - lo)):
+        raise InputError(f"invalid domain interval ({lo}, {hi}): its width overflows")
     return lo, hi
 
 

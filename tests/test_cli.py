@@ -232,6 +232,24 @@ def test_fit_rejects_bad_domain_syntax(ws, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_a_domain_whose_width_overflows_is_refused(ws, tmp_path, capsys, command):
+    # It passes "finite and lo < hi", but mapping times onto [-1, 1] computes
+    # 2 * (t - lo), which overflowed into a misleading non-finite-coefficient
+    # error (a RuntimeWarning traceback under -W error).
+    src = tmp_path / "three.csv"
+    src.write_text("t,a\n-1,0\n0,1\n1,0\n")
+    argv = {"fit": ["fit", "--input", str(src), "--output", str(tmp_path / "m.txt"),
+                    "--degree-d", "1", "--degree-n", "1"],
+            "score": ["score", "--model", ws["model"], "--input", ws["outlier"]]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--domain=-1e308:1e308"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "domain needs a finite width 2 * (hi - lo), got '-1e308:1e308'" in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 # --- score -----------------------------------------------------------------------
 
 def test_score_training_set_summary(ws, tmp_path, capsys):
@@ -560,9 +578,24 @@ def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, caps
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    monkeypatch.setattr("trajcf.model._cholesky_in_place", fail)
     assert main(["info", "--model", ws["model"]]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_a_model_file_with_indefinite_moments_exits_as_a_numerical_error(ws, tmp_path, capsys):
+    # A negative diagonal cell of S makes S/N + eps*I indefinite at the
+    # file's eps > 0; the Cholesky factorization itself breaks down.
+    payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
+    row = payload.index("S") + 1
+    cells = payload[row].split()
+    cells[0] = "-1"
+    payload[row] = " ".join(cells)
+    bad = _resealed(tmp_path / "indefinite.txt", payload)
+    assert float(load(ws["model"]).epsilon) > 0.0
+    assert main(["info", "--model", bad]) == 3
+    err = capsys.readouterr().err
+    assert "Matrix is not positive definite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("target, command", [
@@ -682,8 +715,10 @@ def test_model_with_a_huge_degree_is_an_input_error(ws, tmp_path, capsys, fields
     ("domain -1 1", "domain 1 1", "invalid domain interval"),
     ("domain -1 1", "domain nan 1", "invalid domain interval"),
     ("domain -1 1", "domain -1 1e400", "invalid domain interval"),
+    ("domain -1 1", "domain -1e308 1e308",
+     "invalid domain interval (-1e+308, 1e+308): its width overflows"),
     ("N 120", "N 1" + "0" * 400, "beyond float range"),
-], ids=["empty-domain", "nan-domain", "inf-domain", "huge-N"])
+], ids=["empty-domain", "nan-domain", "inf-domain", "wide-domain", "huge-N"])
 @pytest.mark.parametrize("command", ["info", "score"])
 def test_model_with_a_field_fit_never_writes_is_an_input_error(
         ws, tmp_path, capsys, line, edited, message, command):

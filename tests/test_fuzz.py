@@ -4,7 +4,8 @@ Model files (with the checksum re-sealed, so the parser behind it is
 reached) and CSV files get random bytes replaced, inserted or deleted, and
 then go through ``score``, ``update``, ``fit`` and ``info``.  Every run must
 end in a documented exit code -- 0, 2, 3 or 4 -- and never in an uncaught
-exception.
+exception.  A mutated model file must also load to the same model, or fail
+with the same message, whether `load` streams S or reads the whole file.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import load_both_ways
 from trajcf import cli
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -96,6 +98,16 @@ def test_mutated_model_files_end_in_a_documented_exit_code(inputs, mutations, se
         ["update", "--model", str(bad), "--input", rows, "--output", str(inputs / "out.txt")],
     ):
         assert run(argv) in EXIT_CODES, argv
+
+
+@FUZZ
+@given(mutations=MUTATIONS, sealed=st.booleans())
+def test_mutated_model_files_load_alike_streamed_or_read_whole(inputs, mutations, sealed):
+    data = mutate((inputs / "model.txt").read_bytes(), mutations)
+    bad = inputs / "bad_model.txt"
+    bad.write_bytes(reseal(data) if sealed else data)
+    streamed, read = load_both_ways(bad)
+    assert streamed == read, (streamed[:2], read[:2])
 
 
 @FUZZ

@@ -1,6 +1,8 @@
 import io
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from trajcf.model import (
     save,
     update,
 )
+from trajcf.model import _cholesky_in_place, _factor_from_moments, _shifted_moments
 from trajcf.basis import enumerate_basis, eval_monomial_matrix
 from trajcf.projection import (
     SampledTrajectory,
@@ -537,7 +540,7 @@ def test_cholesky_breakdown_is_a_numerical_error(example1_data, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    monkeypatch.setattr("trajcf.model._cholesky_in_place", fail)
     with pytest.raises(NumericalError, match="refit with epsilon > 0"):
         fit(example1_data, 2, 2, epsilon=0.0)
 
@@ -725,15 +728,128 @@ def test_save_memory_stays_under_twice_the_moment_sum(model_m1287, tmp_path):
     assert peak < 2 * model_m1287.moment_sum.nbytes
 
 
-def test_load_memory_stays_under_four_times_the_moment_sum(model_m1287, tmp_path):
+def test_load_memory_stays_under_three_times_the_moment_sum(model_m1287, tmp_path):
     # Counting the S and W it keeps.  With the text, its stripped copy, its
     # lines and their rejoined payload alive together load peaked at 5.4 x
-    # S.nbytes; with the lines alone, dropped before the factorization, near 3.5
+    # S.nbytes; with the lines alone, dropped before the factorization, near
+    # 3.5; parsing S a panel at a time into its array and factoring in W,
+    # near 2.5
     path = tmp_path / "m.txt"
     save(model_m1287, path)
     reloaded, peak = _traced(load, path)
-    assert peak < 4 * model_m1287.moment_sum.nbytes
+    assert peak < 3 * model_m1287.moment_sum.nbytes
     np.testing.assert_array_equal(reloaded.moment_sum, model_m1287.moment_sum)
+    np.testing.assert_array_equal(reloaded.inverse_factor, model_m1287.inverse_factor)
+
+
+def test_factorization_memory_stays_under_twice_the_moment_sum(model_m1287):
+    # W, and half of W in the inverse's block products.  S / N, its
+    # symmetrized copy and np.linalg.cholesky's result peaked at 2.5 x S.nbytes
+    S = model_m1287.moment_sum
+    W, peak = _traced(_factor_from_moments, S, model_m1287.sample_count, model_m1287.epsilon)
+    assert peak < 2 * S.nbytes
+    np.testing.assert_array_equal(W, model_m1287.inverse_factor)
+
+
+# --- the factorization against the one it replaced ---------------------------------
+
+def _oracle_shifted_moments(S, N, eps):
+    """S/N + eps*I as the out-of-place build computed it."""
+    M = S / N
+    M = (M + M.T) / 2.0
+    if eps > 0.0:
+        M.flat[::M.shape[0] + 1] += eps
+    return M
+
+
+def _oracle_factor_from_moments(S, N, eps):
+    """W by np.linalg.cholesky of the out-of-place build: the reference."""
+    from trajcf.model import _invert_lower, _require_finite, _require_invertible
+    _require_finite(S)
+    M = _oracle_shifted_moments(S, N, eps)
+    if eps == 0.0:
+        _require_invertible(M)
+    try:
+        W = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        advice = "refit with epsilon > 0" if eps == 0.0 else "refit with a larger epsilon"
+        raise NumericalError(
+            f"the moment matrix is not numerically positive definite at "
+            f"epsilon = {eps!r} (Cholesky factorization failed: {exc}); {advice}"
+        ) from exc
+    _invert_lower(W)
+    return W
+
+
+def _spd(size, symmetric, seed):
+    """A well-conditioned positive definite matrix, or one plus a small
+    asymmetric part (a hand-edited S), with cells of mixed sign and scale."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(size, size))
+    A = G @ G.T / size + np.eye(size)
+    if not symmetric and size > 1:
+        A += 1e-3 * rng.normal(size=(size, size))
+        A[-1, 0] = -0.0  # beside a positive cell when size > 1
+    return A * 37.0
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3], ids=["eps0", "eps"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 300])
+def test_factor_matches_the_out_of_place_build_bit_for_bit(size, symmetric, eps):
+    from trajcf.model import SYMMETRIZE_PANEL_ROWS, _symmetrized
+    assert SYMMETRIZE_PANEL_ROWS == 128  # the sizes straddle one panel edge
+    S = _spd(size, symmetric, seed=size + 1000 * symmetric)
+    _assert_bits_equal(_shifted_moments(S, 7, eps), _oracle_shifted_moments(S, 7, eps))
+    _assert_bits_equal(_factor_from_moments(S, 7, eps), _oracle_factor_from_moments(S, 7, eps))
+    _assert_bits_equal(_symmetrized(S.copy()), (S + S.T) / 2.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, None], ids=["eps0", "default"])
+def test_fitted_factor_and_spectrum_match_the_out_of_place_build(model_m1287, eps):
+    S, N = model_m1287.moment_sum, model_m1287.sample_count
+    eps = model_m1287.epsilon if eps is None else eps
+    try:
+        want = _oracle_factor_from_moments(S, N, eps)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError, match=re.escape(str(exc))):
+            _factor_from_moments(S, N, eps)
+    else:
+        _assert_bits_equal(_factor_from_moments(S, N, eps), want)
+    model = replace(model_m1287, epsilon=eps)
+    _assert_bits_equal(model.spectrum(), np.linalg.eigvalsh(_oracle_shifted_moments(S, N, eps)))
+
+
+def test_a_pairwise_sum_that_overflows_is_still_a_numerical_error():
+    S = np.array([[1.0, 1e308], [1.7e308, 1.0]])
+    for eps in (0.0, 1e-3):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="Matrix is not positive definite"):
+                _factor_from_moments(S, 1, eps)
+
+
+def test_in_place_cholesky_matches_numpy_bit_for_bit():
+    # It calls the gufunc behind np.linalg.cholesky: a numpy release that
+    # changed either would show here.
+    rng = np.random.default_rng(91)
+    for size in (1, 2, 5, 64, 129, 300):
+        G = rng.normal(size=(size, size))
+        A = G @ G.T + size * np.eye(size)
+        L = A.copy()
+        _cholesky_in_place(L)
+        _assert_bits_equal(L, np.linalg.cholesky(A))
+
+
+def test_indefinite_moments_at_positive_epsilon_are_a_numerical_error():
+    S = np.diag([4.0, 1.0, -2.0])
+    with pytest.raises(NumericalError, match="Matrix is not positive definite.*larger epsilon"):
+        _factor_from_moments(S, 1, 1e-3)
 
 
 def test_overflowing_probes_score_inf_and_are_outliers():
@@ -786,7 +902,8 @@ def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
         TrajectoryDataset.from_coefficients(rows, ids=ids)
 
 
-@pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (-1.0, math.inf)])
+@pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (-1.0, math.inf),
+                                    (-1e308, 1e308), (-5e307, 5e307)])
 def test_dataset_rejects_a_domain_that_load_rejects(domain):
     # so fit never writes a model file that load refuses
     with pytest.raises(InputError, match="invalid domain interval"):

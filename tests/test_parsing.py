@@ -9,12 +9,14 @@ ids and the same value bits, or the same error message.
 import csv
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_same_text, load_both_ways
 from trajcf import cli, model as model_mod
 from trajcf.errors import InputError, TrajcfError
 from trajcf.model import TrajectoryDataset, dumps, fit, load
@@ -187,6 +189,15 @@ def test_model_matrix_reader_matches_the_per_cell_parse(text):
     assert _same_model(got, want), (got, want)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=model_texts())
+def test_streaming_load_matches_the_all_lines_reader(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    streamed, read = load_both_ways(path)
+    assert streamed == read, (streamed, read)
+
+
 def test_a_saved_model_takes_the_c_reader():
     rows = BASE_MODEL.splitlines()[:-1]
     S = model_mod._float_table(rows[rows.index("S") + 1:])
@@ -199,3 +210,113 @@ def test_blank_line_in_the_matrix_keeps_the_shape_error():
     lines.insert(lines.index("S") + 2, "")
     with pytest.raises(InputError, match="not 3 x 3"):
         load(io.StringIO(reseal("\n".join(lines) + "\n")))
+
+
+# --- load from a path: S streamed by panels against the all-lines reader ------------
+
+WIDE_MODEL = dumps(fit(TrajectoryDataset.from_coefficients(
+    np.random.default_rng(91).normal(size=(400, 17))), 2, 17))   # m = 171: two panels
+
+
+def _edited(edit, sealed=True):
+    lines = WIDE_MODEL.splitlines()[:-1]
+    first = lines.index("S") + 1
+    text = edit(lines, first)
+    return reseal(text) if sealed else text + WIDE_MODEL.splitlines(keepends=True)[-1]
+
+
+def _cell(row, value):
+    def edit(lines, first):
+        cells = lines[first + row].split()
+        cells[3] = value(cells[3]) if callable(value) else value
+        lines[first + row] = " ".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _field(old, new):
+    def edit(lines, first):
+        lines[lines.index(old)] = new
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _mark(mark, row):
+    def edit(lines, first):
+        lines[first + row] = lines[first + row][:7] + mark + lines[first + row][7:]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+STREAMED_CASES = {
+    "saved": WIDE_MODEL,
+    "crlf": WIDE_MODEL.replace("\n", "\r\n"),
+    "malformed-cell": _edited(_cell(140, "1.5x")),
+    "float-only-cell": _edited(_cell(140, lambda cell: re.sub(r"(\d)(\d)", r"\1_\2", cell, 1))),
+    "nan-cell": _edited(_cell(3, "nan")),
+    "one-row-short": _edited(lambda lines, first: "\n".join(lines[:-1]) + "\n"),
+    "one-row-too-many": _edited(lambda lines, first: "\n".join(lines + [lines[-1]]) + "\n"),
+    "blank-line-in-S": _edited(lambda lines, first: "\n".join(
+        lines[:first + 130] + [""] + lines[first + 130:]) + "\n"),
+    "m-disagrees": _edited(_field("m 171", "m 170")),
+    "m-above-cap": _edited(_field("m 171", "m 20000")),
+    "d-above-cap": _edited(_field("d 2", "d 1000000")),
+    "bad-epsilon": _edited(_field(WIDE_MODEL.splitlines()[4], "epsilon x")),
+    "wide-domain": _edited(_field("domain -1 1", "domain -1e308 1e308")),
+    "no-S-marker": _edited(lambda lines, first: "\n".join(lines[:first - 1] + lines[first:]) + "\n"),
+    "truncated-in-S": WIDE_MODEL[:len(WIDE_MODEL) // 2],
+    "truncated-in-S-resealed": reseal(WIDE_MODEL[:WIDE_MODEL.index("\n", len(WIDE_MODEL) // 2) + 1]),
+    "checksum-corrupted": WIDE_MODEL[:-3] + "00\n",
+    "line-after-checksum": WIDE_MODEL + "0\n",
+    "x0c-in-S": _edited(_mark("\x0c", 150), sealed=False),
+    "x0c-in-S-resealed": _edited(_mark("\x0c", 150)),
+    "x1c-in-S-resealed": _edited(_mark("\x1c", 20)),
+    "u2028-in-S-resealed": _edited(_mark("\u2028", 150)),
+    "u2028-in-S": _edited(_mark("\u2028", 150), sealed=False),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED_CASES))
+def test_streamed_load_gives_the_values_or_the_message_of_the_all_lines_reader(tmp_path, name):
+    path = tmp_path / "m.txt"
+    path.write_bytes(STREAMED_CASES[name].encode("utf-8"))
+    streamed, read = load_both_ways(path)
+    assert streamed == read, (streamed[:2], read[:2])
+    accepted = name in ("saved", "crlf", "bad-epsilon", "wide-domain", "nan-cell")
+    assert (model_mod._stream_document(path) is not None) == accepted
+    assert (read[0] == "ok") == (name in ("saved", "crlf", "float-only-cell"))
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+def test_a_streamed_model_saves_back_byte_for_byte(tmp_path, symmetric):
+    text = WIDE_MODEL if symmetric else _edited(_cell(140, lambda cell: "%.17g" % np.nextafter(
+        float(cell), np.inf)))      # S[140, 3] is one ulp off S[3, 140], as in a hand edit
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert model_mod._stream_document(path) is not None
+    model = load(path)
+    assert (model.moment_sum[140, 3] == model.moment_sum[3, 140]) == symmetric
+    assert_same_text(dumps(model), text)
+
+
+def test_a_file_that_is_not_utf8_in_S_gives_the_same_message(tmp_path):
+    data = WIDE_MODEL.encode("utf-8")
+    at = data.index(b"\n", len(data) // 2) + 3
+    path = tmp_path / "m.txt"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    streamed, read = load_both_ways(path)
+    assert streamed == read and "not UTF-8" in read[1]
+
+
+@pytest.mark.parametrize("name", ["m-above-cap", "d-above-cap", "m-disagrees"])
+def test_a_header_that_disagrees_with_its_basis_allocates_no_matrix(tmp_path, name):
+    import tracemalloc
+    path = tmp_path / "m.txt"
+    path.write_bytes(STREAMED_CASES[name].encode("utf-8"))
+    tracemalloc.start()
+    try:
+        assert model_mod._stream_document(path) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000   # S at m = 171 is 234 kB; at m = 20000, 3.2 GB

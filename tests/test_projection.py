@@ -9,6 +9,7 @@ from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, fit
 from trajcf.projection import (
     SampledTrajectory,
+    check_domain,
     chebyshev_quadrature_nodes,
     coeff_array,
     default_quad_points,
@@ -276,3 +277,11 @@ def test_values_on_nodes_is_np_interp_bit_for_bit():
         got = values_on_nodes(xp, values, nodes)
         for k in range(4):
             np.testing.assert_array_equal(got[k], np.interp(nodes, xp, values[:, k]))
+
+
+def test_the_widest_accepted_domain_maps_its_times_without_overflow():
+    lo, hi = check_domain((-4e307, 4e307))       # 2 * (hi - lo) = 1.6e308
+    t = unit_times(np.array([lo, 0.0, hi]), (lo, hi))
+    assert np.all(np.isfinite(t)) and t[0] == -1.0 and t[-1] == 1.0
+    with pytest.raises(InputError, match="width overflows"):
+        check_domain((-5e307, 5e307))            # 2 * (hi - lo) = inf
