@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import re
 import sys
 
@@ -33,6 +32,7 @@ from . import synth as _synth
 from .errors import InputError, MismatchError, NumericalError
 from .model import TrajectoryDataset
 from .projection import (
+    DomainWidthError,
     chebyshev_quadrature_nodes,
     check_domain,
     default_quad_points,
@@ -297,10 +297,9 @@ def _domain_arg(text: str):
         raise argparse.ArgumentTypeError(f"domain must be numeric lo:hi, got {text!r}")
     try:
         return check_domain((lo, hi))
+    except DomainWidthError:
+        raise argparse.ArgumentTypeError(f"domain needs a finite width 2 * (hi - lo), got {text!r}")
     except InputError:
-        if math.isfinite(lo) and math.isfinite(hi) and lo < hi:  # only its width overflows
-            raise argparse.ArgumentTypeError(
-                f"domain needs a finite width 2 * (hi - lo), got {text!r}")
         raise argparse.ArgumentTypeError(f"domain needs lo < hi, got {text!r}")
 
 

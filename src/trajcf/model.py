@@ -23,12 +23,14 @@ is needed to score; only the eps = 0 singularity check, downdate's
 positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
 
 W is built in one m x m array: S/N is symmetrized there by panels, shifted,
-factored and inverted in place.  The factorization calls the gufunc behind
+factored and inverted in place.  The factorization runs the gufunc behind
 np.linalg.cholesky with W as its output (`_cholesky_in_place`), because
 the public function returns a new array and so holds its input, its result
 and LAPACK's working copy at once; in place it holds W and that one copy,
 with the same bits.  A factorization therefore holds S, W and one LAPACK
-copy of W.
+copy of W.  The call is still made through np.linalg.cholesky, on a view
+type that numpy's ``__array_function__`` protocol hands the work to, so
+anything that wraps the public function still sees it.
 
 Rows are never turned into one N x m monomial matrix.  `_moment_sum`
 (fit, update, downdate and the pointwise baseline) evaluates the monomials
@@ -43,12 +45,12 @@ triangle.
 Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
 the text of S a row at a time from an int32 rank matrix filled by panels
-of SAVE_PANEL_ROWS rows, so it never holds an m x m array of Python
-objects.  `load` from a path checks d, n and m against the basis before it
-allocates S, then parses S LOAD_PANEL_ROWS lines at a time straight into
-it, hashing each line as it is read, so it never holds the file's text
-whole; anything that path does not expect, and a file object, is read
-again as a list of lines by the reader that gives every value and message.
+of PANEL_ROWS rows, so it never holds an m x m array of Python objects.
+`load` from a path checks d, n and m against the basis before it allocates
+S, then parses S PANEL_ROWS lines at a time straight into it, hashing each
+line as it is read, so it never holds the file's text whole; anything that
+path does not expect, and a file object, is read again as a list of lines
+by the reader that gives every value and message.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ SINGULAR_RCOND = 1e-15
 
 # Scale factor of the default regularization eps = 1e-8 * trace(S/N) / m.
 DEFAULT_EPSILON_SCALE = 1e-8
+
+# Rows per panel where an m x m array is walked by panels of rows for memory
+# alone (symmetrizing, ranking S in `save`, parsing S in `load`): no value
+# depends on it.  `_cd_from_factor`'s panels set the order of a sum, so
+# they have their own CD_PANEL_ROWS.
+PANEL_ROWS = 128
 
 _FORMAT_HEADER = "trajcf model 1"
 _BASIS_ORDERING = "graded-lex"
@@ -214,21 +222,17 @@ def _require_finite(S: np.ndarray) -> None:
         )
 
 
-# Rows per panel of `_symmetrize_in_place`.
-SYMMETRIZE_PANEL_ROWS = 128
-
-
 def _symmetrize_in_place(M: np.ndarray) -> None:
     """Overwrite the square M with (M + M.T) / 2, one panel of rows at a time.
 
     Each pair of cells (i, j), (j, i) gets (a + b) / 2, the arithmetic of
     ``(M + M.T) / 2`` (a + b equals b + a bit for bit), so the result is
     bit-identical for any M, symmetric or not; no temporary exceeds one
-    panel of SYMMETRIZE_PANEL_ROWS columns below the diagonal.
+    panel of PANEL_ROWS columns below the diagonal.
     """
     m = M.shape[0]
-    for s in range(0, m, SYMMETRIZE_PANEL_ROWS):
-        e = min(s + SYMMETRIZE_PANEL_ROWS, m)
+    for s in range(0, m, PANEL_ROWS):
+        e = min(s + PANEL_ROWS, m)
         block = M[s:e, s:e]
         block[...] = (block + block.T) / 2.0
         lower = M[e:, s:e]
@@ -289,21 +293,40 @@ def _invert_lower(L: np.ndarray) -> None:
     np.negative(L[h:, h:] @ (L[h:, :h] @ L[:h, :h]), out=L[h:, :h])
 
 
+class _FactorInPlace(np.ndarray):
+    """A view of a matrix that np.linalg.cholesky factors into its own memory.
+
+    numpy hands a call whose argument defines ``__array_function__`` to that
+    method (NEP 18) instead of its own body, so np.linalg.cholesky runs the
+    gufunc behind it, the same LAPACK call with the same bits, with the
+    view's memory as its output.  Any other numpy function treats it as a
+    plain array.
+    """
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func.__name__ != "cholesky":
+            return super().__array_function__(func, types, args, kwargs)
+        M = self.view(np.ndarray)
+        try:
+            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                _umath_linalg.cholesky_lo(M, out=M, signature="d->d")
+        except FloatingPointError as exc:
+            raise np.linalg.LinAlgError("Matrix is not positive definite") from exc
+        return M
+
+
 def _cholesky_in_place(M: np.ndarray) -> None:
     """Overwrite the symmetric positive definite M with its lower Cholesky
     factor L (zeros above the diagonal).
 
-    This is the gufunc behind np.linalg.cholesky, with the same LAPACK call
-    and the same bits, given M as its output: the public function allocates
-    a new result, so its input, its result and the gufunc's LAPACK copy
-    would be alive at once.  A breakdown raises LinAlgError with numpy's
-    message.
+    The public function allocates a new result, so its input, its result
+    and the gufunc's LAPACK copy would be alive at once; in place only M
+    and that copy are.  The call still goes through np.linalg.cholesky, so
+    whatever wraps that function (a profiler, perfbench's tracer, a test
+    that fakes a breakdown) sees every factorization.  A breakdown raises
+    LinAlgError with numpy's message.
     """
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            _umath_linalg.cholesky_lo(M, out=M, signature="d->d")
-    except FloatingPointError as exc:
-        raise np.linalg.LinAlgError("Matrix is not positive definite") from exc
+    np.linalg.cholesky(M.view(_FactorInPlace))
 
 
 def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
@@ -646,10 +669,6 @@ def _format_float(x: float) -> str:
     return "%.17g" % x
 
 
-# Rows of S per panel of ranks in `save`.
-SAVE_PANEL_ROWS = 128
-
-
 def _header(model: ChristoffelModel) -> str:
     return "\n".join([
         _FORMAT_HEADER,
@@ -677,7 +696,7 @@ def _distinct(bits: np.ndarray) -> np.ndarray:
 
 def _ranks(bits: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """The index in ``distinct`` of every cell of the square ``bits``, as an
-    int32 matrix filled by panels of SAVE_PANEL_ROWS rows from the bottom up.
+    int32 matrix filled by panels of PANEL_ROWS rows from the bottom up.
 
     A panel s:e searches its cells left of e; right of e it copies the
     transpose of the panels below wherever their bits mirror its own, as they
@@ -686,8 +705,8 @@ def _ranks(bits: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """
     m = bits.shape[0]
     R = np.empty((m, m), dtype=np.int32)
-    for s in reversed(range(0, m, SAVE_PANEL_ROWS)):
-        e = min(s + SAVE_PANEL_ROWS, m)
+    for s in reversed(range(0, m, PANEL_ROWS)):
+        e = min(s + PANEL_ROWS, m)
         R[s:e, :e] = np.searchsorted(distinct, bits[s:e, :e])
         if np.array_equal(bits[s:e, e:], bits[e:, s:e].T):
             R[s:e, e:] = R[e:, s:e].T
@@ -829,10 +848,6 @@ def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
     return fields, []
 
 
-# Lines of S parsed per panel by `_stream_document`.
-LOAD_PANEL_ROWS = 128
-
-
 def _hashing(lines, digest):
     """The lines, each added to ``digest`` with its newline as it passes."""
     for ln in lines:
@@ -841,10 +856,11 @@ def _hashing(lines, digest):
         yield ln
 
 
-def _stream_document(path) -> tuple[dict[str, str], np.ndarray] | None:
-    """What `_read_document` returns for the model file at ``path``, with S
-    parsed by `_float_table` LOAD_PANEL_ROWS lines at a time straight into
-    an (m, m) array, and the lines hashed as they are read.
+def _stream_document(path) -> tuple[dict[str, str], np.ndarray, BasisEnumeration] | None:
+    """What `_read_document` returns for the model file at ``path``, and
+    the basis of its d and n, with S parsed by `_float_table` PANEL_ROWS
+    lines at a time straight into an (m, m) array, and the lines hashed as
+    they are read.
 
     The fields before S are read first, and S is allocated only once d, n
     and m agree with the basis.  None wherever this path might differ from
@@ -870,14 +886,15 @@ def _stream_document(path) -> tuple[dict[str, str], np.ndarray] | None:
                 return None
             try:
                 m = _parse_scalar(fields, "m", int)
-                if m != len(enumerate_basis(_parse_scalar(fields, "d", int),
-                                            _parse_scalar(fields, "n", int))):
-                    return None
+                bas = enumerate_basis(_parse_scalar(fields, "d", int),
+                                      _parse_scalar(fields, "n", int))
             except InputError:
                 return None
+            if m != len(bas):
+                return None
             S = np.empty((m, m))
-            for s in range(0, m, LOAD_PANEL_ROWS):
-                e = min(s + LOAD_PANEL_ROWS, m)
+            for s in range(0, m, PANEL_ROWS):
+                e = min(s + PANEL_ROWS, m)
                 panel = _float_table(list(itertools.islice(payload, e - s)))
                 if panel is None or panel.shape != (e - s, m):
                     return None
@@ -887,7 +904,7 @@ def _stream_document(path) -> tuple[dict[str, str], np.ndarray] | None:
                 return None
     except UnicodeDecodeError:
         return None
-    return (fields, S) if digest.hexdigest() == last.split()[-1] else None
+    return (fields, S, bas) if digest.hexdigest() == last.split()[-1] else None
 
 
 def load(source) -> ChristoffelModel:
@@ -902,7 +919,7 @@ def load(source) -> ChristoffelModel:
     (`_factor_from_moments`), and the model, or the error, is the same.
     """
     streamed = None if hasattr(source, "read") else _stream_document(source)
-    fields, matrix_rows = _read_document(source) if streamed is None else streamed
+    fields, matrix_rows, bas = streamed or (*_read_document(source), None)
     d = _parse_scalar(fields, "d", int)
     n = _parse_scalar(fields, "n", int)
     m = _parse_scalar(fields, "m", int)
@@ -920,7 +937,8 @@ def load(source) -> ChristoffelModel:
     if ordering != _BASIS_ORDERING:
         raise InputError(f"unsupported basis ordering {ordering!r}")
 
-    bas = enumerate_basis(d, n)
+    if bas is None:
+        bas = enumerate_basis(d, n)
     if m != len(bas):
         raise InputError(
             f"model file says m = {m} but degree pair ({d}, {n}) has "

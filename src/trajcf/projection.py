@@ -71,14 +71,19 @@ class SampledTrajectory:
         object.__setattr__(self, "domain", domain)
 
 
+class DomainWidthError(InputError):
+    """A domain with finite lo < hi whose width 2 * (hi - lo) overflows."""
+
+
 def check_domain(domain) -> tuple[float, float]:
     """A time domain (lo, hi) as floats: both finite, lo < hi, and a finite
-    2 * (hi - lo), so `unit_times` cannot overflow inside it."""
+    2 * (hi - lo), so `unit_times` cannot overflow inside it (else a
+    DomainWidthError)."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise InputError(f"invalid domain interval ({lo}, {hi})")
     if not math.isfinite(2.0 * (hi - lo)):
-        raise InputError(f"invalid domain interval ({lo}, {hi}): its width overflows")
+        raise DomainWidthError(f"invalid domain interval ({lo}, {hi}): its width overflows")
     return lo, hi
 
 

@@ -649,8 +649,8 @@ def _special_matrix(size, symmetric, seed):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
 def test_model_file_matches_the_argsort_writer_byte_for_byte(size, symmetric):
-    from trajcf.model import SAVE_PANEL_ROWS
-    assert SAVE_PANEL_ROWS == 128  # the sizes straddle one panel edge
+    from trajcf.model import PANEL_ROWS
+    assert PANEL_ROWS == 128  # the sizes straddle one panel edge
     S = _special_matrix(size, symmetric, seed=size + 1000 * symmetric)
     model = _crafted(S)
     assert_same_text(dumps(model), _argsort_document(model))
@@ -803,8 +803,8 @@ def _assert_bits_equal(got, want):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 300])
 def test_factor_matches_the_out_of_place_build_bit_for_bit(size, symmetric, eps):
-    from trajcf.model import SYMMETRIZE_PANEL_ROWS, _symmetrized
-    assert SYMMETRIZE_PANEL_ROWS == 128  # the sizes straddle one panel edge
+    from trajcf.model import PANEL_ROWS, _symmetrized
+    assert PANEL_ROWS == 128  # the sizes straddle one panel edge
     S = _spd(size, symmetric, seed=size + 1000 * symmetric)
     _assert_bits_equal(_shifted_moments(S, 7, eps), _oracle_shifted_moments(S, 7, eps))
     _assert_bits_equal(_factor_from_moments(S, 7, eps), _oracle_factor_from_moments(S, 7, eps))
@@ -844,6 +844,30 @@ def test_in_place_cholesky_matches_numpy_bit_for_bit():
         L = A.copy()
         _cholesky_in_place(L)
         _assert_bits_equal(L, np.linalg.cholesky(A))
+
+
+def test_every_factorization_is_a_call_of_numpys_public_cholesky(example1_data, monkeypatch):
+    # Profilers and perfbench's tracer count factorizations by wrapping
+    # np.linalg.cholesky; the in-place path must still go through it.
+    model = fit(example1_data, 2, 3)
+    calls = []
+    public = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return public(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _assert_bits_equal(fit(example1_data, 2, 3).inverse_factor, model.inverse_factor)
+    _assert_bits_equal(load(io.StringIO(dumps(model))).inverse_factor, model.inverse_factor)
+    assert calls == [(model.size, model.size)] * 2
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(NumericalError, match="Matrix is not positive definite"):
+        fit(example1_data, 2, 3)
 
 
 def test_indefinite_moments_at_positive_epsilon_are_a_numerical_error():

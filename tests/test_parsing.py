@@ -299,6 +299,17 @@ def test_a_streamed_model_saves_back_byte_for_byte(tmp_path, symmetric):
     assert_same_text(dumps(model), text)
 
 
+def test_a_streamed_load_enumerates_its_basis_once(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_bytes(WIDE_MODEL.encode("utf-8"))
+    calls = []
+    enumerate_basis = model_mod.enumerate_basis
+    monkeypatch.setattr(model_mod, "enumerate_basis",
+                        lambda d, n: calls.append((d, n)) or enumerate_basis(d, n))
+    model = load(path)
+    assert calls == [(model.d, model.n)]
+
+
 def test_a_file_that_is_not_utf8_in_S_gives_the_same_message(tmp_path):
     data = WIDE_MODEL.encode("utf-8")
     at = data.index(b"\n", len(data) // 2) + 3

@@ -8,6 +8,7 @@ from numpy.polynomial import chebyshev as cheb
 from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, fit
 from trajcf.projection import (
+    DomainWidthError,
     SampledTrajectory,
     check_domain,
     chebyshev_quadrature_nodes,
@@ -283,5 +284,9 @@ def test_the_widest_accepted_domain_maps_its_times_without_overflow():
     lo, hi = check_domain((-4e307, 4e307))       # 2 * (hi - lo) = 1.6e308
     t = unit_times(np.array([lo, 0.0, hi]), (lo, hi))
     assert np.all(np.isfinite(t)) and t[0] == -1.0 and t[-1] == 1.0
-    with pytest.raises(InputError, match="width overflows"):
+    with pytest.raises(DomainWidthError, match="width overflows"):
         check_domain((-5e307, 5e307))            # 2 * (hi - lo) = inf
+    for bad in [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)]:
+        with pytest.raises(InputError) as info:
+            check_domain(bad)
+        assert not isinstance(info.value, DomainWidthError)
