@@ -46,18 +46,18 @@ Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
 the text of S a row at a time from an int32 rank matrix filled by panels
 of PANEL_ROWS rows, so it never holds an m x m array of Python objects.
-`load` from a path checks d, n and m against the basis before it allocates
-S, then parses S PANEL_ROWS lines at a time straight into it, hashing each
-line as it is read, so it never holds the file's text whole; anything that
-path does not expect, and a file object, is read again as a list of lines
-by the reader that gives every value and message.
+`load` reads a path or a text file object once, a line at a time, hashing
+each line as it passes.  It allocates S only once d, n and m agree with the
+basis, then parses S PANEL_ROWS lines at a time straight into it, so it
+never holds the file's text whole.  It raises nothing before the end of the
+file, then reports the first problem in a fixed order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
-import itertools
 import math
 import sys
 import warnings
@@ -792,134 +792,118 @@ def _float_table(lines: list[str], delimiter=None, usecols=None) -> np.ndarray |
     return table if table.shape[0] == len(lines) else None
 
 
-def _parse_matrix(rows: list[str]):
-    """The rows of S: one array from `_float_table`, or per cell by
-    `_parse_matrix_cells` where that declines, so S gets the values, and
-    bad text the message, of ``float`` either way."""
-    S = _float_table(rows)
-    return _parse_matrix_cells(rows) if S is None else S
-
-
-def _line_parts(fh):
-    """The lines of a text file as ``str.splitlines`` gives them for its whole
-    text (which also breaks at \\x0c, \\x1c, \\u2028 and the like), read one
-    line at a time, so the whole text is never held besides its lines."""
-    for ln in fh:
-        yield from ln.splitlines()
-
-
-def _read_document(source) -> tuple[dict[str, str], list | np.ndarray]:
-    """The fields and the S rows of a model file whose checksum holds.
-
-    The lines are hashed one at a time and dropped on return, so `load`
-    holds the file's text once, as lines, and only until S is parsed.
+class _MatrixRows:
+    """The S rows of a model file, fed a line at a time and parsed PANEL_ROWS
+    lines at a time by `_float_table`, or by `_parse_matrix_cells` where that
+    declines, so S gets the values, and bad text the message, of ``float``.
+    The rows fill one (m, m) array, allocated only if the fields' d, n and m
+    agree with the basis and dropped at the first row that does not fit;
+    otherwise each line is parsed alone and counted, never stored.
     """
-    if hasattr(source, "read"):
-        lines = list(_line_parts(source))
-    else:
+
+    def __init__(self, fields: dict[str, str]):
+        self.rows, self.error, self.lines = 0, None, []
+        self.basis = self.S = None
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = list(_line_parts(fh))
-        except UnicodeDecodeError as exc:
-            raise InputError(f"model file is not UTF-8 text: {exc}") from exc
-    if all(not ln or ln.isspace() for ln in lines):
-        raise InputError("model file is empty")
-    if lines[0] != _FORMAT_HEADER:
-        raise InputError(
-            f"unsupported model format header {lines[0]!r} (expected {_FORMAT_HEADER!r})"
-        )
-    if not lines[-1].startswith("checksum sha256 "):
-        raise InputError("model file is missing its checksum line (truncated?)")
-    stated = lines[-1].split()[-1]
-    digest = hashlib.sha256()  # of "\n".join(lines[:-1]) + "\n", line by line
-    for ln in itertools.islice(lines, len(lines) - 1):
-        digest.update(ln.encode("utf-8"))
-        digest.update(b"\n")
-    if digest.hexdigest() != stated:
-        raise InputError("model file checksum mismatch: payload corrupted")
+            m = _parse_scalar(fields, "m", int)
+            self.basis = enumerate_basis(_parse_scalar(fields, "d", int),
+                                         _parse_scalar(fields, "n", int))
+        except InputError:
+            return
+        if m == len(self.basis):
+            self.S = np.empty((m, m))
 
-    fields: dict[str, str] = {}
-    body = lines[1:-1]
-    for marker, ln in enumerate(body):
-        if ln.strip() == "S":
-            return fields, _parse_matrix(body[marker + 1:])
-        key, _, value = ln.partition(" ")
-        fields[key] = value
-    return fields, []
+    def add(self, line: str) -> None:
+        self.lines.append(line)
+        if len(self.lines) == (1 if self.S is None else PANEL_ROWS):
+            self._parse()
+
+    def _parse(self) -> None:
+        lines, self.lines = self.lines, []
+        start, self.rows = self.rows, self.rows + len(lines)
+        if self.error is not None or not lines:
+            return
+        table = _float_table(lines)
+        try:
+            cells = _parse_matrix_cells(lines) if table is None else table
+        except InputError as exc:
+            self.error = exc
+            return
+        fits = self.S is not None and self.rows <= len(self.S)
+        if fits and all(len(r) == len(self.S) for r in cells):
+            self.S[start:self.rows] = cells
+        else:
+            self.S = None
+
+    def result(self) -> tuple[np.ndarray | None, int, BasisEnumeration | None]:
+        """S (None unless its rows filled it), the row count and the basis."""
+        self._parse()
+        if self.error is not None:
+            raise self.error
+        full = self.S is not None and self.rows == len(self.S)
+        return (self.S if full else None), self.rows, self.basis
 
 
-def _hashing(lines, digest):
-    """The lines, each added to ``digest`` with its newline as it passes."""
-    for ln in lines:
-        digest.update(ln.encode("utf-8"))
-        digest.update(b"\n")
-        yield ln
+def _read_model(fh) -> tuple[dict[str, str], np.ndarray | None, int, BasisEnumeration | None]:
+    """The fields, S, the S row count and the basis of the model file open
+    as the text file ``fh``, read once, a line at a time.
 
-
-def _stream_document(path) -> tuple[dict[str, str], np.ndarray, BasisEnumeration] | None:
-    """What `_read_document` returns for the model file at ``path``, and
-    the basis of its d and n, with S parsed by `_float_table` PANEL_ROWS
-    lines at a time straight into an (m, m) array, and the lines hashed as
-    they are read.
-
-    The fields before S are read first, and S is allocated only once d, n
-    and m agree with the basis.  None wherever this path might differ from
-    `_read_document`: a header, field, panel, row count, checksum line or
-    checksum it does not expect, or text that is not UTF-8.  `load` then
-    reads the file again with `_read_document`, which gives its values, or
-    its message, as before.
+    The lines, as ``str.splitlines`` gives them (it also breaks at \\x0c,
+    \\x1c, \\u2028 and the like), are the header, the fields, "S", the S
+    rows (`_MatrixRows`) and the checksum line, the one line not hashed.
+    Nothing is raised before the end of the file; then the first problem
+    of: text not UTF-8, an empty file, the header, the checksum line, the
+    checksum, a malformed S row.
     """
     digest = hashlib.sha256()
+    fields: dict[str, str] = {}
+    matrix = kind = None  # the held line is a "field", a "row" of S, or the header or "S"
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = _line_parts(fh)
-            payload = _hashing(lines, digest)  # every line but the checksum line
-            if next(payload, None) != _FORMAT_HEADER:
-                return None
-            fields: dict[str, str] = {}
-            for ln in payload:
-                if ln.strip() == "S":
-                    break
-                key, _, value = ln.partition(" ")
+        lines = (part for ln in fh for part in ln.splitlines())
+        first = held = next(lines, "")
+        blank = not first or first.isspace()
+        for ln in lines:  # held is not the last line: hash it and take it
+            blank = blank and (not ln or ln.isspace())
+            digest.update(held.encode("utf-8"))
+            digest.update(b"\n")
+            if kind == "field":
+                key, _, value = held.partition(" ")
                 fields[key] = value
+            elif kind == "row":
+                matrix.add(held)
+            if matrix is not None:
+                kind = "row"
+            elif ln.strip() == "S":  # if it is the last line, the checksum line check fails
+                kind, matrix = None, _MatrixRows(fields)
             else:
-                return None
-            try:
-                m = _parse_scalar(fields, "m", int)
-                bas = enumerate_basis(_parse_scalar(fields, "d", int),
-                                      _parse_scalar(fields, "n", int))
-            except InputError:
-                return None
-            if m != len(bas):
-                return None
-            S = np.empty((m, m))
-            for s in range(0, m, PANEL_ROWS):
-                e = min(s + PANEL_ROWS, m)
-                panel = _float_table(list(itertools.islice(payload, e - s)))
-                if panel is None or panel.shape != (e - s, m):
-                    return None
-                S[s:e] = panel
-            last = next(lines, "")
-            if not last.startswith("checksum sha256 ") or next(lines, None) is not None:
-                return None
-    except UnicodeDecodeError:
-        return None
-    return (fields, S, bas) if digest.hexdigest() == last.split()[-1] else None
+                kind = "field"
+            held = ln
+    except UnicodeDecodeError as exc:
+        raise InputError(f"model file is not UTF-8 text: {exc}") from exc
+    if blank:
+        raise InputError("model file is empty")
+    if first != _FORMAT_HEADER:
+        raise InputError(
+            f"unsupported model format header {first!r} (expected {_FORMAT_HEADER!r})"
+        )
+    if not held.startswith("checksum sha256 "):
+        raise InputError("model file is missing its checksum line (truncated?)")
+    if digest.hexdigest() != held.split()[-1]:
+        raise InputError("model file checksum mismatch: payload corrupted")
+    return (fields, None, 0, None) if matrix is None else (fields, *matrix.result())
 
 
 def load(source) -> ChristoffelModel:
     """Read a model written by `save` and rebuild its factorization.
 
-    ``source`` is a path or a text file object.  From a path, S is parsed
-    one panel of lines at a time into the array it is kept in
-    (`_stream_document`), so the file's text is never held whole; a file
-    object, or a file that path declines, is read as a list of lines
-    (`_read_document`), let go once S is parsed.  Either way the
-    factorization then holds S, W and one LAPACK copy of W
-    (`_factor_from_moments`), and the model, or the error, is the same.
+    ``source`` is a path or a text file object, read once, a line at a time
+    (`_read_model`): S is parsed by panels of lines into the array it is
+    kept in, so the file's text is never held whole.  The factorization
+    then holds S, W and one LAPACK copy of W (`_factor_from_moments`).
     """
-    streamed = None if hasattr(source, "read") else _stream_document(source)
-    fields, matrix_rows, bas = streamed or (*_read_document(source), None)
+    with (contextlib.nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", encoding="utf-8")) as fh:
+        fields, S, rows, bas = _read_model(fh)
     d = _parse_scalar(fields, "d", int)
     n = _parse_scalar(fields, "n", int)
     m = _parse_scalar(fields, "m", int)
@@ -944,12 +928,8 @@ def load(source) -> ChristoffelModel:
             f"model file says m = {m} but degree pair ({d}, {n}) has "
             f"{len(bas)} monomials"
         )
-    if len(matrix_rows) != m or any(len(r) != m for r in matrix_rows):
-        raise InputError(
-            f"model file moment matrix is not {m} x {m} "
-            f"({len(matrix_rows)} rows found)"
-        )
-    S = np.asarray(matrix_rows, dtype=float)
+    if S is None or S.shape != (m, m):
+        raise InputError(f"model file moment matrix is not {m} x {m} ({rows} rows found)")
     if not np.all(np.isfinite(S)):
         raise InputError("model file moment matrix has non-finite entries")
     if N < 1:

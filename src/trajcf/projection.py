@@ -285,11 +285,14 @@ def reconstruct_batch(coeff_matrix, t) -> np.ndarray:
     Returns
     -------
     ndarray, shape (N, M)
+        A series too large to evaluate gives inf or nan values, without a
+        warning: each caller decides what such a curve means.
     """
     C = np.asarray(coeff_matrix, dtype=float)
     if C.ndim != 2:
         raise InputError(f"expected a 2-D coefficient matrix, got shape {C.shape}")
     series = np.array(C.T, copy=True)  # chebval wants coefficients first
-    if series.shape[0] > 1:
-        series[1:, :] *= math.sqrt(2.0)
-    return _cheb.chebval(np.asarray(t, dtype=float), series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if series.shape[0] > 1:
+            series[1:, :] *= math.sqrt(2.0)
+        return _cheb.chebval(np.asarray(t, dtype=float), series)

@@ -243,6 +243,7 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
                 # a row that overflowed to inf or nan keeps every reference a candidate
                 near = np.flatnonzero(~(row > row.min() + slack[i]))
                 out[start + i] = np.min(np.mean((G[near] - block[i]) ** 2, axis=1))
+    out[np.isnan(out)] = np.inf  # a probe curve that overflowed to nan values
     return np.sqrt(out)
 
 
@@ -302,11 +303,14 @@ class PointwiseChristoffel:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) of many probes.
 
         ``values`` holds each probe's values on ``self.nodes``, one probe
-        per row; all probes share one monomial evaluation.
+        per row; all probes share one monomial evaluation.  A non-finite
+        value (an overflowed curve) gets 0: its CD value is inf.
         """
         F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
         pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
-        cd = _model._cd_rows(self.inverse_factor, enumerate_basis(self.d2, 2), pts)
+        finite = np.isfinite(F.ravel())
+        cd = np.full(finite.size, np.inf)
+        cd[finite] = _model._cd_rows(self.inverse_factor, enumerate_basis(self.d2, 2), pts[finite])
         return (1.0 / cd).reshape(F.shape)
 
     def fractions_below(self, values, delta: float) -> np.ndarray:

@@ -141,18 +141,27 @@ def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray
     return (radius * u ** (1.0 / dim) / norm) * direction
 
 
+def _check_overflow(radius: float, *draws) -> None:
+    """Reject a radius so large that the draws or their curves overflowed."""
+    if not all(np.isfinite(a).all() for a in draws):
+        raise InputError(f"perturbation radius (--radius) {radius!r} is too large: "
+                         "the synthetic curves overflow")
+
+
 def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
     """The dataset of one spec: its coefficient rows and their 33-point curves."""
     g0 = np.asarray(spec.nominal, dtype=float)
     coords = np.asarray(spec.perturbed_coords, dtype=int)
     eta = np.empty((spec.sample_count, coords.size))
-    for i, rng in enumerate(_streams(spec.seed, spec.sample_count)):
-        eta[i] = sample_ball(coords.size, spec.radius, rng)
-    C = np.tile(g0, (spec.sample_count, 1))
-    C[:, coords] += eta
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
+        for i, rng in enumerate(_streams(spec.seed, spec.sample_count)):
+            eta[i] = sample_ball(coords.size, spec.radius, rng)
+        C = np.tile(g0, (spec.sample_count, 1))
+        C[:, coords] += eta
     del eta  # reconstruct_batch's temporaries set synth's peak memory
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
     values = reconstruct_batch(C, nodes)
+    _check_overflow(spec.radius, C, values)
     ids = [f"g{i:04d}" for i in range(spec.sample_count)]
     return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values.T)
 
@@ -171,11 +180,14 @@ def generate_example1(
         nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
         radius=radius, sample_count=N, seed=seed,
     )
-    dataset = _generate_family(spec)
     r_out = OUTLIER_RADIUS_FACTOR * radius if outlier_radius is None else outlier_radius
+    _check_overflow(radius, r_out)
+    dataset = _generate_family(spec)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     coords = np.asarray(PERTURBED_COORDS, dtype=int)
-    out[coords] += sample_ball(coords.size, r_out, _stream(seed, N))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
+        out[coords] += sample_ball(coords.size, r_out, _stream(seed, N))
+    _check_overflow(radius, out)
     return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,18 @@ def test_synth_with_a_huge_seed_or_count_is_an_input_error(tmp_path, capsys, fla
     # numpy refuses each of these while computing a shape, before allocating
     assert main(["synth", "example1", *flags, "--output", str(tmp_path / "x")]) == 2
     assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_synth_with_a_radius_whose_curves_overflow_is_an_input_error(tmp_path, capsys, example):
+    # example1's outlier radius, 10 x 1e308, overflows; example2's curves do
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["synth", example, "--count", "3", "--radius=1e308",
+                     "--output", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "--radius" in err and "1e+308" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -5,12 +5,15 @@ reached) and CSV files get random bytes replaced, inserted or deleted, and
 then go through ``score``, ``update``, ``fit`` and ``info``.  Every run must
 end in a documented exit code -- 0, 2, 3 or 4 -- and never in an uncaught
 exception.  A mutated model file must also load to the same model, or fail
-with the same message, whether `load` streams S or reads the whole file.
+with the same message, as `load` with the all-lines reader it replaced
+gives, from a path and from a file object.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -101,13 +104,13 @@ def test_mutated_model_files_end_in_a_documented_exit_code(inputs, mutations, se
 
 
 @FUZZ
-@given(mutations=MUTATIONS, sealed=st.booleans())
-def test_mutated_model_files_load_alike_streamed_or_read_whole(inputs, mutations, sealed):
+@given(mutations=MUTATIONS, sealed=st.booleans(), as_file=st.booleans())
+def test_mutated_model_files_load_alike_streamed_or_read_whole(inputs, mutations, sealed, as_file):
     data = mutate((inputs / "model.txt").read_bytes(), mutations)
     bad = inputs / "bad_model.txt"
     bad.write_bytes(reseal(data) if sealed else data)
-    streamed, read = load_both_ways(bad)
-    assert streamed == read, (streamed[:2], read[:2])
+    once, whole = load_both_ways(bad, as_file)
+    assert once == whole, (once[:2], whole[:2])
 
 
 @FUZZ
@@ -123,3 +126,25 @@ def test_mutated_csv_files_end_in_a_documented_exit_code(inputs, name, mutations
         ["update", "--model", model, "--input", str(bad), "--output", str(inputs / "out.txt")],
     ):
         assert run(argv) in EXIT_CODES, argv
+
+
+# Finite coefficients whose curves overflow: Clenshaw's sums reach inf, and inf - inf.
+HUGE_PROBES = "id,c1,c2,c3,c4,c5\nhuge,1e308,1e308,-1e308,1e308,0\nplain,0,0.2,0.2,0.2,0\n"
+
+
+@pytest.mark.parametrize("command", ["score", "baseline"])
+def test_probes_whose_curves_overflow_score_as_far_away(inputs, tmp_path, command):
+    probes = tmp_path / "huge.csv"
+    probes.write_text(HUGE_PROBES)
+    report = tmp_path / "report.csv"
+    extra = ["--overlay-out", str(tmp_path / "overlay.csv")] if command == "score" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([command, "--model", str(inputs / "model.txt"), "--input", str(probes),
+                    "--calibration", str(inputs / "e_data.csv"), "--output", str(report),
+                    *extra]) == 0
+    huge, plain = csv.DictReader(report.read_text().splitlines())
+    assert (huge["cd"], huge["verdict"]) == ("inf", "Outlier")
+    if command == "baseline":
+        assert (huge["baseline_l2"], huge["naive_fraction"]) == ("inf", "1.0")
+        assert float(plain["baseline_l2"]) < 1.0

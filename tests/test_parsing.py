@@ -4,6 +4,12 @@
 one Python ``float`` per cell wherever that reader declines.  These tests
 generate inputs, clean and dirty, and check that both routes give the same
 ids and the same value bits, or the same error message.
+
+`model.load` reads a model file once, a line at a time, and parses S by
+panels of lines.  The all-lines reader it replaced, kept as a test-only
+oracle (`helpers.read_model_whole`), holds every line and parses S whole;
+`load` must give the model, or the error, that `load` with the oracle
+gives, from a path and from a file object.
 """
 
 import csv
@@ -190,12 +196,12 @@ def test_model_matrix_reader_matches_the_per_cell_parse(text):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=model_texts())
-def test_streaming_load_matches_the_all_lines_reader(tmp_path, text):
+@given(text=model_texts(), as_file=st.booleans())
+def test_streaming_load_matches_the_all_lines_reader(tmp_path, text, as_file):
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("utf-8"))
-    streamed, read = load_both_ways(path)
-    assert streamed == read, (streamed, read)
+    once, whole = load_both_ways(path, as_file)
+    assert once == whole, (once, whole)
 
 
 def test_a_saved_model_takes_the_c_reader():
@@ -212,7 +218,7 @@ def test_blank_line_in_the_matrix_keeps_the_shape_error():
         load(io.StringIO(reseal("\n".join(lines) + "\n")))
 
 
-# --- load from a path: S streamed by panels against the all-lines reader ------------
+# --- S read by panels against the all-lines reader ----------------------------------
 
 WIDE_MODEL = dumps(fit(TrajectoryDataset.from_coefficients(
     np.random.default_rng(91).normal(size=(400, 17))), 2, 17))   # m = 171: two panels
@@ -276,15 +282,25 @@ STREAMED_CASES = {
 }
 
 
+def _fills_S(path) -> bool:
+    """Whether the reader parses the file's S into an m x m array."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return model_mod._read_model(fh)[1] is not None
+    except InputError:
+        return False
+
+
 @pytest.mark.parametrize("name", list(STREAMED_CASES))
 def test_streamed_load_gives_the_values_or_the_message_of_the_all_lines_reader(tmp_path, name):
     path = tmp_path / "m.txt"
     path.write_bytes(STREAMED_CASES[name].encode("utf-8"))
-    streamed, read = load_both_ways(path)
-    assert streamed == read, (streamed[:2], read[:2])
-    accepted = name in ("saved", "crlf", "bad-epsilon", "wide-domain", "nan-cell")
-    assert (model_mod._stream_document(path) is not None) == accepted
-    assert (read[0] == "ok") == (name in ("saved", "crlf", "float-only-cell"))
+    once, whole = load_both_ways(path)
+    assert once == whole, (once[:2], whole[:2])
+    assert load_both_ways(path, as_file=True) == (once, whole)
+    filled = name in ("saved", "crlf", "float-only-cell", "bad-epsilon", "wide-domain", "nan-cell")
+    assert _fills_S(path) == filled
+    assert (whole[0] == "ok") == (name in ("saved", "crlf", "float-only-cell"))
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
@@ -293,7 +309,7 @@ def test_a_streamed_model_saves_back_byte_for_byte(tmp_path, symmetric):
         float(cell), np.inf)))      # S[140, 3] is one ulp off S[3, 140], as in a hand edit
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("utf-8"))
-    assert model_mod._stream_document(path) is not None
+    assert _fills_S(path)
     model = load(path)
     assert (model.moment_sum[140, 3] == model.moment_sum[3, 140]) == symmetric
     assert_same_text(dumps(model), text)
@@ -315,8 +331,21 @@ def test_a_file_that_is_not_utf8_in_S_gives_the_same_message(tmp_path):
     at = data.index(b"\n", len(data) // 2) + 3
     path = tmp_path / "m.txt"
     path.write_bytes(data[:at] + b"\xff" + data[at:])
-    streamed, read = load_both_ways(path)
-    assert streamed == read and "not UTF-8" in read[1]
+    once, whole = load_both_ways(path)
+    assert once == whole and "not UTF-8" in whole[1]
+
+
+def test_a_file_object_that_is_not_utf8_is_an_input_error(tmp_path):
+    data = WIDE_MODEL.encode("utf-8")
+    at = data.index(b"\n", len(data) // 2) + 3
+    bad = data[:at] + b"\xff" + data[at:]
+    path = tmp_path / "m.txt"
+    path.write_bytes(bad)
+    with pytest.raises(InputError, match="model file is not UTF-8 text: ") as from_file:
+        load(io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8"))
+    with pytest.raises(InputError) as from_path:
+        load(path)
+    assert str(from_file.value) == str(from_path.value)
 
 
 @pytest.mark.parametrize("name", ["m-above-cap", "d-above-cap", "m-disagrees"])
@@ -326,7 +355,8 @@ def test_a_header_that_disagrees_with_its_basis_allocates_no_matrix(tmp_path, na
     path.write_bytes(STREAMED_CASES[name].encode("utf-8"))
     tracemalloc.start()
     try:
-        assert model_mod._stream_document(path) is None
+        with pytest.raises(InputError, match="m = |the cap"):
+            load(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
