@@ -228,8 +228,11 @@ def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> Traje
 
 
 # Data rows are joined here rather than by csv.writer, which costs more than
-# the repr of each cell; they match its default dialect byte for byte.
+# the repr of each cell; they match its default dialect byte for byte.  The
+# wide writer formats CSV_BLOCK_ROWS rows at a time, so its Python floats and
+# strings stay block-sized; no byte depends on it.
 _CSV_EOL = "\r\n"
+CSV_BLOCK_ROWS = 1024
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
@@ -244,8 +247,10 @@ def _csv_cell(text: str) -> str:
 def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
-        for i, row in zip(ids, coeffs.tolist()):
-            fh.write(",".join([_csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL)
+        for s in range(0, coeffs.shape[0], CSV_BLOCK_ROWS):
+            rows = coeffs[s:s + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join([_csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL
+                             for i, row in zip(ids[s:s + CSV_BLOCK_ROWS], rows)))
 
 
 def _write_trajectory_csv(path: str, ids, times, values) -> None:
@@ -276,11 +281,21 @@ def _write_histogram(path: str, cds) -> None:
             fh.write(f"{float(edges[i])!r} {float(edges[i + 1])!r} {int(cnt)}\n")
 
 
-def _write_overlay(path: str, probes: TrajectoryDataset) -> None:
-    """Plot-ready curves: 201 uniformly spaced points across the domain."""
+def _write_overlay(path: str, probes: TrajectoryDataset) -> list:
+    """Plot-ready curves: 201 uniformly spaced points across the domain.
+
+    A probe whose curve is not finite at all 201 points (huge coefficients,
+    or samples whose slopes overflow) is left out, so the file stays a
+    trajectory file that `score` reads back; returns the ids left out.
+    """
     lo, hi = probes.domain
     t = np.linspace(lo, hi, 201)
-    _write_trajectory_csv(path, probes.ids, t, probes.on_nodes(np.linspace(-1.0, 1.0, 201)).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # such curves are left out
+        curves = probes.on_nodes(np.linspace(-1.0, 1.0, 201))
+    finite = np.isfinite(curves).all(axis=1)
+    kept = [i for i, ok in zip(probes.ids, finite.tolist()) if ok]
+    _write_trajectory_csv(path, kept, t, curves[finite].T)
+    return [i for i, ok in zip(probes.ids, finite.tolist()) if not ok]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +410,10 @@ def cmd_score(args) -> int:
         _write_histogram(args.histogram_out, cds)
         print(f"# wrote histogram {args.histogram_out}")
     if args.overlay_out:
-        _write_overlay(args.overlay_out, probes)
+        dropped = _write_overlay(args.overlay_out, probes)
+        if dropped:
+            print(f"# note: overlay leaves out {len(dropped)} probe(s) whose curve is not "
+                  f"finite: {', '.join(map(repr, dropped))}")
         print(f"# wrote overlay {args.overlay_out}")
     mean = float(np.mean(cds)) if cds else float("nan")
     print(f"# summary: probes={len(reports)} outliers={n_out} "

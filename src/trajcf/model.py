@@ -92,6 +92,22 @@ _BASIS_ORDERING = "graded-lex"
 # dataset container
 # ---------------------------------------------------------------------------
 
+def _read_only_array(a) -> np.ndarray:
+    """``a`` as a read-only float64 array.
+
+    A float64 ndarray that owns its data and is already read-only is
+    returned as it is: a caller that freezes an array it made hands it
+    over (as `synth` does).  Anything else is copied, so a caller's
+    writable array, or a view of one, stays the caller's.
+    """
+    if (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+            and not a.flags.writeable):
+        return a
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """A set of curves: one (N, k) array of coefficient rows.
@@ -100,9 +116,11 @@ class TrajectoryDataset:
     ``ids`` labels the rows (None for an unlabelled row).  When the rows
     were projected from curves sampled on one grid, ``times`` (T,) holds
     that grid and ``values`` (T, N) the samples, one curve per column;
-    both are None for coefficient rows.  The arrays are copied and made
-    read-only, and the rows are checked once for finiteness.  A dataset
-    may be empty (a probe file may hold no curves); `fit` refuses one.
+    both are None for coefficient rows.  The arrays are read-only: a
+    float64 array that owns its data and is already read-only is kept as
+    handed over, anything else is copied (`_read_only_array`).  The rows
+    are checked once for finiteness.  A dataset may be empty (a probe file
+    may hold no curves); `fit` refuses one.
     """
 
     coeffs: np.ndarray
@@ -113,7 +131,7 @@ class TrajectoryDataset:
 
     def __post_init__(self) -> None:
         try:
-            C = np.array(self.coeffs, dtype=float)
+            C = _read_only_array(self.coeffs)
         except (TypeError, ValueError) as exc:
             raise InputError(f"coefficient rows must form an (N, k) array: {exc}") from exc
         if C.ndim != 2:
@@ -130,20 +148,17 @@ class TrajectoryDataset:
                 f"coefficient vector contains non-finite entries (id={ids[int(np.argmin(finite))]!r})"
             )
         if self.values is not None:
-            t = np.array(self.times, dtype=float)
-            V = np.array(self.values, dtype=float)
+            t = _read_only_array(self.times)
+            V = _read_only_array(self.values)
             if t.ndim != 1 or V.shape != (t.size, N):
                 raise InputError(
                     f"samples of {N} curves on {t.size} times must form a "
                     f"({t.size}, {N}) array, got shape {V.shape}"
                 )
-            t.setflags(write=False)
-            V.setflags(write=False)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", V)
         elif self.times is not None:
             raise InputError("sample times need their values")
-        C.setflags(write=False)
         object.__setattr__(self, "coeffs", C)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "domain", check_domain(self.domain))

@@ -51,6 +51,10 @@ DEFAULT_RADIUS = 0.1
 OUTLIER_RADIUS_FACTOR = 10.0  # "an order of magnitude" larger, pinned exactly
 CURVE_SAMPLE_POINTS = 33
 
+# Curves evaluated per `reconstruct_batch` call: it bounds synth's
+# temporaries, and no value depends on it.
+CURVE_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -149,21 +153,34 @@ def _check_overflow(radius: float, *draws) -> None:
 
 
 def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
-    """The dataset of one spec: its coefficient rows and their 33-point curves."""
+    """The dataset of one spec: its coefficient rows and their 33-point curves.
+
+    The curves are filled into one (33, N) array, CURVE_BLOCK_ROWS rows of
+    C at a time: `reconstruct_batch` evaluates each value on its own, so a
+    block gives every value the bits of one call on all N rows, and only
+    its temporaries are block-sized.  Both arrays are handed to the dataset
+    read-only, so it keeps them without a copy.
+    """
     g0 = np.asarray(spec.nominal, dtype=float)
     coords = np.asarray(spec.perturbed_coords, dtype=int)
     eta = np.empty((spec.sample_count, coords.size))
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
         for i, rng in enumerate(_streams(spec.seed, spec.sample_count)):
             eta[i] = sample_ball(coords.size, spec.radius, rng)
-        C = np.tile(g0, (spec.sample_count, 1))
+        C = np.full((spec.sample_count, g0.size), g0)
         C[:, coords] += eta
-    del eta  # reconstruct_batch's temporaries set synth's peak memory
+    del eta  # freed before the samples are allocated
+    _check_overflow(spec.radius, C)
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
-    values = reconstruct_batch(C, nodes)
-    _check_overflow(spec.radius, C, values)
+    values = np.empty((nodes.size, spec.sample_count))
+    for s in range(0, spec.sample_count, CURVE_BLOCK_ROWS):
+        block = reconstruct_batch(C[s:s + CURVE_BLOCK_ROWS], nodes)
+        _check_overflow(spec.radius, block)
+        values[:, s:s + CURVE_BLOCK_ROWS] = block.T
+    C.setflags(write=False)
+    values.setflags(write=False)
     ids = [f"g{i:04d}" for i in range(spec.sample_count)]
-    return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values.T)
+    return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values)
 
 
 def generate_example1(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_text
-from trajcf.cli import _write_trajectory_csv, _write_wide_csv, main
+from trajcf.cli import CSV_BLOCK_ROWS, _write_trajectory_csv, _write_wide_csv, main
 from trajcf.model import cd_value, cd_values, load
 from trajcf.synth import generate_example1
 
@@ -131,7 +131,8 @@ def test_trajectory_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, times
 
 
 def test_synth_files_match_the_csv_writer_oracle(tmp_path):
-    exp = generate_example1(40, 2)
+    # two whole blocks of the wide writer and one of a single row
+    exp = generate_example1(2 * CSV_BLOCK_ROWS + 1, 2)
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     data = exp.dataset
     _write_wide_csv(str(ours), data.ids, data.coefficient_matrix(5))
@@ -153,6 +154,22 @@ def test_trajectory_writer_memory_stays_row_sized(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_synth_memory_stays_near_one_copy_of_the_samples(tmp_path, capsys):
+    # The samples are one (33, N) array filled by row blocks and handed to
+    # the dataset uncopied, and the text is made a block of rows at a time.
+    # Evaluating all N rows at once, copying them into the dataset and
+    # formatting every coefficient row at once peaked at 4.67 x the samples.
+    count = 20000
+    tracemalloc.start()
+    try:
+        assert main(["synth", "example1", "--count", str(count),
+                     "--output", str(tmp_path / "x")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (33 * count * 8)
 
 
 # --- fit -------------------------------------------------------------------------
@@ -666,6 +683,39 @@ def test_overflowing_rows_raise_no_warnings(ws, tmp_path):
         assert main(["fit", "--input", str(src), "--output", str(tmp_path / "f.txt")]) == 3
     # the two probes whose CD value overflowed sit in a last, open bin
     assert (tmp_path / "h.txt").read_text().splitlines()[-1].endswith(" inf 2")
+
+
+HUGE_ROW = "huge,1e308,1e308,-1e308,1e308,0\n"
+
+
+@pytest.mark.parametrize("rows, probe_ids, dropped", [
+    (OVERFLOW_ROWS + HUGE_ROW, ["big80", "big200", "huge"], ["huge"]),
+    ("id,c1,c2,c3,c4,c5\n" + HUGE_ROW, ["huge"], ["huge"]),
+    # finite samples whose slope between two samples overflows
+    ("t,ok,steep\n-1,0.5,1e308\n0,0.25,-1e308\n1,0.0,1e308\n", ["ok", "steep"], ["steep"]),
+], ids=["some", "all", "samples"])
+def test_overlay_leaves_out_curves_that_are_not_finite(ws, tmp_path, capsys,
+                                                       rows, probe_ids, dropped):
+    # an overlay with no curve left is a "t" column alone, which scores as no probes
+    src, over, rep = tmp_path / "probes.csv", tmp_path / "overlay.csv", tmp_path / "rep.csv"
+    src.write_text(rows)
+    kept = [i for i in probe_ids if i not in dropped]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["score", "--model", ws["model"], "--input", str(src),
+                     "--output", str(rep), "--overlay-out", str(over)]) == 0
+        out = capsys.readouterr().out
+        # the report still scores every probe
+        assert [ln.split(",")[0] for ln in rep.read_text().splitlines()[1:]] == probe_ids
+        assert (f"# note: overlay leaves out {len(dropped)} probe(s) whose curve is not "
+                f"finite: {', '.join(map(repr, dropped))}") in out.splitlines()
+        lines = over.read_text().splitlines()
+        assert lines[0].split(",") == ["t", *kept] and len(lines) == 202
+        assert main(["score", "--model", ws["model"], "--input", str(over),
+                     "--output", str(tmp_path / "again.csv")]) == 0
+    again = (tmp_path / "again.csv").read_text().splitlines()
+    assert [ln.split(",")[0] for ln in again[1:]] == kept
+    assert f"probes={len(kept)}" in capsys.readouterr().out
 
 
 # --- option values and degree caps -------------------------------------------------

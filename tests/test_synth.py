@@ -7,6 +7,7 @@ from trajcf.errors import InputError
 from trajcf.model import fit, cd_value, default_epsilon
 from trajcf.projection import SampledTrajectory, chebyshev_quadrature_nodes, reconstruct_batch
 from trajcf.synth import (
+    CURVE_BLOCK_ROWS,
     CURVE_SAMPLE_POINTS,
     NOMINAL_COEFFS,
     PERTURBED_COORDS,
@@ -91,9 +92,11 @@ def _one_generator_per_curve(N, seed, radius=0.1):
 
 
 @pytest.mark.parametrize("generate", [generate_example1, generate_example2])
-@pytest.mark.parametrize("N", [1, 2, 300])
+@pytest.mark.parametrize("N", [1, 2, 300, 2 * CURVE_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_re_keyed_generator_matches_one_stream_per_curve(generate, N, seed):
+    # 2 * CURVE_BLOCK_ROWS + 1 curves are evaluated in two whole blocks and
+    # one of a single row: the samples keep the bits of one call on all rows.
     exp = generate(N, seed)
     C = _one_generator_per_curve(N, seed)
     assert exp.dataset.coeffs.tobytes() == C.tobytes()
