@@ -156,11 +156,10 @@ def test_trajectory_writer_memory_stays_row_sized(tmp_path):
     assert peak < 4_000_000
 
 
-def test_synth_memory_stays_near_one_copy_of_the_samples(tmp_path, capsys):
-    # The samples are one (33, N) array filled by row blocks and handed to
-    # the dataset uncopied, and the text is made a block of rows at a time.
-    # Evaluating all N rows at once, copying them into the dataset and
-    # formatting every coefficient row at once peaked at 4.67 x the samples.
+def test_synth_memory_stays_near_one_copy_of_the_samples(tmp_path):
+    # The samples are one (33, N) array filled by row blocks and kept by the
+    # dataset uncopied, and the text is made a block of rows at a time (about
+    # 2 x the samples); whole-array temporaries and a copy reach 4.67 x.
     count = 20000
     tracemalloc.start()
     try:
