@@ -33,7 +33,7 @@ type that numpy's ``__array_function__`` protocol hands the work to, so
 anything that wraps the public function still sees it.
 
 Rows are never turned into one N x m monomial matrix.  `_moment_sum`
-(fit, update, downdate and the pointwise baseline) evaluates the monomials
+(fit, update and downdate) evaluates the monomials
 of MOMENT_BLOCK_ROWS rows at a time and adds that block's V^T V to S;
 `_cd_rows` (every CD value) does the same with blocks of CD_BLOCK_ROWS
 rows, so memory is O(m^2 + block * m) whatever N is.  The last CD block is
@@ -408,9 +408,9 @@ def _cd_from_factor(W: np.ndarray, Vt: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cd_rows(W: np.ndarray, basis: BasisEnumeration, C: np.ndarray) -> np.ndarray:
-    """`_cd_from_factor` of the monomial rows of the coefficient rows C,
-    evaluated one block of CD_BLOCK_ROWS rows at a time.
+def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
+    """`_cd_from_factor` of the model's monomial rows of the coefficient
+    rows C, evaluated one block of CD_BLOCK_ROWS rows at a time.
 
     Each block's monomials go to the product as one C-ordered (m,
     CD_BLOCK_ROWS) array; the last block is padded with zero columns after
@@ -419,10 +419,11 @@ def _cd_rows(W: np.ndarray, basis: BasisEnumeration, C: np.ndarray) -> np.ndarra
     entry) scores inf: the diagonal of W is nonzero, so the entry reaches
     its panel's product.
     """
+    W = model.inverse_factor
     out = np.empty(C.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
         for start in range(0, C.shape[0], CD_BLOCK_ROWS):
-            V = eval_monomial_matrix(C[start:start + CD_BLOCK_ROWS], basis)
+            V = eval_monomial_matrix(C[start:start + CD_BLOCK_ROWS], model.basis)
             k = V.shape[0]
             if k < CD_BLOCK_ROWS:
                 Vt = np.zeros((V.shape[1], CD_BLOCK_ROWS))
@@ -548,13 +549,13 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
 def cd_value(model: ChristoffelModel, c) -> float:
     """Anomaly score v(c)^T (S/N + eps*I)^{-1} v(c); always >= 0."""
     C = model._probe_rows(coeff_array(c))
-    return float(_cd_rows(model.inverse_factor, model.basis, C)[0])
+    return float(_cd_rows(model, C)[0])
 
 
 def cd_values(model: ChristoffelModel, coeff_matrix) -> np.ndarray:
     """Vectorized `cd_value` over the rows of an (N, >=n) array."""
     C = model._probe_rows(coeff_matrix)
-    return _cd_rows(model.inverse_factor, model.basis, C)
+    return _cd_rows(model, C)
 
 
 def christoffel_value(model: ChristoffelModel, c) -> float:

@@ -11,12 +11,14 @@ tau.  Two calibration rules are offered:
 
 For comparison experiments two classical baselines are provided: the
 smallest weighted-L2 distance to any reference curve, and the pointwise
-test that fits a bivariate Christoffel model on the reference point cloud
-{(t, g(t))} and reports the fraction of time points where the probe's
-pointwise Christoffel value drops below a user-chosen delta.  The pointwise
-baseline is the method the functional score is designed to beat: a probe
-whose graph never leaves the reference envelope gets fraction ~ 0 no matter
-how abnormal the curve is as a function.
+test, `PointwiseChristoffel`.  That test is the finite-dimensional case of
+the same construction: a `ChristoffelModel` of order (d2, 2) fitted on the
+reference point cloud {(t, g(t))}, whose Christoffel function the
+infinite-dimensional one mimics.  It reports the fraction of time points
+where the probe's pointwise Christoffel value drops below a user-chosen
+delta.  The pointwise baseline is the method the functional score is
+designed to beat: a probe whose graph never leaves the reference envelope
+gets fraction ~ 0 no matter how abnormal the curve is as a function.
 """
 
 from __future__ import annotations
@@ -28,10 +30,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import model as _model
-from .basis import (
-    enumerate_basis,
-    eval_monomial_matrix,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
-)
+from .basis import eval_monomial_matrix  # noqa: F401  (a binding perfbench's tracer wraps and checks)
 from .errors import InputError, NumericalError
 from .model import ChristoffelModel, TrajectoryDataset
 from .projection import (
@@ -204,6 +203,9 @@ def classify_batch(
 # Gauss-Chebyshev points of the nearest-trajectory distance.
 NEAREST_QUAD_POINTS = 256
 
+# Probes per block in `nearest_distances`: it bounds the (block, N) product.
+NEAREST_BLOCK_ROWS = 256
+
 
 def _probe_values(f, nodes: np.ndarray) -> np.ndarray:
     """One probe at unit-interval nodes, (1, M): a curve by linear
@@ -234,8 +236,8 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
     out = np.empty(F.shape[0])
     # Curves too large to square overflow to an inf distance, which is their score.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, F.shape[0], _model.CD_BLOCK_ROWS):
-            block = F[start:start + _model.CD_BLOCK_ROWS]
+        for start in range(0, F.shape[0], NEAREST_BLOCK_ROWS):
+            block = F[start:start + NEAREST_BLOCK_ROWS]
             ff = np.einsum("ij,ij->i", block, block) / M
             approx = ff[:, None] - (2.0 / M) * (block @ G.T) + gg
             slack = 1e-12 * (ff + gg.max())
@@ -264,18 +266,17 @@ def nearest_trajectory_score(
 
 @dataclass(frozen=True)
 class PointwiseChristoffel:
-    """Bivariate Christoffel model on the reference point cloud {(t, g(t))}.
+    """The empirical Christoffel function of the reference point cloud {(t, g(t))}.
 
-    This is the classical finite-dimensional construction, realized as the
-    two-variable special case of the same machinery: monomials in (t, x) of
-    total degree <= d2, moment matrix averaged over every (node, curve)
-    pair, default diagonal regularization.
+    This is the classical finite-dimensional construction, and the same
+    machinery: ``model`` is a `ChristoffelModel` of order (d2, 2) fitted by
+    `model.fit` on the cloud's (t, x) rows, one per (node, curve) pair,
+    with the default diagonal regularization.  Every pointwise value is the
+    reciprocal of one of its `cd_values`.
     """
 
-    d2: int
+    model: ChristoffelModel
     nodes: np.ndarray
-    inverse_factor: np.ndarray  # of the regularized moment matrix, as in ChristoffelModel
-    epsilon: float
     cloud_floor: float  # smallest pointwise Christoffel value on the cloud itself
 
     @classmethod
@@ -284,33 +285,26 @@ class PointwiseChristoffel:
             raise InputError("the pointwise baseline needs a non-empty database")
         nodes = chebyshev_quadrature_nodes(quad_points)
         G = reconstruct_batch(data.coeffs, nodes)  # (N, M) curve values
-        bas = enumerate_basis(d2, 2)
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):
             raise NumericalError("the reference point cloud contains non-finite values")
-        S = _model._moment_sum(pts, bas)  # overflow is reported by the factorization
-        count = pts.shape[0]
-        eps = _model.default_epsilon(S, count)
-        W = _model._factor_from_moments(S, count, eps)
-        cloud_cd = _model._cd_rows(W, bas, pts)
-        floor = float(1.0 / cloud_cd.max())
-        return cls(
-            d2=int(d2), nodes=nodes, inverse_factor=W,
-            epsilon=eps, cloud_floor=floor,
-        )
+        pts.setflags(write=False)  # handed to the dataset without a copy
+        model = _model.fit(TrajectoryDataset(pts), d2, 2)
+        floor = float(1.0 / _model.cd_values(model, pts).max())
+        return cls(model=model, nodes=nodes, cloud_floor=floor)
 
     def profiles(self, values) -> np.ndarray:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) of many probes.
 
         ``values`` holds each probe's values on ``self.nodes``, one probe
-        per row; all probes share one monomial evaluation.  A non-finite
+        per row; all probes share one `cd_values` call.  A non-finite
         value (an overflowed curve) gets 0: its CD value is inf.
         """
         F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
         pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
         finite = np.isfinite(F.ravel())
         cd = np.full(finite.size, np.inf)
-        cd[finite] = _model._cd_rows(self.inverse_factor, enumerate_basis(self.d2, 2), pts[finite])
+        cd[finite] = _model.cd_values(self.model, pts[finite])
         return (1.0 / cd).reshape(F.shape)
 
     def fractions_below(self, values, delta: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajcf.errors import InputError
-from trajcf.model import TrajectoryDataset, cd_value, fit
+from trajcf.model import TrajectoryDataset, cd_value, cd_values, fit
 from trajcf.projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
@@ -170,6 +170,22 @@ def test_union_takes_the_min():
 
 
 # --- pointwise baseline ----------------------------------------------------------
+
+def test_pointwise_baseline_is_the_fitted_model_of_the_point_cloud(small_family):
+    exp, _ = small_family
+    data = TrajectoryDataset(exp.dataset.coeffs[:40])
+    cloud = PointwiseChristoffel.fit(data, d2=3, quad_points=33)
+    G = data.on_nodes(cloud.nodes)
+    points = np.stack([np.tile(cloud.nodes, len(data)), G.ravel()], axis=1)
+    model = fit(TrajectoryDataset(points), 3, 2)
+    assert (cloud.model.d, cloud.model.n, cloud.model.sample_count) == (3, 2, 40 * 33)
+    assert cloud.model.epsilon == model.epsilon
+    np.testing.assert_array_equal(cloud.model.inverse_factor, model.inverse_factor)
+    assert cloud.cloud_floor == 1.0 / cd_values(model, points).max()
+    probes = np.vstack([G[:3], reconstruct_batch(exp.outlier[None, :], cloud.nodes)])
+    pairs = np.stack([np.tile(cloud.nodes, 4), probes.ravel()], axis=1)
+    np.testing.assert_array_equal(cloud.profiles(probes).ravel(), 1.0 / cd_values(model, pairs))
+
 
 def test_naive_fraction_zero_for_delta_zero(small_family):
     exp, _ = small_family
