@@ -272,7 +272,11 @@ class PointwiseChristoffel:
     machinery: ``model`` is a `ChristoffelModel` of order (d2, 2) fitted by
     `model.fit` on the cloud's (t, x) rows, one per (node, curve) pair,
     with the default diagonal regularization.  Every pointwise value is the
-    reciprocal of one of its `cd_values`.
+    reciprocal of one of its `cd_values`.  The cloud holds each reference
+    curve at ``nodes`` as a probe is put there: sampled curves by linear
+    interpolation, coefficient rows as truncated series
+    (`TrajectoryDataset.on_nodes`), so a reference curve never drops below
+    ``cloud_floor``.
     """
 
     model: ChristoffelModel
@@ -284,7 +288,7 @@ class PointwiseChristoffel:
         if len(data) == 0:
             raise InputError("the pointwise baseline needs a non-empty database")
         nodes = chebyshev_quadrature_nodes(quad_points)
-        G = reconstruct_batch(data.coeffs, nodes)  # (N, M) curve values
+        G = data.on_nodes(nodes)  # (N, M) curve values
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):
             raise NumericalError("the reference point cloud contains non-finite values")

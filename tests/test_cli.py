@@ -466,6 +466,26 @@ def test_baseline_scores_the_outlier(ws, tmp_path, capsys):
     assert 0.0 <= float(fields[6]) <= 1.0
 
 
+def test_baseline_default_delta_flags_no_sampled_reference_curve(tmp_path, capsys):
+    # The cloud and the probes are the same interpolated samples, so the
+    # default delta (the cloud's floor) flags no node of a reference curve.
+    rng = np.random.default_rng(0)
+    t = np.linspace(-1.0, 1.0, 41)
+    phase, z = rng.uniform(0.0, 2.0 * np.pi, 30), rng.standard_normal(30)
+    values = np.sin(5.0 * t[:, None] + phase) * (1.0 + 0.05 * z)
+    curves, model, rep = tmp_path / "wig.csv", tmp_path / "model.txt", tmp_path / "rep.csv"
+    ids = [f"w{i:02d}" for i in range(30)]
+    _write_trajectory_csv(str(curves), ids, t, values)
+    assert main(["fit", "--input", str(curves), "--output", str(model), "--degree-d", "2"]) == 0
+    assert main(["baseline", "--model", str(model), "--input", str(curves),
+                 "--calibration", str(curves), "--output", str(rep)]) == 0
+    assert "delta_source=in-cloud-floor" in capsys.readouterr().out
+    rows = [line.split(",") for line in rep.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ids
+    assert [float(r[5]) for r in rows] == [0.0] * 30   # baseline_l2 to itself
+    assert [float(r[6]) for r in rows] == [0.0] * 30   # naive_fraction
+
+
 def test_baseline_requires_calibration(ws):
     assert main(["baseline", "--model", ws["model"], "--input", ws["outlier"]]) == 2
 
