@@ -290,8 +290,7 @@ def _write_overlay(path: str, probes: TrajectoryDataset) -> list:
     """
     lo, hi = probes.domain
     t = np.linspace(lo, hi, 201)
-    with np.errstate(over="ignore", invalid="ignore"):  # such curves are left out
-        curves = probes.on_nodes(np.linspace(-1.0, 1.0, 201))
+    curves = probes.on_nodes(np.linspace(-1.0, 1.0, 201))
     finite = np.isfinite(curves).all(axis=1)
     kept = [i for i, ok in zip(probes.ids, finite.tolist()) if ok]
     _write_trajectory_csv(path, kept, t, curves[finite].T)

@@ -737,6 +737,46 @@ def test_overlay_leaves_out_curves_that_are_not_finite(ws, tmp_path, capsys,
     assert f"probes={len(kept)}" in capsys.readouterr().out
 
 
+# Finite, strictly increasing samples whose interpolation divides by zero or
+# overflows: each command finishes without a RuntimeWarning.
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_samples_further_apart_than_the_float_range_score_as_far_away(ws, tmp_path):
+    src, rep = tmp_path / "big.csv", tmp_path / "rep.csv"
+    src.write_text("t,a\n-1,1e308\n0,-1e308\n1,1e308\n")  # the slopes overflow
+    assert main(["baseline", "--model", ws["model"], "--input", str(src),
+                 "--calibration", ws["curves"], "--output", str(rep)]) == 0
+    fields = rep.read_text().splitlines()[1].split(",")
+    assert fields[:2] + fields[4:] == ["a", "inf", "Outlier", "inf", "1.0"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_times_that_collapse_onto_one_unit_time_are_scored(tmp_path):
+    src, model = tmp_path / "tiny.csv", str(tmp_path / "m.txt")
+    src.write_text("t,a,b\n0,1,2\n1e-300,2,3\n1,3,1\n")  # 0 and 1e-300 both map to -1
+    assert main(["fit", "--input", str(src), "--domain", "0:1", "--degree-d", "1",
+                 "--degree-n", "2", "--output", model]) == 0
+    over = tmp_path / "overlay.csv"
+    assert main(["score", "--model", model, "--input", str(src), "--calibration", str(src),
+                 "--output", str(tmp_path / "s.csv"), "--overlay-out", str(over)]) == 0
+    lines = over.read_text().splitlines()
+    assert lines[0] == "t,a,b" and len(lines) == 202
+    rep = tmp_path / "b.csv"
+    assert main(["baseline", "--model", model, "--input", str(src), "--calibration", str(src),
+                 "--output", str(rep)]) == 0
+    rows = [ln.split(",") for ln in rep.read_text().splitlines()[1:]]
+    assert [(r[0], r[5], r[6]) for r in rows] == [("a", "0.0", "0.0"), ("b", "0.0", "0.0")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_domain_far_wider_than_the_grid_fits(tmp_path):
+    src, model = tmp_path / "wide.csv", tmp_path / "m.txt"
+    src.write_text("t,a,b\n-1,1,2\n0,2,3\n1,3,1\n")  # all three map to unit time 0
+    assert main(["fit", "--input", str(src), "--domain=-1e300:1e300", "--degree-d", "1",
+                 "--degree-n", "2", "--output", str(model)]) == 0
+    assert load(str(model)).sample_count == 2
+
+
 # --- option values and degree caps -------------------------------------------------
 
 @pytest.mark.parametrize("command", ["fit", "score", "baseline"])
