@@ -14,10 +14,11 @@ fifth coefficient stays zero).
   ten-times larger radius (1.0) — same support directions, wildly larger
   spread, so its CD value at (d, n) = (4, 4) lands orders of magnitude
   above the in-sample average of 70.
-* experiment 2: the designated outlier is g0 + eps * T4 (default
-  eps = 1/10), whose fifth coefficient eps/sqrt(2) is nonzero — fitting at
-  (d, n) = (1, 5) then yields a moment matrix whose last row and column
-  vanish identically, and the regularized score blows up on the outlier.
+* experiment 2: the designated outlier is g0 + eps * T4 (eps = 1/10,
+  OUTLIER_T4_AMPLITUDE), whose fifth coefficient eps/sqrt(2) is
+  nonzero — fitting at (d, n) = (1, 5) then yields a moment matrix whose
+  last row and column vanish identically, and the regularized score
+  blows up on the outlier.
 
 Reproducibility: every trajectory draws from its own counter-based Philox
 stream keyed (seed, index) — inlier i uses (seed, i), the experiment-1
@@ -49,6 +50,7 @@ PERTURBED_COORDS = (0, 1, 2, 3)
 
 DEFAULT_RADIUS = 0.1
 OUTLIER_RADIUS_FACTOR = 10.0  # "an order of magnitude" larger, pinned exactly
+OUTLIER_T4_AMPLITUDE = 0.1  # experiment 2's outlier is nominal + this * T4
 CURVE_SAMPLE_POINTS = 33
 
 # Curves evaluated per `reconstruct_batch` call: it bounds synth's
@@ -183,12 +185,9 @@ def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
     return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values)
 
 
-def generate_example1(
-    N: int, seed: int, radius: float = DEFAULT_RADIUS,
-    outlier_radius: float | None = None,
-) -> SyntheticExperiment:
+def generate_example1(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> SyntheticExperiment:
     """Radius-ratio family: inliers in a ball of ``radius``, one outlier
-    drawn the same way at ``outlier_radius`` (default 10x).
+    drawn the same way at OUTLIER_RADIUS_FACTOR x ``radius``.
 
     The outlier uses the dedicated stream (seed, N), so it is independent
     of every inlier yet fully determined by (N, seed).
@@ -197,7 +196,7 @@ def generate_example1(
         nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
         radius=radius, sample_count=N, seed=seed,
     )
-    r_out = OUTLIER_RADIUS_FACTOR * radius if outlier_radius is None else outlier_radius
+    r_out = OUTLIER_RADIUS_FACTOR * radius
     _check_overflow(radius, r_out)
     dataset = _generate_family(spec)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
@@ -208,18 +207,16 @@ def generate_example1(
     return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
 
 
-def generate_example2(
-    N: int, seed: int, radius: float = DEFAULT_RADIUS,
-    outlier_epsilon: float = 0.1,
-) -> SyntheticExperiment:
+def generate_example2(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> SyntheticExperiment:
     """Harmonic-degree-mismatch family: inliers as in experiment 1 (fifth
-    coefficient exactly zero), outlier = nominal + eps * T4 whose fifth
-    orthonormal coefficient is eps / sqrt(2)."""
+    coefficient exactly zero), outlier = nominal + eps * T4 with
+    eps = OUTLIER_T4_AMPLITUDE, whose fifth orthonormal coefficient is
+    eps / sqrt(2)."""
     spec = SynthSpec(
         nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
         radius=radius, sample_count=N, seed=seed,
     )
     dataset = _generate_family(spec)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
-    out[4] = outlier_epsilon / math.sqrt(2.0)
+    out[4] = OUTLIER_T4_AMPLITUDE / math.sqrt(2.0)
     return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
