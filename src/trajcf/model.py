@@ -33,14 +33,13 @@ type that numpy's ``__array_function__`` protocol hands the work to, so
 anything that wraps the public function still sees it.
 
 Rows are never turned into one N x m monomial matrix.  `_moment_sum`
-(fit, update and downdate) evaluates the monomials
-of MOMENT_BLOCK_ROWS rows at a time and adds that block's V^T V to S;
-`_cd_rows` (every CD value) does the same with blocks of CD_BLOCK_ROWS
-rows, so memory is O(m^2 + block * m) whatever N is.  The last CD block is
-padded with zero rows to CD_BLOCK_ROWS, so every product has one shape and
-a probe gets the same bits alone or in any batch.  Each block meets W in
-panels of CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper
-triangle.
+(fit, update and downdate) evaluates the monomials of MOMENT_BLOCK_ROWS
+rows at a time and adds that block's V^T V to S; `_cd_rows` (every CD
+value) does the same with blocks of CD_BLOCK_ROWS rows, so memory is
+O(m^2 + block * m) whatever N is.  The last CD block is padded with zero
+rows to CD_BLOCK_ROWS, so every product has one shape and a probe gets the
+same bits alone or in any batch.  Each block meets W in panels of
+CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper triangle.
 
 Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
@@ -419,7 +418,6 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
     entry) scores inf: the diagonal of W is nonzero, so the entry reaches
     its panel's product.
     """
-    W = model.inverse_factor
     out = np.empty(C.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
         for start in range(0, C.shape[0], CD_BLOCK_ROWS):
@@ -430,7 +428,7 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
                 Vt[:, :k] = V.T
             else:
                 Vt = np.ascontiguousarray(V.T)
-            out[start:start + k] = _cd_from_factor(W, Vt)[:k]
+            out[start:start + k] = _cd_from_factor(model.inverse_factor, Vt)[:k]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf

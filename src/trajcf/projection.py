@@ -159,10 +159,8 @@ def values_on_nodes(unit_times: np.ndarray, values, nodes) -> np.ndarray:
         Nodes beyond the sampled range take the nearest endpoint value.
         Each entry is computed with the arithmetic of ``np.interp``, so a
         curve gets the same values bit for bit whatever batch it is in.
-        Neighbouring samples further apart than the float range give inf
-        or nan values, and unit times that collapse onto each other an inf
-        or nan slope, without a warning: each caller decides what such a
-        curve means.
+        Samples too far apart for a finite slope give inf or nan values
+        without a warning: each caller decides what such a curve means.
     """
     nodes = np.asarray(nodes, dtype=float)
     rows = np.asarray(values, dtype=float).T
@@ -204,8 +202,7 @@ def _projection_operator(unit_times: np.ndarray, n: int, M: int) -> np.ndarray:
     nodes = chebyshev_quadrature_nodes(M)
     T = unit_times.size
     jc = np.clip(_left_samples(unit_times, nodes), 0, T - 2)
-    # Unit times that collapse onto each other (a domain far wider than the
-    # grid) give an interval of width 0; its inf quotients clip to 0 or 1.
+    # Collapsed unit times give a zero-width interval; its inf quotients clip to 0 or 1.
     with np.errstate(divide="ignore", invalid="ignore"):
         right = np.clip((nodes - unit_times[jc]) / (unit_times[jc + 1] - unit_times[jc]), 0.0, 1.0)
     # chebvander columns are T_0 .. T_{n-1}, evaluated by the stable recurrence.

@@ -268,15 +268,12 @@ def nearest_trajectory_score(
 class PointwiseChristoffel:
     """The empirical Christoffel function of the reference point cloud {(t, g(t))}.
 
-    This is the classical finite-dimensional construction, and the same
-    machinery: ``model`` is a `ChristoffelModel` of order (d2, 2) fitted by
-    `model.fit` on the cloud's (t, x) rows, one per (node, curve) pair,
-    with the default diagonal regularization.  Every pointwise value is the
-    reciprocal of one of its `cd_values`.  The cloud holds each reference
-    curve at ``nodes`` as a probe is put there: sampled curves by linear
-    interpolation, coefficient rows as truncated series
-    (`TrajectoryDataset.on_nodes`), so a reference curve never drops below
-    ``cloud_floor``.
+    The finite-dimensional case of the same machinery: ``model`` is a
+    `ChristoffelModel` of order (d2, 2) fitted by `model.fit` on one (t, x)
+    row per (node, curve) pair, and each pointwise value is the reciprocal
+    of one of its `cd_values`.  The cloud puts the curves on ``nodes`` as
+    probes are put there (`TrajectoryDataset.on_nodes`), so no reference
+    curve drops below ``cloud_floor``.
     """
 
     model: ChristoffelModel
