@@ -48,7 +48,7 @@ from .scoring import (
     nearest_distances,
     nearest_trajectory_score,
 )
-from .synth import SynthSpec, SyntheticExperiment, generate_example1, generate_example2, sample_ball
+from .synth import SyntheticExperiment, generate_example1, generate_example2, sample_ball
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "project", "project_samples", "reconstruct_batch", "values_on_nodes",
     "PointwiseChristoffel", "ScoreReport", "Threshold", "calibrate", "classify",
     "classify_batch", "nearest_distances", "nearest_trajectory_score",
-    "SynthSpec", "SyntheticExperiment", "generate_example1", "generate_example2",
-    "sample_ball",
+    "SyntheticExperiment", "generate_example1", "generate_example2", "sample_ball",
     "__version__",
 ]

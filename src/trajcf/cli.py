@@ -46,8 +46,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_MISMATCH = 4
 
-_FALLBACK_MULTIPLE = 10.0
-
 
 # ---------------------------------------------------------------------------
 # CSV plumbing
@@ -322,6 +320,11 @@ def _header(command: str, pairs) -> None:
     print(f"# trajcf {command} | {rendered}")
 
 
+def _quad_points(args, n: int) -> int:
+    """The projection's M: the --quad-points given, or the default for n."""
+    return default_quad_points(n) if args.quad_points is None else args.quad_points
+
+
 def _resolve_threshold(model, args, calibration: TrajectoryDataset | None):
     if args.threshold_multiple is not None and args.threshold_quantile is not None:
         raise InputError("choose one of --threshold-quantile / --threshold-multiple")
@@ -333,8 +336,8 @@ def _resolve_threshold(model, args, calibration: TrajectoryDataset | None):
         return _scoring.calibrate(model, calibration, method="quantile", param=q), ""
     if args.threshold_quantile is not None:
         raise InputError("--threshold-quantile needs --calibration data to take a quantile of")
-    thr = _scoring.calibrate(model, None, method="multiple", param=_FALLBACK_MULTIPLE)
-    return thr, f"no calibration data given; defaulting to multiple({_FALLBACK_MULTIPLE:g})"
+    thr = _scoring.calibrate(model, None, method="multiple")
+    return thr, f"no calibration data given; defaulting to {thr.method}"
 
 
 def _load_calibration(args, model) -> TrajectoryDataset | None:
@@ -361,11 +364,10 @@ def _emit_report(lines: list[str], output: str | None) -> None:
 
 def cmd_fit(args) -> int:
     eps_text = "auto(1e-8*trace/m)" if args.epsilon is None else repr(args.epsilon)
-    quad = default_quad_points(args.degree_n) if args.quad_points is None else args.quad_points
     _header("fit", [
         ("input", args.input), ("output", args.output),
         ("d", args.degree_d), ("n", args.degree_n),
-        ("epsilon", eps_text), ("quad_points", quad),
+        ("epsilon", eps_text), ("quad_points", _quad_points(args, args.degree_n)),
         ("domain", f"{args.domain[0]:g}:{args.domain[1]:g}"),
     ])
     parsed = _read_input(args.input)
@@ -391,8 +393,7 @@ def cmd_score(args) -> int:
     _header("score", [
         ("model", args.model), ("input", args.input),
         ("epsilon", repr(model.epsilon)),
-        ("quad_points", default_quad_points(model.n) if args.quad_points is None
-                        else args.quad_points),
+        ("quad_points", _quad_points(args, model.n)),
         ("threshold", threshold.method), ("tau", repr(threshold.value)),
     ])
     if note:
@@ -469,13 +470,13 @@ def cmd_baseline(args) -> int:
     if calibration is None:
         raise InputError("baseline scoring needs --calibration (the reference database)")
     threshold, note = _resolve_threshold(model, args, calibration)
-    quad = 129 if args.quad_points is None else args.quad_points
-    cloud = _scoring.PointwiseChristoffel.fit(calibration, args.baseline_degree, quad)
+    cloud = _scoring.PointwiseChristoffel.fit(calibration, args.baseline_degree)
     delta = cloud.cloud_floor if args.delta is None else args.delta
     _header("baseline", [
         ("model", args.model), ("input", args.input), ("calibration", args.calibration),
         ("threshold", threshold.method), ("tau", repr(threshold.value)),
-        ("baseline_degree", args.baseline_degree), ("quad_points", quad),
+        ("baseline_degree", args.baseline_degree),
+        ("quad_points", _quad_points(args, model.n)),
         ("delta", repr(delta)),
         ("delta_source", "in-cloud-floor" if args.delta is None else "flag"),
     ])
@@ -526,7 +527,7 @@ def _add_common(sp, *, model=False, input_=False, output=False, quad=True):
         sp.add_argument("--output", help="output path (default: stdout for reports)")
     if quad:
         sp.add_argument("--quad-points", type=int, default=None,
-                        help="quadrature point count (default: max(256, 8n); 129 for the pointwise baseline)")
+                        help="quadrature point count M of the projection (default: max(256, 8n))")
 
 
 def _add_threshold_flags(sp):

@@ -118,8 +118,9 @@ class TrajectoryDataset:
     both are None for coefficient rows.  The arrays are read-only: a
     float64 array that owns its data and is already read-only is kept as
     handed over, anything else is copied (`_read_only_array`).  The rows
-    are checked once for finiteness.  A dataset may be empty (a probe file
-    may hold no curves); `fit` refuses one.
+    and the samples are checked once for finiteness, and the grid as
+    `project_samples` checks it.  A dataset may be empty (a probe file may
+    hold no curves); `fit` refuses one.
     """
 
     coeffs: np.ndarray
@@ -154,6 +155,8 @@ class TrajectoryDataset:
                     f"samples of {N} curves on {t.size} times must form a "
                     f"({t.size}, {N}) array, got shape {V.shape}"
                 )
+            if N:
+                _projection._check_samples(t, V, self.domain, ids)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", V)
         elif self.times is not None:
@@ -441,15 +444,13 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChristoffelModel:
-    """Fitted anomaly model of order (d, n).
+    """Fitted anomaly model of order (d, n), the degree pair of its basis.
 
     Immutable: update/downdate return new instances, so concurrent readers
     are never invalidated.
     """
 
-    d: int
-    n: int
-    basis: BasisEnumeration = field(repr=False)
+    basis: BasisEnumeration
     epsilon: float
     sample_count: int
     moment_sum: np.ndarray = field(repr=False)       # S = sum_i v(g_i) v(g_i)^T
@@ -460,6 +461,16 @@ class ChristoffelModel:
     def __post_init__(self) -> None:
         self.moment_sum.setflags(write=False)
         self.inverse_factor.setflags(write=False)
+
+    @property
+    def d(self) -> int:
+        """Algebraic degree bound."""
+        return self.basis.d
+
+    @property
+    def n(self) -> int:
+        """Harmonic degree bound: the coefficients a probe needs."""
+        return self.basis.n
 
     @property
     def size(self) -> int:
@@ -538,7 +549,7 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         if not math.isfinite(eps) or eps < 0.0:
             raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     return ChristoffelModel(
-        d=bas.d, n=bas.n, basis=bas, epsilon=eps, sample_count=N,
+        basis=bas, epsilon=eps, sample_count=N,
         moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
         domain=data.domain, provenance="fit",
     )
@@ -954,7 +965,7 @@ def load(source) -> ChristoffelModel:
         raise InputError(f"model file epsilon must be finite and >= 0, got {eps}")
     # Preserve the original creator so save(load(f)) reproduces f's bytes.
     return ChristoffelModel(
-        d=d, n=n, basis=bas, epsilon=eps, sample_count=N,
+        basis=bas, epsilon=eps, sample_count=N,
         moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
         domain=domain, provenance=fields.get("created-by", "fit"),
     )

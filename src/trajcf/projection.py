@@ -108,6 +108,20 @@ def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]
     return lo, hi
 
 
+def _check_samples(times: np.ndarray, values: np.ndarray, domain, ids=None) -> tuple[float, float]:
+    """`_check_grid` of the grid of the (T, K) samples, which must be finite;
+    ``ids`` names the curves in the messages.  Returns the domain as floats."""
+    domain = _check_grid(times, domain, None if ids is None else ids[0])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InputError(
+            f"trajectory values contain non-finite entries "
+            f"(id={None if ids is None else ids[bad]!r})"
+        )
+    return domain
+
+
 def unit_times(times: np.ndarray, domain) -> np.ndarray:
     """Sample times mapped affinely from ``domain`` onto [-1, 1]."""
     lo, hi = domain
@@ -244,14 +258,7 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
         raise InputError(f"expected samples of shape ({t.size}, K), got {V.shape}")
     if V.shape[1] == 0:
         return np.empty((0, int(n)))
-    domain = _check_grid(t, domain, None if ids is None else ids[0])
-    finite = np.isfinite(V).all(axis=0)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise InputError(
-            f"trajectory values contain non-finite entries "
-            f"(id={None if ids is None else ids[bad]!r})"
-        )
+    domain = _check_samples(t, V, domain, ids)
     return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
 
 

@@ -43,6 +43,7 @@ from .projection import (
 )
 
 DEFAULT_QUANTILE = 0.999
+DEFAULT_MULTIPLE = 10.0
 
 # Fixed column order of serialized reports.
 REPORT_COLUMNS = ("id", "cd", "christoffel", "threshold", "verdict", "baseline_l2")
@@ -54,7 +55,6 @@ class Threshold:
 
     value: float
     method: str
-    calibration_size: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value <= 0.0:
@@ -63,22 +63,21 @@ class Threshold:
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Verdict and scores for one probe trajectory."""
+    """Scores for one probe trajectory; its Christoffel value and verdict
+    follow from ``cd`` and ``threshold``."""
 
     id: str | None
     cd: float
-    christoffel: float
     threshold: float
-    verdict: str
     baseline_l2: float | None = None
 
-    def __post_init__(self) -> None:
-        expected = "Outlier" if self.cd > self.threshold else "Inlier"
-        if self.verdict != expected:
-            raise InputError(
-                f"inconsistent report: cd={self.cd}, threshold={self.threshold} "
-                f"demands verdict {expected!r}, got {self.verdict!r}"
-            )
+    @property
+    def christoffel(self) -> float:
+        return _model._reciprocal(self.cd)
+
+    @property
+    def verdict(self) -> str:
+        return "Outlier" if self.cd > self.threshold else "Inlier"
 
 
 def report_header() -> str:
@@ -137,20 +136,12 @@ def calibrate(
         if data is None or len(data) == 0:
             raise InputError("quantile calibration needs a non-empty calibration set")
         cds = _model.cd_values(model, data.coefficient_matrix(model.n))
-        return Threshold(
-            value=nearest_rank_quantile(cds, q),
-            method=f"quantile({q:g})",
-            calibration_size=len(data),
-        )
+        return Threshold(value=nearest_rank_quantile(cds, q), method=f"quantile({q:g})")
     if method == "multiple":
-        alpha = 10.0 if param is None else float(param)
+        alpha = DEFAULT_MULTIPLE if param is None else float(param)
         if alpha < 1.0:
             raise InputError(f"threshold multiple must be >= 1, got {alpha}")
-        return Threshold(
-            value=alpha * model.size,
-            method=f"multiple({alpha:g})",
-            calibration_size=0,
-        )
+        return Threshold(value=alpha * model.size, method=f"multiple({alpha:g})")
     raise InputError(f"unknown threshold method {method!r} (want 'quantile' or 'multiple')")
 
 
@@ -188,9 +179,7 @@ def classify_batch(
     reports = []
     for i, cd in enumerate(cds.tolist()):
         reports.append(ScoreReport(
-            id=None if ids is None else ids[i], cd=cd, christoffel=_model._reciprocal(cd),
-            threshold=threshold.value,
-            verdict="Outlier" if cd > threshold.value else "Inlier",
+            id=None if ids is None else ids[i], cd=cd, threshold=threshold.value,
             baseline_l2=None if baseline_l2 is None else float(baseline_l2[i]),
         ))
     return reports
@@ -200,8 +189,10 @@ def classify_batch(
 # baselines
 # ---------------------------------------------------------------------------
 
-# Gauss-Chebyshev points of the nearest-trajectory distance.
+# Gauss-Chebyshev points of the two baselines' grids: the nearest-trajectory
+# distance and the pointwise cloud.  Neither depends on the projection's M.
 NEAREST_QUAD_POINTS = 256
+POINTWISE_QUAD_POINTS = 129
 
 # Probes per block in `nearest_distances`: it bounds the (block, N) product.
 NEAREST_BLOCK_ROWS = 256
@@ -249,18 +240,16 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
     return np.sqrt(out)
 
 
-def nearest_trajectory_score(
-    data: TrajectoryDataset, f, quad_points: int = NEAREST_QUAD_POINTS
-) -> float:
+def nearest_trajectory_score(data: TrajectoryDataset, f) -> float:
     """Smallest quadrature-weighted L2 distance from the probe to the database.
 
-    Probe and references are all evaluated on the same Gauss-Chebyshev grid
-    (curves by linear interpolation, so a probe that *is* a database curve
-    scores exactly 0), and the distance uses the probability weight:
-    ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  A one-probe call of
-    `nearest_distances`.
+    Probe and references are all evaluated on the NEAREST_QUAD_POINTS
+    Gauss-Chebyshev grid (curves by linear interpolation, so a probe that
+    *is* a database curve scores exactly 0), and the distance uses the
+    probability weight: ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  A
+    one-probe call of `nearest_distances`.
     """
-    nodes = chebyshev_quadrature_nodes(quad_points)
+    nodes = chebyshev_quadrature_nodes(NEAREST_QUAD_POINTS)
     return float(nearest_distances(data.on_nodes(nodes), _probe_values(f, nodes))[0])
 
 
@@ -271,9 +260,10 @@ class PointwiseChristoffel:
     The finite-dimensional case of the same machinery: ``model`` is a
     `ChristoffelModel` of order (d2, 2) fitted by `model.fit` on one (t, x)
     row per (node, curve) pair, and each pointwise value is the reciprocal
-    of one of its `cd_values`.  The cloud puts the curves on ``nodes`` as
-    probes are put there (`TrajectoryDataset.on_nodes`), so no reference
-    curve drops below ``cloud_floor``.
+    of one of its `cd_values`.  The cloud puts the curves on ``nodes``, the
+    POINTWISE_QUAD_POINTS Gauss-Chebyshev nodes, as probes are put there
+    (`TrajectoryDataset.on_nodes`), so no reference curve drops below
+    ``cloud_floor``.
     """
 
     model: ChristoffelModel
@@ -281,10 +271,10 @@ class PointwiseChristoffel:
     cloud_floor: float  # smallest pointwise Christoffel value on the cloud itself
 
     @classmethod
-    def fit(cls, data: TrajectoryDataset, d2: int, quad_points: int = 129) -> "PointwiseChristoffel":
+    def fit(cls, data: TrajectoryDataset, d2: int) -> "PointwiseChristoffel":
         if len(data) == 0:
             raise InputError("the pointwise baseline needs a non-empty database")
-        nodes = chebyshev_quadrature_nodes(quad_points)
+        nodes = chebyshev_quadrature_nodes(POINTWISE_QUAD_POINTS)
         G = data.on_nodes(nodes)  # (N, M) curve values
         pts = np.stack([np.tile(nodes, G.shape[0]), G.ravel()], axis=1)
         if not np.all(np.isfinite(pts)):

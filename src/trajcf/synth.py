@@ -58,31 +58,17 @@ CURVE_SAMPLE_POINTS = 33
 CURVE_BLOCK_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    """Parameters of one synthetic family."""
-
-    nominal: tuple[float, ...]
-    perturbed_coords: tuple[int, ...]
-    radius: float
-    sample_count: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0.0 or not math.isfinite(self.radius):
-            raise InputError(f"perturbation radius must be > 0, got {self.radius!r}")
-        if self.sample_count < 1:
-            raise InputError(f"sample count (--count) must be >= 1, got {self.sample_count}")
-        # The (count, n) coefficient array must have a size numpy can shape.
-        if self.sample_count > np.iinfo(np.intp).max // (8 * max(len(self.nominal), 1)):
-            raise InputError(f"sample count (--count) is too large, got {self.sample_count}")
-        if not 0 <= self.seed < 2**64:  # a Philox key word is 64 bits
-            raise InputError(f"seed (--seed) must be an integer in [0, 2**64), got {self.seed}")
-        if any(k < 0 or k >= len(self.nominal) for k in self.perturbed_coords):
-            raise InputError(
-                f"perturbed coordinates {self.perturbed_coords} leave the "
-                f"coefficient range 0..{len(self.nominal) - 1}"
-            )
+def _check_family(N: int, seed: int, radius: float) -> None:
+    """Reject a radius, count or seed no family can be drawn with."""
+    if radius <= 0.0 or not math.isfinite(radius):
+        raise InputError(f"perturbation radius must be > 0, got {radius!r}")
+    if N < 1:
+        raise InputError(f"sample count (--count) must be >= 1, got {N}")
+    # The (count, 5) coefficient array must have a size numpy can shape.
+    if N > np.iinfo(np.intp).max // (8 * len(NOMINAL_COEFFS)):
+        raise InputError(f"sample count (--count) is too large, got {N}")
+    if not 0 <= seed < 2**64:  # a Philox key word is 64 bits
+        raise InputError(f"seed (--seed) must be an integer in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +81,6 @@ class SyntheticExperiment:
     dataset: TrajectoryDataset
     outlier: np.ndarray
     nominal: np.ndarray
-    spec: SynthSpec
 
     def __post_init__(self) -> None:
         for name in ("outlier", "nominal"):
@@ -154,8 +139,9 @@ def _check_overflow(radius: float, *draws) -> None:
                          "the synthetic curves overflow")
 
 
-def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
-    """The dataset of one spec: its coefficient rows and their 33-point curves.
+def _generate_family(N: int, seed: int, radius: float) -> TrajectoryDataset:
+    """N inliers of the given seed and radius: their coefficient rows and
+    their 33-point curves.
 
     The curves are filled into one (33, N) array, CURVE_BLOCK_ROWS rows of
     C at a time: `reconstruct_batch` evaluates each value on its own, so a
@@ -163,25 +149,25 @@ def _generate_family(spec: SynthSpec) -> TrajectoryDataset:
     its temporaries are block-sized.  Both arrays are handed to the dataset
     read-only, so it keeps them without a copy.
     """
-    g0 = np.asarray(spec.nominal, dtype=float)
-    coords = np.asarray(spec.perturbed_coords, dtype=int)
-    eta = np.empty((spec.sample_count, coords.size))
+    g0 = np.asarray(NOMINAL_COEFFS, dtype=float)
+    coords = np.asarray(PERTURBED_COORDS, dtype=int)
+    eta = np.empty((N, coords.size))
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
-        for i, rng in enumerate(_streams(spec.seed, spec.sample_count)):
-            eta[i] = sample_ball(coords.size, spec.radius, rng)
-        C = np.full((spec.sample_count, g0.size), g0)
+        for i, rng in enumerate(_streams(seed, N)):
+            eta[i] = sample_ball(coords.size, radius, rng)
+        C = np.full((N, g0.size), g0)
         C[:, coords] += eta
     del eta  # freed before the samples are allocated
-    _check_overflow(spec.radius, C)
+    _check_overflow(radius, C)
     nodes = np.sort(chebyshev_quadrature_nodes(CURVE_SAMPLE_POINTS))
-    values = np.empty((nodes.size, spec.sample_count))
-    for s in range(0, spec.sample_count, CURVE_BLOCK_ROWS):
+    values = np.empty((nodes.size, N))
+    for s in range(0, N, CURVE_BLOCK_ROWS):
         block = reconstruct_batch(C[s:s + CURVE_BLOCK_ROWS], nodes)
-        _check_overflow(spec.radius, block)
+        _check_overflow(radius, block)
         values[:, s:s + CURVE_BLOCK_ROWS] = block.T
     C.setflags(write=False)
     values.setflags(write=False)
-    ids = [f"g{i:04d}" for i in range(spec.sample_count)]
+    ids = [f"g{i:04d}" for i in range(N)]
     return TrajectoryDataset(C, ids=ids, domain=(-1.0, 1.0), times=nodes, values=values)
 
 
@@ -192,19 +178,16 @@ def generate_example1(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> Synt
     The outlier uses the dedicated stream (seed, N), so it is independent
     of every inlier yet fully determined by (N, seed).
     """
-    spec = SynthSpec(
-        nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
-        radius=radius, sample_count=N, seed=seed,
-    )
+    _check_family(N, seed, radius)
     r_out = OUTLIER_RADIUS_FACTOR * radius
     _check_overflow(radius, r_out)
-    dataset = _generate_family(spec)
+    dataset = _generate_family(N, seed, radius)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     coords = np.asarray(PERTURBED_COORDS, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
         out[coords] += sample_ball(coords.size, r_out, _stream(seed, N))
     _check_overflow(radius, out)
-    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
+    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS)
 
 
 def generate_example2(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> SyntheticExperiment:
@@ -212,11 +195,8 @@ def generate_example2(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> Synt
     coefficient exactly zero), outlier = nominal + eps * T4 with
     eps = OUTLIER_T4_AMPLITUDE, whose fifth orthonormal coefficient is
     eps / sqrt(2)."""
-    spec = SynthSpec(
-        nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS,
-        radius=radius, sample_count=N, seed=seed,
-    )
-    dataset = _generate_family(spec)
+    _check_family(N, seed, radius)
+    dataset = _generate_family(N, seed, radius)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     out[4] = OUTLIER_T4_AMPLITUDE / math.sqrt(2.0)
-    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS, spec=spec)
+    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS)

@@ -486,6 +486,28 @@ def test_baseline_default_delta_flags_no_sampled_reference_curve(tmp_path, capsy
     assert [float(r[6]) for r in rows] == [0.0] * 30   # naive_fraction
 
 
+def test_baseline_quad_points_is_the_projection_m_as_in_score(ws, tmp_path, capsys):
+    # Sampled probes and calibration: --quad-points moves the projection and
+    # nothing else, and the header prints that M.  Both baseline grids are fixed.
+    def run(command, *flags):
+        rep = tmp_path / f"{command}{len(flags)}.csv"
+        capsys.readouterr()
+        assert main([command, "--model", ws["model"], "--input", ws["curves"],
+                     "--calibration", ws["curves"], *flags, "--output", str(rep)]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        fields = dict(kv.split("=", 1) for kv in header.split(" | ")[1].split())
+        return fields, [line.split(",") for line in rep.read_text().splitlines()[1:]]
+
+    header, rows = run("baseline", "--quad-points", "65")
+    _, scored = run("score", "--quad-points", "65")
+    default_header, default_rows = run("baseline")
+    assert [r[:5] for r in rows] == [r[:5] for r in scored]
+    assert [r[1] for r in rows] != [r[1] for r in default_rows]  # M reached the projection
+    assert header["delta"] == default_header["delta"]
+    assert [r[6] for r in rows] == [r[6] for r in default_rows]
+    assert (header["quad_points"], default_header["quad_points"]) == ("65", "256")
+
+
 def test_baseline_requires_calibration(ws):
     assert main(["baseline", "--model", ws["model"], "--input", ws["outlier"]]) == 2
 
@@ -814,7 +836,7 @@ def test_headers_print_the_quadrature_points_used(ws, tmp_path, capsys):
     baseline = ["baseline", "--model", ws["model"], "--input", ws["outlier"],
                 "--calibration", ws["data"]]
     assert "quad_points=65 " in header(baseline + ["--quad-points", "65"])
-    assert "quad_points=129 " in header(baseline)
+    assert "quad_points=256 " in header(baseline)
 
 
 def test_fit_with_a_huge_degree_pair_is_an_input_error(ws, tmp_path, capsys):

@@ -31,6 +31,7 @@ from trajcf.basis import enumerate_basis, eval_monomial_matrix
 from trajcf.projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
+    project_samples,
     reconstruct_batch,
     unit_times,
 )
@@ -141,7 +142,7 @@ def test_training_scores_lie_in_unit_interval():
 def test_christoffel_value_overflow_returns_zero():
     base = fit(gaussian_dataset(30, 2, seed=3), 1, 2, epsilon=0.0)
     tiny = ChristoffelModel(
-        d=base.d, n=base.n, basis=base.basis, epsilon=base.epsilon,
+        basis=base.basis, epsilon=base.epsilon,
         sample_count=base.sample_count, moment_sum=base.moment_sum.copy(),
         inverse_factor=np.diag([1e200, 1.0, 1.0]),  # the inverse of a pivot of 1e-200
         domain=base.domain, provenance="crafted",
@@ -924,6 +925,25 @@ def test_dataset_from_trajectories_keeps_the_curves():
 def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
     with pytest.raises(InputError, match=message):
         TrajectoryDataset.from_coefficients(rows, ids=ids)
+
+
+@pytest.mark.parametrize("times, values, message", [
+    ([1.0, 0.0, -1.0], [[0.0], [1.0], [0.0]], "strictly increasing \\(id='g'\\)"),
+    ([-1.0, 0.0, 2.0], [[0.0], [1.0], [0.0]], "leave the declared domain"),
+    ([-1.0, 0.0, 1.0], [[0.0], [np.nan], [0.0]], "non-finite entries \\(id='g'\\)"),
+], ids=["reversed", "outside-domain", "nan"])
+def test_dataset_checks_its_sample_grid_as_projection_does(times, values, message):
+    # a reversed grid would put [0.5, 0.5] on these nodes as [0, 0]
+    with pytest.raises(InputError, match=message):
+        TrajectoryDataset(np.zeros((1, 2)), ids=["g"], times=times, values=values)
+    with pytest.raises(InputError, match=message):
+        project_samples(times, values, 2, domain=(-1.0, 1.0), ids=["g"])
+
+
+def test_dataset_of_no_curves_keeps_any_grid():
+    # a probe file with no curves still scores as no probes
+    data = TrajectoryDataset(np.empty((0, 2)), times=[1.0, 0.0], values=np.empty((2, 0)))
+    assert len(data) == 0 and data.on_nodes([0.0, 0.5]).shape == (0, 2)
 
 
 @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (-1.0, math.inf),

@@ -13,6 +13,7 @@ from trajcf.projection import (
     values_on_nodes,
 )
 from trajcf.scoring import (
+    POINTWISE_QUAD_POINTS,
     PointwiseChristoffel,
     ScoreReport,
     Threshold,
@@ -54,7 +55,6 @@ def test_calibrate_quantile_one_is_the_max(small_family):
     C = exp.dataset.coefficient_matrix(model.n)
     assert thr.value == pytest.approx(max(cd_value(model, c) for c in C), rel=1e-12)
     assert thr.method == "quantile(1)"
-    assert thr.calibration_size == 200
 
 
 def test_calibrate_multiple_is_alpha_times_dimension():
@@ -62,7 +62,6 @@ def test_calibrate_multiple_is_alpha_times_dimension():
     model = fit(exp.dataset, 4, 4)  # dimension 70
     thr = calibrate(model, None, method="multiple", param=3.0)
     assert thr.value == 210.0
-    assert thr.calibration_size == 0
 
 
 def test_calibrate_rejects_bad_inputs(small_family):
@@ -77,7 +76,7 @@ def test_calibrate_rejects_bad_inputs(small_family):
 
 def test_threshold_must_be_positive():
     with pytest.raises(InputError):
-        Threshold(value=0.0, method="quantile(0.5)", calibration_size=1)
+        Threshold(value=0.0, method="quantile(0.5)")
 
 
 # --- classification ------------------------------------------------------------
@@ -86,7 +85,7 @@ def test_tie_with_threshold_is_an_inlier(small_family):
     exp, model = small_family
     probe = exp.dataset.coeffs[0]
     cd = cd_value(model, probe)
-    thr = Threshold(value=cd, method="quantile(1)", calibration_size=1)
+    thr = Threshold(value=cd, method="quantile(1)")
     assert classify(model, thr, probe).verdict == "Inlier"
 
 
@@ -108,13 +107,15 @@ def test_report_reciprocal_and_id(small_family):
     assert rep.christoffel == pytest.approx(1.0 / rep.cd, rel=1e-12)
 
 
-def test_report_consistency_is_enforced():
-    with pytest.raises(InputError):
-        ScoreReport(id="x", cd=5.0, christoffel=0.2, threshold=10.0, verdict="Outlier")
+def test_report_derives_its_verdict_and_reciprocal():
+    verdicts = [ScoreReport(id=None, cd=cd, threshold=3.0).verdict for cd in (2.0, 3.0, 3.5)]
+    assert verdicts == ["Inlier", "Inlier", "Outlier"]  # a tie is an inlier
+    assert ScoreReport(id=None, cd=math.inf, threshold=3.0).christoffel == 0.0
+    assert ScoreReport(id=None, cd=0.0, threshold=3.0).christoffel == math.inf
 
 
 def test_report_line_column_order():
-    rep = ScoreReport(id="x", cd=2.0, christoffel=0.5, threshold=3.0, verdict="Inlier")
+    rep = ScoreReport(id="x", cd=2.0, threshold=3.0)
     assert report_header() == "id,cd,christoffel,threshold,verdict,baseline_l2"
     assert report_line(rep) == "x,2.0,0.5,3.0,Inlier,"
 
@@ -174,11 +175,12 @@ def test_union_takes_the_min():
 def test_pointwise_baseline_is_the_fitted_model_of_the_point_cloud(small_family):
     exp, _ = small_family
     data = TrajectoryDataset(exp.dataset.coeffs[:40])
-    cloud = PointwiseChristoffel.fit(data, d2=3, quad_points=33)
+    cloud = PointwiseChristoffel.fit(data, d2=3)
     G = data.on_nodes(cloud.nodes)
     points = np.stack([np.tile(cloud.nodes, len(data)), G.ravel()], axis=1)
     model = fit(TrajectoryDataset(points), 3, 2)
-    assert (cloud.model.d, cloud.model.n, cloud.model.sample_count) == (3, 2, 40 * 33)
+    assert (cloud.model.d, cloud.model.n, cloud.model.sample_count) == (
+        3, 2, 40 * POINTWISE_QUAD_POINTS)
     assert cloud.model.epsilon == model.epsilon
     np.testing.assert_array_equal(cloud.model.inverse_factor, model.inverse_factor)
     assert cloud.cloud_floor == 1.0 / cd_values(model, points).max()
@@ -197,14 +199,14 @@ def test_member_probe_stays_above_the_floor(small_family):
     # the floor is the largest delta that never flags the reference data,
     # so any whisker below it keeps every member clean
     exp, _ = small_family
-    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
     member = exp.dataset.coeffs[0]
     assert cloud.fraction_below(member, 0.99 * cloud.cloud_floor) == 0.0
 
 
 def test_cloud_floor_is_positive(small_family):
     exp, _ = small_family
-    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
     assert cloud.cloud_floor > 0.0
     lam = cloud.profiles(reconstruct_batch(exp.dataset.coeffs[1:2], cloud.nodes))[0]
     assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
@@ -261,7 +263,7 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
 
 def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
     exp, _ = small_family
-    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3, quad_points=65)
+    cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
     probes = [exp.outlier] + list(exp.dataset.coeffs[:5])
     values = np.vstack([reconstruct_batch(row[None, :], cloud.nodes) for row in probes])
     delta = 2.0 * cloud.cloud_floor

@@ -11,7 +11,6 @@ from trajcf.synth import (
     CURVE_SAMPLE_POINTS,
     NOMINAL_COEFFS,
     PERTURBED_COORDS,
-    SynthSpec,
     _stream,
     generate_example1,
     generate_example2,
@@ -179,18 +178,15 @@ def test_default_epsilon_matches_the_trace_rule():
 # --- parameter validation ----------------------------------------------------------
 
 def test_spec_validation():
-    with pytest.raises(InputError):
-        SynthSpec(nominal=(0.0, 1.0), perturbed_coords=(0,), radius=-1.0,
-                  sample_count=10, seed=0)
-    with pytest.raises(InputError):
-        SynthSpec(nominal=(0.0, 1.0), perturbed_coords=(0,), radius=0.1,
-                  sample_count=0, seed=0)
-    with pytest.raises(InputError):
-        SynthSpec(nominal=(0.0, 1.0), perturbed_coords=(5,), radius=0.1,
-                  sample_count=10, seed=0)
-    with pytest.raises(InputError):
-        SynthSpec(nominal=(0.0, 1.0), perturbed_coords=(0,), radius=0.1,
-                  sample_count=10, seed=-1)
+    for generate in (generate_example1, generate_example2):
+        with pytest.raises(InputError, match="radius must be > 0"):
+            generate(10, seed=0, radius=-1.0)
+        with pytest.raises(InputError, match="radius must be > 0"):
+            generate(10, seed=0, radius=math.inf)  # refused as a radius, not as an overflow
+        with pytest.raises(InputError, match="--count"):
+            generate(0, seed=0)
+        with pytest.raises(InputError, match="--seed"):
+            generate(10, seed=-1)
 
 
 @pytest.mark.parametrize("count, seed, flag", [
@@ -199,9 +195,9 @@ def test_spec_validation():
     (2**62, 0, "--count"),
 ])
 def test_spec_rejects_a_seed_or_count_numpy_cannot_hold(count, seed, flag):
-    with pytest.raises(InputError, match=flag):
-        SynthSpec(nominal=NOMINAL_COEFFS, perturbed_coords=PERTURBED_COORDS, radius=0.1,
-                  sample_count=count, seed=seed)
+    for generate in (generate_example1, generate_example2):
+        with pytest.raises(InputError, match=flag):
+            generate(count, seed=seed)
 
 
 def test_generator_rejects_bad_counts():
