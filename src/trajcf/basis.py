@@ -40,10 +40,16 @@ MAX_BASIS_SIZE = 10_000
 class BasisEnumeration:
     """All monomials of P_{d,n} in graded lexicographic order.
 
+    Only ``degree_pair`` is given; the other attributes follow from it and
+    are built, once, on construction, so no basis can disagree with its
+    degrees.
+
     Attributes
     ----------
     degree_pair : (int, int)
-        ``(d, n)``: algebraic degree bound and number of variables.
+        ``(d, n)``: algebraic degree bound, >= 0, and number of variables,
+        >= 1.  Anything else, or a basis of more than ``MAX_BASIS_SIZE``
+        monomials, raises `InputError`.
     parents, variables : ndarray of intp, shape (m,), read-only
         Monomial i >= 1 is monomial ``parents[i]`` times variable
         ``variables[i]`` (0-based), the largest variable of its multiset;
@@ -55,13 +61,39 @@ class BasisEnumeration:
     """
 
     degree_pair: tuple[int, int]
-    parents: np.ndarray = field(repr=False, compare=False)
-    variables: np.ndarray = field(repr=False, compare=False)
-    grade_starts: tuple[int, ...] = field(repr=False, compare=False)
+    parents: np.ndarray = field(init=False, repr=False, compare=False)
+    variables: np.ndarray = field(init=False, repr=False, compare=False)
+    grade_starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.parents.setflags(write=False)
-        self.variables.setflags(write=False)
+        d, n = self.degree_pair
+        if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
+            raise InputError(f"algebraic degree must be an integer, got {d!r}")
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise InputError(f"harmonic degree must be an integer, got {n!r}")
+        if d < 0:
+            raise InputError(f"algebraic degree must be >= 0, got {d}")
+        if n < 1:
+            raise InputError(f"harmonic degree must be >= 1, got {n}")
+        d, n = int(d), int(n)
+        _require_within_cap(d, n)
+        # Grade g extends each monomial of grade g - 1 by every variable no
+        # smaller than its last (the constant by every variable).  That lists
+        # the multisets of variable indices in ascending lexicographic order,
+        # which is descending order of their exponent rows.
+        parents, variables, starts = [0], [0], [0, 1]
+        for _ in range(d):
+            for p in range(starts[-2], starts[-1]):
+                for v in range(variables[p], n):
+                    parents.append(p)
+                    variables.append(v)
+            starts.append(len(parents))
+        object.__setattr__(self, "degree_pair", (d, n))
+        object.__setattr__(self, "grade_starts", tuple(starts))
+        for name, seq in (("parents", parents), ("variables", variables)):
+            arr = np.array(seq, dtype=np.intp)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.grade_starts[-1]
@@ -115,52 +147,9 @@ def _require_within_cap(d: int, n: int) -> None:
 
 
 def enumerate_basis(d: int, n: int) -> BasisEnumeration:
-    """Enumerate the monomial basis of P_{d,n}.
-
-    Parameters
-    ----------
-    d : int
-        Algebraic degree bound, >= 0.
-    n : int
-        Number of coefficient variables, >= 1.
-
-    Returns
-    -------
-    BasisEnumeration
-        binomial(n + d, n) monomials, graded lexicographic, constant
-        monomial first.
-
-    Raises
-    ------
-    InputError
-        If ``d < 0``, ``n < 1``, either is not an integer, or the basis
-        size would exceed ``MAX_BASIS_SIZE``.
-    """
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
-        raise InputError(f"algebraic degree must be an integer, got {d!r}")
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InputError(f"harmonic degree must be an integer, got {n!r}")
-    if d < 0:
-        raise InputError(f"algebraic degree must be >= 0, got {d}")
-    if n < 1:
-        raise InputError(f"harmonic degree must be >= 1, got {n}")
-    d, n = int(d), int(n)
-    _require_within_cap(d, n)
-    # Grade g extends each monomial of grade g - 1 by every variable no
-    # smaller than its last (the constant by every variable).  That lists
-    # the multisets of variable indices in ascending lexicographic order,
-    # which is descending order of their exponent rows.
-    parents, variables, starts = [0], [0], [0, 1]
-    for _ in range(d):
-        for p in range(starts[-2], starts[-1]):
-            for v in range(variables[p], n):
-                parents.append(p)
-                variables.append(v)
-        starts.append(len(parents))
-    return BasisEnumeration(
-        degree_pair=(d, n), parents=np.array(parents, dtype=np.intp),
-        variables=np.array(variables, dtype=np.intp), grade_starts=tuple(starts),
-    )
+    """The binomial(n + d, n) monomials of P_{d,n}, graded lexicographic,
+    constant first: ``BasisEnumeration((d, n))``, which checks d and n."""
+    return BasisEnumeration((d, n))
 
 
 def eval_monomial_matrix(coeffs, basis: BasisEnumeration) -> np.ndarray:

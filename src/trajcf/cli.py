@@ -219,9 +219,9 @@ def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> Traje
     if parsed[0] == "traj":
         _, ids, times, _values = parsed
         if not ids or times.size == 0:
-            raise InputError(f"{path}: no trajectories to fit")
+            raise InputError(f"{path}: the file holds no trajectories")
     elif parsed[2].shape[0] == 0 or parsed[2].shape[1] == 0:
-        raise InputError(f"{path}: no coefficient data to fit")
+        raise InputError(f"{path}: the file holds no coefficient data")
     return _batch_from_input(parsed, domain, n, quad_points, path, InputError)
 
 
@@ -342,11 +342,10 @@ def _resolve_threshold(model, args, calibration: TrajectoryDataset | None):
 
 def _load_calibration(args, model) -> TrajectoryDataset | None:
     """The --calibration file as a dataset, or None without one."""
-    if getattr(args, "calibration", None) is None:
+    if args.calibration is None:
         return None
     parsed = _read_input(args.calibration)
-    return _dataset_from_input(parsed, model.domain, model.n,
-                               getattr(args, "quad_points", None), args.calibration)
+    return _dataset_from_input(parsed, model.domain, model.n, args.quad_points, args.calibration)
 
 
 def _emit_report(lines: list[str], output: str | None) -> None:
@@ -518,16 +517,15 @@ def cmd_info(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, *, model=False, input_=False, output=False, quad=True):
+def _add_common(sp, *, model=False, input_=False, output=False):
     if model:
         sp.add_argument("--model", required=True, help="model file path")
     if input_:
         sp.add_argument("--input", required=True, help="input CSV path")
     if output:
         sp.add_argument("--output", help="output path (default: stdout for reports)")
-    if quad:
-        sp.add_argument("--quad-points", type=int, default=None,
-                        help="quadrature point count M of the projection (default: max(256, 8n))")
+    sp.add_argument("--quad-points", type=int, default=None,
+                    help="quadrature point count M of the projection (default: max(256, 8n))")
 
 
 def _add_threshold_flags(sp):

@@ -14,11 +14,12 @@ of order m on it: the in-sample average of cd_value is exactly m when
 eps = 0.  That dichotomy is the anomaly score.
 
 Numerically the model keeps the raw sum S = N*M (exact bookkeeping for
-updates and persistence) together with one Cholesky factor: the inverse
-W = L^{-1} of the lower-triangular L with L L^T = M + eps*I, so that
-cd_value(h) = ||W v(h)||^2.  Every operation (fit, load, update, downdate)
-takes W from S alone in `_factor_from_moments`, so a fitted model and its
-saved and reloaded copy have bit-identical factors and scores.  No spectrum
+updates and persistence), N and eps; from them it derives one Cholesky
+factor: the inverse W = L^{-1} of the lower-triangular L with
+L L^T = M + eps*I, so that cd_value(h) = ||W v(h)||^2.  The model derives
+W from S, N and eps in one place, its `inverse_factor` property, so a
+fitted model, its saved and reloaded copy and any model built or replaced
+with the same fields have bit-identical factors and scores.  No spectrum
 is needed to score; only the eps = 0 singularity check, downdate's
 positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
 
@@ -61,6 +62,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -447,20 +449,25 @@ class ChristoffelModel:
     """Fitted anomaly model of order (d, n), the degree pair of its basis.
 
     Immutable: update/downdate return new instances, so concurrent readers
-    are never invalidated.
+    are never invalidated.  `inverse_factor` is derived from the fields.
     """
 
     basis: BasisEnumeration
     epsilon: float
     sample_count: int
     moment_sum: np.ndarray = field(repr=False)       # S = sum_i v(g_i) v(g_i)^T
-    inverse_factor: np.ndarray = field(repr=False)   # W = L^{-1}, L L^T = S/N + eps*I
     domain: tuple[float, float] = (-1.0, 1.0)
     provenance: str = "fit"
 
     def __post_init__(self) -> None:
         self.moment_sum.setflags(write=False)
-        self.inverse_factor.setflags(write=False)
+
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """W = L^{-1}, L L^T = S/N + eps*I (read-only), factored on first use."""
+        W = _factor_from_moments(self.moment_sum, self.sample_count, self.epsilon)
+        W.setflags(write=False)
+        return W
 
     @property
     def d(self) -> int:
@@ -548,11 +555,10 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         eps = float(epsilon)
         if not math.isfinite(eps) or eps < 0.0:
             raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    return ChristoffelModel(
-        basis=bas, epsilon=eps, sample_count=N,
-        moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
+    return _factored(ChristoffelModel(
+        basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
         domain=data.domain, provenance="fit",
-    )
+    ))
 
 
 def cd_value(model: ChristoffelModel, c) -> float:
@@ -662,10 +668,13 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
 
 def _refactored(model: ChristoffelModel, S: np.ndarray, N: int, operation: str) -> ChristoffelModel:
     """The model with the symmetric moment sum S over N trajectories, refactorized."""
-    return replace(
-        model, sample_count=N, moment_sum=S,
-        inverse_factor=_factor_from_moments(S, N, model.epsilon), provenance=operation,
-    )
+    return _factored(replace(model, sample_count=N, moment_sum=S, provenance=operation))
+
+
+def _factored(model: ChristoffelModel) -> ChristoffelModel:
+    """``model`` with its factor taken, so its maker raises a breakdown."""
+    model.inverse_factor  # a cached property: taking it factors the model
+    return model
 
 
 def cd_value_after_update(model: ChristoffelModel, c_new, probe) -> float:
@@ -964,11 +973,10 @@ def load(source) -> ChristoffelModel:
     if eps < 0.0 or not math.isfinite(eps):
         raise InputError(f"model file epsilon must be finite and >= 0, got {eps}")
     # Preserve the original creator so save(load(f)) reproduces f's bytes.
-    return ChristoffelModel(
-        basis=bas, epsilon=eps, sample_count=N,
-        moment_sum=S, inverse_factor=_factor_from_moments(S, N, eps),
+    return _factored(ChristoffelModel(
+        basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
         domain=domain, provenance=fields.get("created-by", "fit"),
-    )
+    ))
 
 
 def dumps(model: ChristoffelModel) -> str:

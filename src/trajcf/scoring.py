@@ -267,8 +267,12 @@ class PointwiseChristoffel:
     """
 
     model: ChristoffelModel
-    nodes: np.ndarray
     cloud_floor: float  # smallest pointwise Christoffel value on the cloud itself
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The POINTWISE_QUAD_POINTS Gauss-Chebyshev nodes of the cloud and the probes."""
+        return chebyshev_quadrature_nodes(POINTWISE_QUAD_POINTS)
 
     @classmethod
     def fit(cls, data: TrajectoryDataset, d2: int) -> "PointwiseChristoffel":
@@ -282,7 +286,7 @@ class PointwiseChristoffel:
         pts.setflags(write=False)  # handed to the dataset without a copy
         model = _model.fit(TrajectoryDataset(pts), d2, 2)
         floor = float(1.0 / _model.cd_values(model, pts).max())
-        return cls(model=model, nodes=nodes, cloud_floor=floor)
+        return cls(model=model, cloud_floor=floor)
 
     def profiles(self, values) -> np.ndarray:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) of many probes.

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import TrajectoryDataset
+from .model import TrajectoryDataset, _read_only_array
 from .projection import chebyshev_quadrature_nodes, reconstruct_batch
 
 # Orthonormal coefficients of the shared nominal curve (T1 + T2 + T3)/3:
@@ -80,13 +80,14 @@ class SyntheticExperiment:
 
     dataset: TrajectoryDataset
     outlier: np.ndarray
-    nominal: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("outlier", "nominal"):
-            row = np.array(getattr(self, name), dtype=float)
-            row.setflags(write=False)
-            object.__setattr__(self, name, row)
+        object.__setattr__(self, "outlier", _read_only_array(self.outlier))
+
+    @property
+    def nominal(self) -> np.ndarray:
+        """NOMINAL_COEFFS, the row every family perturbs."""
+        return _read_only_array(NOMINAL_COEFFS)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -187,7 +188,7 @@ def generate_example1(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> Synt
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _check_overflow
         out[coords] += sample_ball(coords.size, r_out, _stream(seed, N))
     _check_overflow(radius, out)
-    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS)
+    return SyntheticExperiment(dataset=dataset, outlier=out)
 
 
 def generate_example2(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> SyntheticExperiment:
@@ -199,4 +200,4 @@ def generate_example2(N: int, seed: int, radius: float = DEFAULT_RADIUS) -> Synt
     dataset = _generate_family(N, seed, radius)
     out = np.asarray(NOMINAL_COEFFS, dtype=float)
     out[4] = OUTLIER_T4_AMPLITUDE / math.sqrt(2.0)
-    return SyntheticExperiment(dataset=dataset, outlier=out, nominal=NOMINAL_COEFFS)
+    return SyntheticExperiment(dataset=dataset, outlier=out)

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from trajcf.basis import (
     MAX_BASIS_SIZE,
+    BasisEnumeration,
     basis_size,
     enumerate_basis,
     eval_monomial_matrix,
@@ -177,6 +179,26 @@ def test_the_parent_of_a_monomial_drops_its_last_variable():
     degrees = expo.sum(axis=1)
     for g, (lo, hi) in enumerate(zip(bas.grade_starts, bas.grade_starts[1:])):
         assert (degrees[lo:hi] == g).all()
+
+
+def test_a_replaced_degree_pair_rebuilds_the_arrays():
+    bas = replace(enumerate_basis(2, 2), degree_pair=(3, 2))
+    want = enumerate_basis(3, 2)
+    assert len(bas) == len(want) == 10
+    assert bas.grade_starts == want.grade_starts
+    np.testing.assert_array_equal(bas.parents, want.parents)
+    np.testing.assert_array_equal(bas.variables, want.variables)
+    assert not bas.parents.flags.writeable and not bas.variables.flags.writeable
+
+
+def test_only_the_degree_pair_can_be_passed_in():
+    bas = enumerate_basis(2, 2)
+    with pytest.raises(TypeError):
+        BasisEnumeration((2, 2), bas.parents, bas.variables, bas.grade_starts)
+    with pytest.raises(ValueError, match="parents"):
+        replace(bas, parents=bas.parents)
+    with pytest.raises(InputError, match="harmonic degree must be >= 1"):
+        BasisEnumeration((2, 0))
 
 
 def test_many_variables_enumerate_in_bounded_memory():

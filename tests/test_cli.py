@@ -226,6 +226,27 @@ def test_fit_empty_file_is_an_input_error(tmp_path):
     assert main(["fit", "--input", str(src), "--output", str(tmp_path / "m.txt")]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t,a\n", "the file holds no trajectories"),
+    ("id,c1,c2,c3,c4\n", "the file holds no coefficient data"),
+])
+@pytest.mark.parametrize("command", ["fit", "score", "baseline"])
+def test_an_empty_reference_file_gets_a_message_true_for_every_command(
+        ws, tmp_path, capsys, command, text, message):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    argv = {
+        "fit": ["fit", "--input", str(empty), "--output", str(tmp_path / "m.txt")],
+        "score": ["score", "--model", ws["model"], "--input", ws["outlier"]],
+        "baseline": ["baseline", "--model", ws["model"], "--input", ws["outlier"]],
+    }[command]
+    if command != "fit":
+        argv += ["--calibration", str(empty)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"trajcf: input error: {empty}: {message}\n"
+
+
 def test_fit_unknown_header_is_an_input_error(tmp_path):
     src = tmp_path / "odd.csv"
     src.write_text("foo,bar\n1,2\n")

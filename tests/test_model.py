@@ -140,15 +140,10 @@ def test_training_scores_lie_in_unit_interval():
 
 
 def test_christoffel_value_overflow_returns_zero():
-    base = fit(gaussian_dataset(30, 2, seed=3), 1, 2, epsilon=0.0)
-    tiny = ChristoffelModel(
-        basis=base.basis, epsilon=base.epsilon,
-        sample_count=base.sample_count, moment_sum=base.moment_sum.copy(),
-        inverse_factor=np.diag([1e200, 1.0, 1.0]),  # the inverse of a pivot of 1e-200
-        domain=base.domain, provenance="crafted",
-    )
-    assert math.isinf(cd_value(tiny, [1.0, 1.0]))
-    assert christoffel_value(tiny, [1.0, 1.0]) == 0.0
+    model = fit(gaussian_dataset(30, 2, seed=3), 1, 2, epsilon=0.0)
+    # the monomial 1e160 meets W's O(1) entries: its square overflows
+    assert math.isinf(cd_value(model, [1e160, 1.0]))
+    assert christoffel_value(model, [1e160, 1.0]) == 0.0
 
 
 def test_probe_shorter_than_model_is_a_mismatch():
@@ -520,6 +515,35 @@ def test_fit_and_its_reloaded_copy_are_bit_identical(example1_data, d, n, epsilo
                         np.random.default_rng(70).normal(size=(20, n))])
     np.testing.assert_array_equal(cd_values(reloaded, probes), cd_values(model, probes))
     assert model.provenance == reloaded.provenance == "fit"
+
+
+def test_a_replaced_epsilon_scores_as_the_saved_copy_does():
+    from trajcf.synth import generate_example1
+    exp = generate_example1(500, 0)
+    model = replace(fit(exp.dataset, 4, 4), epsilon=1e-3)
+    reloaded = load(io.StringIO(dumps(model)))
+    assert cd_value(model, exp.outlier) == cd_value(reloaded, exp.outlier)
+    mean_cd = float(np.mean(cd_values(model, exp.dataset.coeffs)))
+    assert model.effective_dimension() == pytest.approx(mean_cd, rel=1e-9)
+
+
+def test_a_replaced_moment_sum_gives_the_factor_of_the_fit(example1_data):
+    half = TrajectoryDataset.from_coefficients(example1_data.coeffs[:200])
+    want = fit(half, 2, 3)
+    model = replace(fit(example1_data, 2, 3), moment_sum=want.moment_sum,
+                    sample_count=want.sample_count, epsilon=want.epsilon)
+    _assert_bits_equal(model.inverse_factor, want.inverse_factor)
+    assert not model.inverse_factor.flags.writeable
+
+
+def test_the_factor_cannot_be_passed_in():
+    model = fit(gaussian_dataset(30, 2, seed=3), 1, 2)
+    fields = dict(basis=model.basis, epsilon=model.epsilon, sample_count=model.sample_count,
+                  moment_sum=model.moment_sum)
+    with pytest.raises(TypeError, match="inverse_factor"):
+        ChristoffelModel(**fields, inverse_factor=model.inverse_factor)
+    with pytest.raises(TypeError, match="inverse_factor"):
+        replace(model, inverse_factor=model.inverse_factor)
 
 
 def test_every_fit_at_zero_epsilon_that_succeeds_also_loads(example1_data):
