@@ -23,8 +23,14 @@ with the same fields have bit-identical factors and scores.  No spectrum
 is needed to score; only the eps = 0 singularity check, downdate's
 positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
 
-W is built in one m x m array: S/N is symmetrized there by panels, shifted,
-factored and inverted in place.  The factorization runs the gufunc behind
+The model's constructor is the one place its fields are checked, whoever
+builds it (`fit`, `load`, `update`, `downdate`, ``dataclasses.replace`` or
+a caller): S is a finite, bit-symmetric m x m array that the model alone
+holds, N is at least 1 and eps is finite and >= 0.  The code behind it
+relies on that and checks none of it again.
+
+W is built in one m x m array: S/N is shifted, factored and inverted
+there in place.  The factorization runs the gufunc behind
 np.linalg.cholesky with W as its output (`_cholesky_in_place`), because
 the public function returns a new array and so holds its input, its result
 and LAPACK's working copy at once; in place it holds W and that one copy,
@@ -45,7 +51,9 @@ CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper triangle.
 Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
 the text of S a row at a time from an int32 rank matrix filled by panels
-of PANEL_ROWS rows, so it never holds an m x m array of Python objects.
+of PANEL_ROWS rows (S mirrors its bits, so each panel copies the part
+right of its diagonal block from the panels below), so it never holds an
+m x m array of Python objects.
 `load` reads a path or a text file object once, a line at a time, hashing
 each line as it passes.  It allocates S only once d, n and m agree with the
 basis, then parses S PANEL_ROWS lines at a time straight into it, so it
@@ -80,9 +88,9 @@ SINGULAR_RCOND = 1e-15
 DEFAULT_EPSILON_SCALE = 1e-8
 
 # Rows per panel where an m x m array is walked by panels of rows for memory
-# alone (symmetrizing, ranking S in `save`, parsing S in `load`): no value
-# depends on it.  `_cd_from_factor`'s panels set the order of a sum, so
-# they have their own CD_PANEL_ROWS.
+# alone (checking and making S symmetric, ranking S in `save`, parsing S in
+# `load`): no value depends on it.  `_cd_from_factor`'s panels set the order
+# of a sum, so they have their own CD_PANEL_ROWS.
 PANEL_ROWS = 128
 
 _FORMAT_HEADER = "trajcf model 1"
@@ -261,16 +269,33 @@ def _symmetrize_in_place(M: np.ndarray) -> None:
 
 
 def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """A freshly summed S, checked finite and made exactly symmetric in place."""
+    """A freshly summed S, checked finite, made exactly symmetric in place
+    and frozen, so a model takes it without a copy: whatever order the BLAS
+    sums V^T V in, the model gets the bit-symmetric S it requires.  The
+    check follows the symmetrizing, whose a + b overflows where a cell
+    exceeds half the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        _symmetrize_in_place(S)
     _require_finite(S)
-    _symmetrize_in_place(S)
+    S.setflags(write=False)
     return S
 
 
+def _is_bit_symmetric(S: np.ndarray) -> bool:
+    """Whether the square S mirrors its bits: compared as int64 a panel of
+    PANEL_ROWS rows at a time, so -0.0 opposite 0.0 is asymmetric and no
+    temporary exceeds one panel."""
+    bits = S.view(np.int64)
+    for s in range(0, S.shape[0], PANEL_ROWS):
+        e = s + PANEL_ROWS
+        if not np.array_equal(bits[s:e, s:], bits[s:, s:e].T):
+            return False
+    return True
+
+
 def _shifted_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
-    """S/N + eps*I as a new array, with S/N symmetrized first (in place)."""
+    """S/N + eps*I as a new array: symmetric, as a model's S is."""
     M = S / N
-    _symmetrize_in_place(M)
     if eps > 0.0:
         M.flat[::M.shape[0] + 1] += eps
     return M
@@ -351,13 +376,13 @@ def _cholesky_in_place(M: np.ndarray) -> None:
 def _factor_from_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
     """The inverse Cholesky factor W = L^{-1} of S/N + eps*I (lower triangular).
 
-    At eps = 0 the matrix must first clear the eigenvalue floor; a Cholesky
+    S, N and eps are a model's fields, so S is finite and symmetric.  At
+    eps = 0 the matrix must first clear the eigenvalue floor; a Cholesky
     breakdown at any eps is a NumericalError.  W is the only m x m array
-    made: S/N is symmetrized, shifted, factored (`_cholesky_in_place`) and
-    inverted in it, so besides S and W this holds one LAPACK copy of W
-    during the factorization and half of W in `_invert_lower`'s products.
+    made: S/N is shifted, factored (`_cholesky_in_place`) and inverted in
+    it, so besides S and W this holds one LAPACK copy of W during the
+    factorization and half of W in `_invert_lower`'s products.
     """
-    _require_finite(S)
     W = _shifted_moments(S, N, eps)
     if eps == 0.0:
         _require_invertible(W)
@@ -450,6 +475,14 @@ class ChristoffelModel:
 
     Immutable: update/downdate return new instances, so concurrent readers
     are never invalidated.  `inverse_factor` is derived from the fields.
+
+    The constructor checks the fields, each failure an InputError, in this
+    order: S is (m, m) for the m monomials of ``basis``, finite and
+    bit-symmetric; 1 <= N <= the largest float; eps is finite and >= 0;
+    the domain passes `check_domain`.  S is kept read-only: an owned
+    read-only float64 array is kept as handed over, anything else is
+    copied (`_read_only_array`), so no later write to the caller's array
+    reaches the model or its cached factor.
     """
 
     basis: BasisEnumeration
@@ -460,7 +493,24 @@ class ChristoffelModel:
     provenance: str = "fit"
 
     def __post_init__(self) -> None:
-        self.moment_sum.setflags(write=False)
+        S = _read_only_array(self.moment_sum)
+        m = len(self.basis)
+        if S.shape != (m, m):
+            raise InputError(f"moment matrix is not {m} x {m} (shape {S.shape})")
+        if not np.all(np.isfinite(S)):
+            raise InputError("moment matrix has non-finite entries")
+        if not _is_bit_symmetric(S):
+            raise InputError("moment matrix is not symmetric")
+        N = self.sample_count
+        if N < 1:
+            raise InputError(f"sample count must be >= 1, got {N}")
+        if N > sys.float_info.max:  # S / N takes N as a float
+            raise InputError(f"sample count has {len(str(N))} digits, beyond float range")
+        eps = self.epsilon
+        if eps < 0.0 or not math.isfinite(eps):
+            raise InputError(f"epsilon must be finite and >= 0, got {eps}")
+        object.__setattr__(self, "moment_sum", S)
+        object.__setattr__(self, "domain", check_domain(self.domain))
 
     @cached_property
     def inverse_factor(self) -> np.ndarray:
@@ -539,7 +589,7 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
     ------
     InputError
         Empty dataset, short coefficient vectors, invalid degrees or
-        epsilon, basis cap exceeded.
+        epsilon (the model's own check), basis cap exceeded.
     NumericalError
         Singular moment matrix at epsilon = 0, a Cholesky breakdown, or
         monomials that overflow.
@@ -549,12 +599,7 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         raise InputError("a trajectory dataset cannot be empty")
     bas = enumerate_basis(d, n)
     S = _symmetrized(_moment_sum(data.coefficient_matrix(bas.n), bas))
-    if epsilon is None:
-        eps = default_epsilon(S, N)
-    else:
-        eps = float(epsilon)
-        if not math.isfinite(eps) or eps < 0.0:
-            raise InputError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    eps = default_epsilon(S, N) if epsilon is None else float(epsilon)
     return _factored(ChristoffelModel(
         basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
         domain=data.domain, provenance="fit",
@@ -733,19 +778,14 @@ def _ranks(bits: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     int32 matrix filled by panels of PANEL_ROWS rows from the bottom up.
 
     A panel s:e searches its cells left of e; right of e it copies the
-    transpose of the panels below wherever their bits mirror its own, as they
-    do for every S that `fit`, `update` and `downdate` return, and searches
-    only where they do not (a hand-edited file).
+    transpose of the panels below, since a model's S mirrors its bits.
     """
     m = bits.shape[0]
     R = np.empty((m, m), dtype=np.int32)
     for s in reversed(range(0, m, PANEL_ROWS)):
         e = min(s + PANEL_ROWS, m)
         R[s:e, :e] = np.searchsorted(distinct, bits[s:e, :e])
-        if np.array_equal(bits[s:e, e:], bits[e:, s:e].T):
-            R[s:e, e:] = R[e:, s:e].T
-        else:
-            R[s:e, e:] = np.searchsorted(distinct, bits[s:e, e:])
+        R[s:e, e:] = R[e:, s:e].T
     return R
 
 
@@ -932,8 +972,10 @@ def load(source) -> ChristoffelModel:
 
     ``source`` is a path or a text file object, read once, a line at a time
     (`_read_model`): S is parsed by panels of lines into the array it is
-    kept in, so the file's text is never held whole.  The factorization
-    then holds S, W and one LAPACK copy of W (`_factor_from_moments`).
+    kept in, so the file's text is never held whole.  The model's own
+    checks of S, N and eps report as "model file ..." after the file's.
+    The factorization then holds S, W and one LAPACK copy of W
+    (`_factor_from_moments`).
     """
     with (contextlib.nullcontext(source) if hasattr(source, "read")
           else open(source, "r", encoding="utf-8")) as fh:
@@ -964,19 +1006,16 @@ def load(source) -> ChristoffelModel:
         )
     if S is None or S.shape != (m, m):
         raise InputError(f"model file moment matrix is not {m} x {m} ({rows} rows found)")
-    if not np.all(np.isfinite(S)):
-        raise InputError("model file moment matrix has non-finite entries")
-    if N < 1:
-        raise InputError(f"model file sample count must be >= 1, got {N}")
-    if N > sys.float_info.max:  # S / N takes N as a float
-        raise InputError(f"model file sample count has {len(str(N))} digits, beyond float range")
-    if eps < 0.0 or not math.isfinite(eps):
-        raise InputError(f"model file epsilon must be finite and >= 0, got {eps}")
-    # Preserve the original creator so save(load(f)) reproduces f's bytes.
-    return _factored(ChristoffelModel(
-        basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
-        domain=domain, provenance=fields.get("created-by", "fit"),
-    ))
+    S.setflags(write=False)  # the model keeps it without a copy
+    try:
+        # Preserve the original creator so save(load(f)) reproduces f's bytes.
+        model = ChristoffelModel(
+            basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
+            domain=domain, provenance=fields.get("created-by", "fit"),
+        )
+    except InputError as exc:
+        raise InputError(f"model file {exc}") from exc
+    return _factored(model)
 
 
 def dumps(model: ChristoffelModel) -> str:

@@ -690,6 +690,36 @@ def test_a_model_file_with_indefinite_moments_exits_as_a_numerical_error(ws, tmp
     assert "Matrix is not positive definite" in err and "Traceback" not in err
 
 
+def _one_ulp_up(ws, tmp_path, cells):
+    """The shared model file with each (row, column) cell of S one ulp up,
+    resealed."""
+    payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
+    first = payload.index("S") + 1
+    for i, j in cells:
+        row = payload[first + i].split()
+        row[j] = "%.17g" % np.nextafter(float(row[j]), np.inf)
+        payload[first + i] = " ".join(row)
+    return _resealed(tmp_path / "edited.txt", payload)
+
+
+@pytest.mark.parametrize("command", ["info", "score", "update"])
+def test_a_model_file_whose_moment_matrix_is_not_symmetric_is_an_input_error(
+        ws, tmp_path, capsys, command):
+    bad = _one_ulp_up(ws, tmp_path, [(3, 10)])
+    argv = {
+        "info": ["info", "--model", bad],
+        "score": ["score", "--model", bad, "--input", ws["outlier"]],
+        "update": ["update", "--model", bad, "--input", ws["outlier"],
+                   "--output", str(tmp_path / "updated.txt")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "model file moment matrix is not symmetric" in err and "Traceback" not in err
+    assert not (tmp_path / "updated.txt").exists()
+    # the same edit of both mirrors keeps S symmetric, and the file loads
+    assert main(["info", "--model", _one_ulp_up(ws, tmp_path, [(3, 10), (10, 3)])]) == 0
+
+
 @pytest.mark.parametrize("target, command", [
     ("trajcf.synth.generate_example1", ["synth", "example1", "--count", "5"]),
     ("trajcf.model.fit", ["fit", "--input", None, "--degree-d", "2", "--degree-n", "2"]),

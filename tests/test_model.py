@@ -452,6 +452,19 @@ def test_fit_with_overflowing_monomials_is_a_numerical_error():
         fit(data, 4, 2)
 
 
+def test_a_moment_sum_beyond_half_the_float_range_is_a_numerical_error():
+    # every cell of S is finite, but making it symmetric adds two cells of
+    # S[1:, 1:]: the overflow is reported as fit reports overflowing
+    # monomials, without a RuntimeWarning
+    import warnings
+    data = TrajectoryDataset.from_coefficients(
+        [[5.7e153, 5.7e153], [-5.7e153, 5.0e153], [5.7e153, -5.7e153]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit(data, 1, 2)
+
+
 # --- batched update / downdate -------------------------------------------------
 
 def test_batch_update_and_downdate_match_the_sequential_loop():
@@ -546,6 +559,86 @@ def test_the_factor_cannot_be_passed_in():
         replace(model, inverse_factor=model.inverse_factor)
 
 
+def _field_cases():
+    """(edit of a (2, 2) model's fields, expected message): each edit
+    gives fields that contradict each other or the paper's M."""
+    def cell(*edits):
+        def edit(fields):
+            S = np.array(fields["moment_sum"])
+            for (i, j), value in edits:
+                S[i, j] = value
+            return dict(fields, moment_sum=S)
+        return edit
+
+    def with_(**kw):
+        return lambda fields: dict(fields, **kw)
+
+    not_symmetric = r"moment matrix is not symmetric"
+    bad_eps = r"epsilon must be finite and >= 0, got "
+    return [
+        pytest.param(with_(moment_sum=np.eye(3)), r"moment matrix is not 6 x 6 \(shape \(3, 3\)\)",
+                     id="short-S"),
+        pytest.param(with_(epsilon=-1.0), bad_eps + r"-1\.0", id="negative-eps"),
+        pytest.param(with_(epsilon=math.nan), bad_eps + "nan", id="nan-eps"),
+        pytest.param(with_(epsilon=math.inf), bad_eps + "inf", id="inf-eps"),
+        pytest.param(with_(sample_count=0), r"sample count must be >= 1, got 0", id="no-samples"),
+        pytest.param(cell(((4, 4), math.nan)), r"moment matrix has non-finite entries", id="nan-cell"),
+        pytest.param(cell(((0, 2), 0.25)), not_symmetric, id="edited-cell"),
+        pytest.param(cell(((1, 3), -0.0), ((3, 1), 0.0)), not_symmetric, id="signed-zeros"),
+        pytest.param(with_(domain=(1.0, -1.0)), r"invalid domain interval \(1\.0, -1\.0\)",
+                     id="reversed-domain"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def model_m6():
+    return fit(gaussian_dataset(30, 2, seed=64), 2, 2)
+
+
+@pytest.mark.parametrize("how", ["direct", "replace"])
+@pytest.mark.parametrize("edit, message", _field_cases())
+def test_a_model_with_inconsistent_fields_is_an_input_error(model_m6, how, edit, message):
+    # each of these built a model that scored, from part of S or with a
+    # shift that is no regularization
+    fields = dict(basis=model_m6.basis, epsilon=model_m6.epsilon,
+                  sample_count=model_m6.sample_count, moment_sum=model_m6.moment_sum,
+                  domain=model_m6.domain)
+    bad = edit(fields)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        if how == "direct":
+            ChristoffelModel(**bad)
+        else:
+            replace(model_m6, **{k: v for k, v in bad.items() if v is not fields[k]})
+
+
+def test_a_model_owns_its_moment_sum(model_m6):
+    probes = np.random.default_rng(65).normal(size=(5, 2))
+    want = cd_values(model_m6, probes)
+    fields = dict(basis=model_m6.basis, epsilon=model_m6.epsilon,
+                  sample_count=model_m6.sample_count)
+    # a caller's writable array is copied and stays writable
+    S = np.array(model_m6.moment_sum)
+    model = ChristoffelModel(**fields, moment_sum=S)
+    assert S.flags.writeable and not model.moment_sum.flags.writeable
+    S *= 3.0
+    _assert_bits_equal(cd_values(model, probes), want)
+    # so is a view: a write to its base reaches neither S nor the cached factor
+    base = np.zeros((2,) + S.shape)
+    base[1] = model_m6.moment_sum
+    model = replace(model_m6, moment_sum=base[1])
+    _assert_bits_equal(cd_values(model, probes), want)
+    base[1] *= 3.0
+    _assert_bits_equal(cd_values(model, probes), want)
+    _assert_bits_equal(cd_values(replace(model), probes), want)
+    # an owned read-only float64 array is handed over, as fit, load, update
+    # and downdate hand theirs
+    frozen = np.array(model_m6.moment_sum)
+    frozen.setflags(write=False)
+    assert ChristoffelModel(**fields, moment_sum=frozen).moment_sum is frozen
+    assert replace(model_m6, epsilon=0.5).moment_sum is model_m6.moment_sum
+    assert not update(model_m6, probes).moment_sum.flags.writeable
+
+
 def test_every_fit_at_zero_epsilon_that_succeeds_also_loads(example1_data):
     outcomes = []
     for d in range(1, 7):
@@ -596,9 +689,12 @@ def test_cd_values_match_a_refined_solve_at_degree_8():
 
 
 def _crafted(moment_sum):
-    """A (1, 3) model, m = 4, whose moment sum is replaced by ``moment_sum``."""
-    from dataclasses import replace
-    return replace(fit(gaussian_dataset(10, 3, seed=71), 1, 3), moment_sum=moment_sum)
+    """A model whose moment sum is ``moment_sum``, on a basis of as many
+    monomials as it has rows: degree pair (1, k - 1), or (0, 1) for k = 1."""
+    k = len(moment_sum)
+    basis = enumerate_basis(1, k - 1) if k > 1 else enumerate_basis(0, 1)
+    return ChristoffelModel(basis=basis, epsilon=1e-3, sample_count=10,
+                            moment_sum=moment_sum, provenance="fit")
 
 
 _SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
@@ -607,28 +703,33 @@ _SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308,
 
 def test_payload_formats_every_cell_as_the_per_cell_loop_does():
     rng = np.random.default_rng(72)
-    # 16 cells from 11 values
+    # 16 cells from 11 values, mirrored bit for bit
     S = np.array(_SPECIAL_VALUES)[rng.integers(len(_SPECIAL_VALUES), size=(4, 4))]
     S[0] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    S = np.where(np.triu(np.ones((4, 4), dtype=bool)), S, S.T)
     lines = dumps(_crafted(S)).splitlines()[:-1]
     rows = lines[lines.index("S") + 1:]
     assert rows == [" ".join("%.17g" % x for x in row) for row in S.tolist()]
     assert rows[0].split()[:2] == ["-0", "0"]
 
 
-def test_asymmetric_moment_sum_in_a_hand_edited_file_saves_back_byte_for_byte():
+def test_an_asymmetric_moment_sum_in_a_hand_edited_file_is_rejected():
     text = dumps(fit(gaussian_dataset(30, 3, seed=73), 1, 3))
 
-    def skew(lines):
-        row = lines.index("S") + 1
-        cells = lines[row].split()
-        cells[2] = "%.17g" % (float(cells[2]) + 0.25)
-        lines[row] = " ".join(cells)
+    def skew(lines, cells_at=((0, 2),)):
+        for i, j in cells_at:
+            row = lines.index("S") + 1 + i
+            cells = lines[row].split()
+            cells[j] = "%.17g" % (float(cells[j]) + 0.25)
+            lines[row] = " ".join(cells)
         return lines
 
-    edited = _retag(text, skew)
+    with pytest.raises(InputError, match="^model file moment matrix is not symmetric$"):
+        load(io.StringIO(_retag(text, skew)))
+    # an edit of both mirrors keeps S symmetric, and the file loads and saves back
+    edited = _retag(text, lambda lines: skew(lines, ((0, 2), (2, 0))))
     model = load(io.StringIO(edited))
-    assert model.moment_sum[0, 2] != model.moment_sum[2, 0]
+    assert model.moment_sum[0, 2] == model.moment_sum[2, 0]
     assert_same_text(dumps(model), edited)
 
 
@@ -674,9 +775,15 @@ def _special_matrix(size, symmetric, seed):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
 def test_model_file_matches_the_argsort_writer_byte_for_byte(size, symmetric):
+    # The writer copies each panel's mirror image, so it needs a bit-symmetric
+    # S; a model refuses any other, so none reaches the writer.
     from trajcf.model import PANEL_ROWS
     assert PANEL_ROWS == 128  # the sizes straddle one panel edge
     S = _special_matrix(size, symmetric, seed=size + 1000 * symmetric)
+    if not symmetric and size > 1:
+        with pytest.raises(InputError, match="^moment matrix is not symmetric$"):
+            _crafted(S)
+        return
     model = _crafted(S)
     assert_same_text(dumps(model), _argsort_document(model))
 
@@ -686,15 +793,14 @@ def test_signed_zeros_in_different_panels_keep_their_signs():
     S = S + S.T
     S[5, 0] = S[0, 5] = -0.0                # first panel only
     S[250, 200] = S[200, 250] = 0.0         # a later panel
-    S[270, 10] = -0.0                       # equal values, mirrored bits differ
-    S[10, 270] = 0.0
+    S[270, 10] = S[10, 270] = -0.0          # a mirror pair across panels
     model = _crafted(S)
     text = dumps(model)
     assert_same_text(text, _argsort_document(model))
     rows = text.splitlines()[10:-1]
     assert rows[0].split()[5] == rows[5].split()[0] == "-0"
     assert rows[200].split()[250] == rows[250].split()[200] == "0"
-    assert (rows[270].split()[10], rows[10].split()[270]) == ("-0", "0")
+    assert rows[270].split()[10] == rows[10].split()[270] == "-0"
     parsed = np.array([[float(x) for x in row.split()] for row in rows])
     np.testing.assert_array_equal(parsed, S)
     np.testing.assert_array_equal(np.signbit(parsed), np.signbit(S))
@@ -808,7 +914,8 @@ def _oracle_factor_from_moments(S, N, eps):
 
 def _spd(size, symmetric, seed):
     """A well-conditioned positive definite matrix, or one plus a small
-    asymmetric part (a hand-edited S), with cells of mixed sign and scale."""
+    asymmetric part (a sum the BLAS rounded unevenly), with cells of mixed
+    sign and scale."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(size, size))
     A = G @ G.T / size + np.eye(size)
@@ -828,12 +935,16 @@ def _assert_bits_equal(got, want):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 300])
 def test_factor_matches_the_out_of_place_build_bit_for_bit(size, symmetric, eps):
+    # The factor no longer symmetrizes S/N: an S that fit, update or
+    # downdate symmetrized (`_symmetrized`), or that was symmetric to begin
+    # with, gives the bits of the build that did.
     from trajcf.model import PANEL_ROWS, _symmetrized
     assert PANEL_ROWS == 128  # the sizes straddle one panel edge
-    S = _spd(size, symmetric, seed=size + 1000 * symmetric)
+    summed = _spd(size, symmetric, seed=size + 1000 * symmetric)
+    S = _symmetrized(summed.copy())
+    _assert_bits_equal(S, (summed + summed.T) / 2.0)
     _assert_bits_equal(_shifted_moments(S, 7, eps), _oracle_shifted_moments(S, 7, eps))
     _assert_bits_equal(_factor_from_moments(S, 7, eps), _oracle_factor_from_moments(S, 7, eps))
-    _assert_bits_equal(_symmetrized(S.copy()), (S + S.T) / 2.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, None], ids=["eps0", "default"])
@@ -852,11 +963,13 @@ def test_fitted_factor_and_spectrum_match_the_out_of_place_build(model_m1287, ep
 
 
 def test_a_pairwise_sum_that_overflows_is_still_a_numerical_error():
-    S = np.array([[1.0, 1e308], [1.7e308, 1.0]])
-    for eps in (0.0, 1e-3):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(NumericalError, match="Matrix is not positive definite"):
-                _factor_from_moments(S, 1, eps)
+    # L[1, 1]^2 = S[1, 1] - L[1, 0]^2 overflows inside the factorization, at
+    # eps > 0; at eps = 0 the eigenvalue floor refuses S first
+    S = np.array([[1e-300, 1e300], [1e300, 1.0]])
+    with pytest.raises(NumericalError, match="numerically singular at epsilon = 0"):
+        _factor_from_moments(S, 1, 0.0)
+    with pytest.raises(NumericalError, match="Matrix is not positive definite"):
+        _factor_from_moments(S, 1, 1e-3)
 
 
 def test_in_place_cholesky_matches_numpy_bit_for_bit():

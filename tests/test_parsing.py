@@ -303,16 +303,21 @@ def test_streamed_load_gives_the_values_or_the_message_of_the_all_lines_reader(t
     assert (whole[0] == "ok") == (name in ("saved", "crlf", "float-only-cell"))
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
-def test_a_streamed_model_saves_back_byte_for_byte(tmp_path, symmetric):
-    text = WIDE_MODEL if symmetric else _edited(_cell(140, lambda cell: "%.17g" % np.nextafter(
-        float(cell), np.inf)))      # S[140, 3] is one ulp off S[3, 140], as in a hand edit
+def test_a_streamed_model_saves_back_byte_for_byte(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_bytes(WIDE_MODEL.encode("utf-8"))
+    assert _fills_S(path)
+    assert_same_text(dumps(load(path)), WIDE_MODEL)
+
+
+def test_a_streamed_model_one_ulp_off_symmetric_is_rejected(tmp_path):
+    # S[140, 3], in the second panel, is one ulp off S[3, 140], as in a hand edit
+    text = _edited(_cell(140, lambda cell: "%.17g" % np.nextafter(float(cell), np.inf)))
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("utf-8"))
     assert _fills_S(path)
-    model = load(path)
-    assert (model.moment_sum[140, 3] == model.moment_sum[3, 140]) == symmetric
-    assert_same_text(dumps(model), text)
+    once, whole = load_both_ways(path)
+    assert once == whole == ("InputError", "model file moment matrix is not symmetric")
 
 
 def test_a_streamed_load_enumerates_its_basis_once(tmp_path, monkeypatch):
