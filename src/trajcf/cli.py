@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import re
 import sys
 
 import numpy as np
@@ -231,15 +230,6 @@ def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> Traje
 # strings stay block-sized; no byte depends on it.
 _CSV_EOL = "\r\n"
 CSV_BLOCK_ROWS = 1024
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
-def _csv_cell(text: str) -> str:
-    """``text`` quoted as csv.writer quotes a cell that is not alone in its
-    row (QUOTE_MINIMAL)."""
-    if _CSV_SPECIAL.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
@@ -247,7 +237,7 @@ def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
         csv.writer(fh).writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
         for s in range(0, coeffs.shape[0], CSV_BLOCK_ROWS):
             rows = coeffs[s:s + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join([_csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL
+            fh.write("".join(",".join([_scoring.csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL
                              for i, row in zip(ids[s:s + CSV_BLOCK_ROWS], rows)))
 
 

@@ -19,15 +19,19 @@ factor: the inverse W = L^{-1} of the lower-triangular L with
 L L^T = M + eps*I, so that cd_value(h) = ||W v(h)||^2.  The model derives
 W from S, N and eps in one place, its `inverse_factor` property, so a
 fitted model, its saved and reloaded copy and any model built or replaced
-with the same fields have bit-identical factors and scores.  No spectrum
-is needed to score; only the eps = 0 singularity check, downdate's
-positive-semidefiniteness check and `ChristoffelModel.spectrum` compute one.
+with the same fields have bit-identical factors and scores.  `fit`,
+`update` and `downdate` take W before they return, so they raise where
+S/N + eps*I does not factor; `load` leaves W to the first CD value.  No
+spectrum is needed to score; only the eps = 0 singularity check,
+downdate's positive-semidefiniteness check and `ChristoffelModel.spectrum`
+compute one.
 
 The model's constructor is the one place its fields are checked, whoever
 builds it (`fit`, `load`, `update`, `downdate`, ``dataclasses.replace`` or
 a caller): S is a finite, bit-symmetric m x m array that the model alone
 holds, N is at least 1 and eps is finite and >= 0.  The code behind it
-relies on that and checks none of it again.
+relies on that and checks none of it again; numpy sums S bit-symmetric
+(`_frozen_sum`).
 
 W is built in one m x m array: S/N is shifted, factored and inverted
 there in place.  The factorization runs the gufunc behind
@@ -88,7 +92,7 @@ SINGULAR_RCOND = 1e-15
 DEFAULT_EPSILON_SCALE = 1e-8
 
 # Rows per panel where an m x m array is walked by panels of rows for memory
-# alone (checking and making S symmetric, ranking S in `save`, parsing S in
+# alone (checking that S is symmetric, ranking S in `save`, parsing S in
 # `load`): no value depends on it.  `_cd_from_factor`'s panels set the order
 # of a sum, so they have their own CD_PANEL_ROWS.
 PANEL_ROWS = 128
@@ -236,47 +240,36 @@ class TrajectoryDataset:
 # ---------------------------------------------------------------------------
 
 def default_epsilon(moment_sum: np.ndarray, sample_count: int) -> float:
-    """Scale-relative default shift: 1e-8 * trace(S/N) / m."""
+    """Scale-relative default shift: 1e-8 * trace(S/N) / m.  A trace that
+    overflows is a NumericalError."""
     m = moment_sum.shape[0]
-    return DEFAULT_EPSILON_SCALE * float(np.trace(moment_sum)) / (sample_count * m)
+    with np.errstate(over="ignore"):  # reported just below
+        trace = float(np.trace(moment_sum))
+    if not math.isfinite(trace):
+        raise NumericalError(
+            "the default epsilon 1e-8 * trace(S/N) / m is non-finite: the moment "
+            "matrix's trace overflows, as the monomials of these coefficients do"
+        )
+    return DEFAULT_EPSILON_SCALE * trace / (sample_count * m)
 
 
-def _require_finite(S: np.ndarray) -> None:
+def _frozen_sum(S: np.ndarray) -> np.ndarray:
+    """A freshly summed S, checked finite and frozen, so a model takes it
+    without a copy.
+
+    S is already bit-symmetric, as a model requires.  numpy's matmul sees
+    that V^T V multiplies one buffer by its own transpose, computes one
+    triangle with a BLAS syrk call and mirrors it; its loop without a BLAS
+    computes cell (i, j) and cell (j, i) from the same products in the
+    same order.  A sum or difference of bit-symmetric arrays is
+    bit-symmetric cell by cell.  The model's constructor still checks it
+    (`_is_bit_symmetric`).
+    """
     if not np.all(np.isfinite(S)):
         raise NumericalError(
             "the moment matrix has non-finite entries: the monomials of these "
             "coefficients overflow at this degree"
         )
-
-
-def _symmetrize_in_place(M: np.ndarray) -> None:
-    """Overwrite the square M with (M + M.T) / 2, one panel of rows at a time.
-
-    Each pair of cells (i, j), (j, i) gets (a + b) / 2, the arithmetic of
-    ``(M + M.T) / 2`` (a + b equals b + a bit for bit), so the result is
-    bit-identical for any M, symmetric or not; no temporary exceeds one
-    panel of PANEL_ROWS columns below the diagonal.
-    """
-    m = M.shape[0]
-    for s in range(0, m, PANEL_ROWS):
-        e = min(s + PANEL_ROWS, m)
-        block = M[s:e, s:e]
-        block[...] = (block + block.T) / 2.0
-        lower = M[e:, s:e]
-        lower += M[s:e, e:].T
-        lower /= 2.0
-        M[s:e, e:] = lower.T
-
-
-def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """A freshly summed S, checked finite, made exactly symmetric in place
-    and frozen, so a model takes it without a copy: whatever order the BLAS
-    sums V^T V in, the model gets the bit-symmetric S it requires.  The
-    check follows the symmetrizing, whose a + b overflows where a cell
-    exceeds half the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        _symmetrize_in_place(S)
-    _require_finite(S)
     S.setflags(write=False)
     return S
 
@@ -304,8 +297,7 @@ def _shifted_moments(S: np.ndarray, N: int, eps: float) -> np.ndarray:
 def _require_invertible(M: np.ndarray) -> None:
     """Fail unless the unregularized moment matrix M clears the eigenvalue floor."""
     s = np.linalg.eigvalsh(M)
-    smax = float(s[-1]) if s.size else 0.0
-    smin = float(s[0]) if s.size else 0.0
+    smin, smax = float(s[0]), float(s[-1])
     if smax <= 0.0 or smin <= SINGULAR_RCOND * smax:
         raise NumericalError(
             f"moment matrix is numerically singular at epsilon = 0 "
@@ -448,6 +440,7 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
     entry) scores inf: the diagonal of W is nonzero, so the entry reaches
     its panel's product.
     """
+    W = model.inverse_factor  # a loaded model factors here, before any block is allocated
     out = np.empty(C.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
         for start in range(0, C.shape[0], CD_BLOCK_ROWS):
@@ -458,7 +451,7 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
                 Vt[:, :k] = V.T
             else:
                 Vt = np.ascontiguousarray(V.T)
-            out[start:start + k] = _cd_from_factor(model.inverse_factor, Vt)[:k]
+            out[start:start + k] = _cd_from_factor(W, Vt)[:k]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf
@@ -591,14 +584,14 @@ def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -
         Empty dataset, short coefficient vectors, invalid degrees or
         epsilon (the model's own check), basis cap exceeded.
     NumericalError
-        Singular moment matrix at epsilon = 0, a Cholesky breakdown, or
-        monomials that overflow.
+        Singular moment matrix at epsilon = 0, a Cholesky breakdown,
+        monomials that overflow, or a default epsilon that does.
     """
     N = len(data)
     if N == 0:
         raise InputError("a trajectory dataset cannot be empty")
     bas = enumerate_basis(d, n)
-    S = _symmetrized(_moment_sum(data.coefficient_matrix(bas.n), bas))
+    S = _frozen_sum(_moment_sum(data.coefficient_matrix(bas.n), bas))
     eps = default_epsilon(S, N) if epsilon is None else float(epsilon)
     return _factored(ChristoffelModel(
         basis=bas, epsilon=eps, sample_count=N, moment_sum=S,
@@ -676,8 +669,8 @@ def update(model: ChristoffelModel, c_new) -> ChristoffelModel:
     C = model._probe_rows(c_new)
     if C.shape[0] == 0:
         return model
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
-        S = _symmetrized(model.moment_sum + _moment_sum(C, model.basis))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _frozen_sum
+        S = _frozen_sum(model.moment_sum + _moment_sum(C, model.basis))
     return _refactored(model, S, model.sample_count + C.shape[0], "update")
 
 
@@ -699,8 +692,8 @@ def downdate(model: ChristoffelModel, c_old) -> ChristoffelModel:
             f"cannot downdate below one absorbed trajectory "
             f"({C.shape[0]} removed from {model.sample_count})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _symmetrized
-        S = _symmetrized(model.moment_sum - _moment_sum(C, model.basis))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by _frozen_sum
+        S = _frozen_sum(model.moment_sum - _moment_sum(C, model.basis))
     smin_S = float(np.linalg.eigvalsh(S)[0])
     tol = 1e-10 * max(float(np.trace(S)), 1.0)
     if smin_S < -tol:
@@ -968,14 +961,15 @@ def _read_model(fh) -> tuple[dict[str, str], np.ndarray | None, int, BasisEnumer
 
 
 def load(source) -> ChristoffelModel:
-    """Read a model written by `save` and rebuild its factorization.
+    """Read a model written by `save`.
 
     ``source`` is a path or a text file object, read once, a line at a time
     (`_read_model`): S is parsed by panels of lines into the array it is
     kept in, so the file's text is never held whole.  The model's own
     checks of S, N and eps report as "model file ..." after the file's.
-    The factorization then holds S, W and one LAPACK copy of W
-    (`_factor_from_moments`).
+    The model is not factored here: its first CD value takes W, so a
+    model read for its fields or its spectrum is never factored, and S/N +
+    eps*I that does not factor raises there.
     """
     with (contextlib.nullcontext(source) if hasattr(source, "read")
           else open(source, "r", encoding="utf-8")) as fh:
@@ -985,13 +979,11 @@ def load(source) -> ChristoffelModel:
     m = _parse_scalar(fields, "m", int)
     eps = _parse_scalar(fields, "epsilon", float)
     N = _parse_scalar(fields, "N", int)
-    dom_parts = _parse_scalar(fields, "domain", str).split()
-    if len(dom_parts) != 2:
-        raise InputError(f"model file domain is malformed: {fields.get('domain')!r}")
+    dom_text = _parse_scalar(fields, "domain", str)
     try:
-        lo, hi = float(dom_parts[0]), float(dom_parts[1])
+        lo, hi = map(float, dom_text.split())  # two cells, each a float
     except ValueError as exc:
-        raise InputError(f"model file domain is malformed: {fields.get('domain')!r}") from exc
+        raise InputError(f"model file domain is malformed: {dom_text!r}") from exc
     domain = check_domain((lo, hi))  # the rule fit --domain applies
     ordering = fields.get("basis", "")
     if ordering != _BASIS_ORDERING:
@@ -1015,7 +1007,7 @@ def load(source) -> ChristoffelModel:
         )
     except InputError as exc:
         raise InputError(f"model file {exc}") from exc
-    return _factored(model)
+    return model
 
 
 def dumps(model: ChristoffelModel) -> str:

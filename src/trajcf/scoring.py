@@ -24,6 +24,7 @@ gets fraction ~ 0 no matter how abnormal the curve is as a function.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -80,6 +81,17 @@ class ScoreReport:
         return "Outlier" if self.cd > self.threshold else "Inlier"
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def csv_cell(text: str) -> str:
+    """``text`` quoted as csv.writer quotes a cell that is not alone in its
+    row (QUOTE_MINIMAL): the id cell of a report or of a data file."""
+    if _CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def report_header() -> str:
     return ",".join(REPORT_COLUMNS)
 
@@ -87,7 +99,7 @@ def report_header() -> str:
 def report_line(report: ScoreReport) -> str:
     """One report as a CSV line, columns in `REPORT_COLUMNS` order."""
     fields = [
-        report.id or "",
+        csv_cell(report.id or ""),
         repr(report.cd),
         repr(report.christoffel),
         repr(report.threshold),

@@ -58,10 +58,10 @@ def read_model_whole(fh):
 def _load_outcome(source):
     import numpy as np
     from trajcf.errors import TrajcfError
-    from trajcf.model import load
+    from trajcf.model import _factored, load
 
     try:
-        model = load(source)
+        model = _factored(load(source))  # a factor that breaks down is an outcome too
     except TrajcfError as exc:
         return type(exc).__name__, str(exc)
     bits = [np.ascontiguousarray(a).view(np.int64).tobytes()

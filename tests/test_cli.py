@@ -529,6 +529,22 @@ def test_baseline_quad_points_is_the_projection_m_as_in_score(ws, tmp_path, caps
     assert (header["quad_points"], default_header["quad_points"]) == ("65", "256")
 
 
+def test_report_ids_are_quoted_as_csv_cells(ws, tmp_path):
+    # an id holding a comma or a quote must stay one cell of the report
+    rows = list(csv.reader(Path(ws["data"]).read_text(encoding="utf-8").splitlines()))
+    ids = ["a,b", 'q"x']
+    src = tmp_path / "probes.csv"
+    with src.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0]] + [[i, *row[1:]] for i, row in zip(ids, rows[1:])])
+    for command, width in ((["score"], 6), (["baseline", "--calibration", ws["data"]], 7)):
+        out = tmp_path / f"{command[0]}.csv"
+        assert main([*command, "--model", ws["model"], "--input", str(src),
+                     "--output", str(out)]) == 0
+        report = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
+        assert [len(r) for r in report] == [width] * 3
+        assert [r[0] for r in report[1:]] == ids
+
+
 def test_baseline_requires_calibration(ws):
     assert main(["baseline", "--model", ws["model"], "--input", ws["outlier"]]) == 2
 
@@ -542,6 +558,43 @@ def test_info_prints_the_metadata(ws, capsys):
     assert "N 120" in text
     assert "domain -1:1" in text
     assert "provenance fit" in text
+
+
+# --- factorizations per command ----------------------------------------------------
+
+def test_each_command_factors_each_model_it_scores_or_writes_once(ws, tmp_path, monkeypatch):
+    # load does not factor, so update takes one Cholesky, downdate one plus
+    # its eigenvalue check, and info only the spectrum it prints; baseline
+    # factors the model and the point cloud
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    updated, model = str(tmp_path / "u.txt"), ws["model"]
+    expected = [
+        (["fit", "--input", ws["data"], "--output", str(tmp_path / "f.txt"),
+          "--degree-d", "4", "--degree-n", "4"], 1, 0),
+        (["score", "--model", model, "--input", ws["outlier"]], 1, 0),
+        (["update", "--model", model, "--input", ws["outlier"], "--output", updated], 1, 0),
+        (["downdate", "--model", updated, "--input", ws["outlier"],
+          "--output", str(tmp_path / "d.txt")], 1, 1),
+        (["info", "--model", model], 0, 1),
+        (["baseline", "--model", model, "--input", ws["outlier"],
+          "--calibration", ws["data"]], 2, 0),
+    ]
+    for argv, cholesky, eigvalsh in expected:
+        for name in calls:
+            calls[name] = 0
+        assert main(argv) == 0, argv[0]
+        assert calls == {"cholesky": cholesky, "eigvalsh": eigvalsh}, argv[0]
 
 
 # --- batched data plane ------------------------------------------------------------
@@ -648,6 +701,21 @@ def test_fit_on_overflowing_coefficients_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error" in err and "Traceback" not in err
 
 
+def test_fit_whose_default_epsilon_overflows_is_a_numerical_error(tmp_path, capsys):
+    # every cell of S is finite, but trace(S) is not
+    src = tmp_path / "huge.csv"
+    a = "5.16e153"
+    src.write_text(f"id,c1,c2,c3\nu,{a},{a},{a}\nv,-{a},{a},-{a}\nw,{a},-{a},{a}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--input", str(src), "--output", str(tmp_path / "m.txt"),
+                     "--degree-d", "1", "--degree-n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "default epsilon" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def _resealed(path, payload):
     """Write model payload lines to path under a valid checksum; return path."""
     import hashlib
@@ -671,13 +739,16 @@ def test_linear_algebra_failure_exits_as_a_numerical_error(ws, monkeypatch, caps
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr("trajcf.model._cholesky_in_place", fail)
-    assert main(["info", "--model", ws["model"]]) == 3
-    assert "numerical error" in capsys.readouterr().err
+    assert main(["score", "--model", ws["model"], "--input", ws["outlier"]]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "Matrix is not positive definite" in err
+    assert "Traceback" not in err
 
 
 def test_a_model_file_with_indefinite_moments_exits_as_a_numerical_error(ws, tmp_path, capsys):
     # A negative diagonal cell of S makes S/N + eps*I indefinite at the
-    # file's eps > 0; the Cholesky factorization itself breaks down.
+    # file's eps > 0; the Cholesky factorization itself breaks down, at the
+    # first CD value, since load does not factor.
     payload = Path(ws["model"]).read_text(encoding="utf-8").splitlines()[:-1]
     row = payload.index("S") + 1
     cells = payload[row].split()
@@ -685,9 +756,14 @@ def test_a_model_file_with_indefinite_moments_exits_as_a_numerical_error(ws, tmp
     payload[row] = " ".join(cells)
     bad = _resealed(tmp_path / "indefinite.txt", payload)
     assert float(load(ws["model"]).epsilon) > 0.0
-    assert main(["info", "--model", bad]) == 3
+    assert main(["score", "--model", bad, "--input", ws["outlier"]]) == 3
     err = capsys.readouterr().err
     assert "Matrix is not positive definite" in err and "Traceback" not in err
+    # info reads only the spectrum, whose smallest eigenvalue is negative
+    assert main(["info", "--model", bad]) == 0
+    out = capsys.readouterr().out
+    smallest = next(ln for ln in out.splitlines() if ln.startswith("smallest_eigenvalue "))
+    assert float(smallest.split()[1]) < 0.0
 
 
 def _one_ulp_up(ws, tmp_path, cells):

@@ -453,9 +453,9 @@ def test_fit_with_overflowing_monomials_is_a_numerical_error():
 
 
 def test_a_moment_sum_beyond_half_the_float_range_is_a_numerical_error():
-    # every cell of S is finite, but making it symmetric adds two cells of
-    # S[1:, 1:]: the overflow is reported as fit reports overflowing
-    # monomials, without a RuntimeWarning
+    # every cell of S is finite, but the trace behind the default epsilon
+    # overflows: it is reported as fit reports overflowing monomials,
+    # without a RuntimeWarning
     import warnings
     data = TrajectoryDataset.from_coefficients(
         [[5.7e153, 5.7e153], [-5.7e153, 5.0e153], [5.7e153, -5.7e153]])
@@ -463,6 +463,37 @@ def test_a_moment_sum_beyond_half_the_float_range_is_a_numerical_error():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="non-finite"):
             fit(data, 1, 2)
+
+
+def test_a_default_epsilon_that_overflows_is_a_numerical_error():
+    # S is finite, but its trace is not: the default epsilon would be inf,
+    # which is no epsilon the caller gave
+    import warnings
+    a = 5.16e153
+    data = TrajectoryDataset.from_coefficients([[a, a, a], [-a, a, -a], [a, -a, a]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            fit(data, 1, 3)
+    assert "default epsilon" in str(info.value)
+
+
+@pytest.mark.parametrize("d, n", [(0, 1), (4, 4), (3, 12), (8, 5)])
+def test_moment_sums_and_their_updates_are_bit_symmetric(d, n):
+    # fit, update and downdate take S as numpy sums it, so every sum and
+    # every S +/- sum must mirror its bits; the row counts straddle the
+    # blocks of MOMENT_BLOCK_ROWS
+    from trajcf.model import MOMENT_BLOCK_ROWS, _is_bit_symmetric, _moment_sum
+    assert MOMENT_BLOCK_ROWS == 1024
+    basis = enumerate_basis(d, n)
+    rng = np.random.default_rng(len(basis))
+    change = _moment_sum(rng.normal(size=(5, n)), basis)
+    for rows in (1, 1023, 1024, 1025, 2049, 3001):
+        for scale in (1e-3, 1.0, 30.0):
+            S = _moment_sum(scale * rng.normal(size=(rows, n)), basis)
+            for summed in (S, S + change, S - change):
+                assert np.all(np.isfinite(summed))
+                assert _is_bit_symmetric(summed), (rows, scale)
 
 
 # --- batched update / downdate -------------------------------------------------
@@ -860,11 +891,11 @@ def test_save_memory_stays_under_twice_the_moment_sum(model_m1287, tmp_path):
 
 
 def test_load_memory_stays_under_three_times_the_moment_sum(model_m1287, tmp_path):
-    # Counting the S and W it keeps.  With the text, its stripped copy, its
-    # lines and their rejoined payload alive together load peaked at 5.4 x
+    # Counting the S it keeps.  With the text, its stripped copy, its lines
+    # and their rejoined payload alive together load peaked at 5.4 x
     # S.nbytes; with the lines alone, dropped before the factorization, near
     # 3.5; parsing S a panel at a time into its array and factoring in W,
-    # near 2.5
+    # near 2.5; leaving the factor to the first CD value, near 1.2
     path = tmp_path / "m.txt"
     save(model_m1287, path)
     reloaded, peak = _traced(load, path)
@@ -895,8 +926,8 @@ def _oracle_shifted_moments(S, N, eps):
 
 def _oracle_factor_from_moments(S, N, eps):
     """W by np.linalg.cholesky of the out-of-place build: the reference."""
-    from trajcf.model import _invert_lower, _require_finite, _require_invertible
-    _require_finite(S)
+    from trajcf.model import _invert_lower, _require_invertible
+    assert np.all(np.isfinite(S))  # as a model's S is
     M = _oracle_shifted_moments(S, N, eps)
     if eps == 0.0:
         _require_invertible(M)
@@ -935,14 +966,16 @@ def _assert_bits_equal(got, want):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
 @pytest.mark.parametrize("size", [1, 2, 127, 128, 129, 300])
 def test_factor_matches_the_out_of_place_build_bit_for_bit(size, symmetric, eps):
-    # The factor no longer symmetrizes S/N: an S that fit, update or
-    # downdate symmetrized (`_symmetrized`), or that was symmetric to begin
-    # with, gives the bits of the build that did.
-    from trajcf.model import PANEL_ROWS, _symmetrized
+    # Neither the factor nor fit, update and downdate symmetrize S: numpy
+    # sums it bit-symmetric.  The model's guard refuses an asymmetric sum,
+    # so only its average can reach the factor; either S gives the bits of
+    # the build that averaged S/N with its transpose itself.
+    from trajcf.model import PANEL_ROWS, _is_bit_symmetric
     assert PANEL_ROWS == 128  # the sizes straddle one panel edge
     summed = _spd(size, symmetric, seed=size + 1000 * symmetric)
-    S = _symmetrized(summed.copy())
-    _assert_bits_equal(S, (summed + summed.T) / 2.0)
+    assert _is_bit_symmetric(summed) == (symmetric or size == 1)
+    S = summed if symmetric else (summed + summed.T) / 2.0
+    assert _is_bit_symmetric(S)
     _assert_bits_equal(_shifted_moments(S, 7, eps), _oracle_shifted_moments(S, 7, eps))
     _assert_bits_equal(_factor_from_moments(S, 7, eps), _oracle_factor_from_moments(S, 7, eps))
 
