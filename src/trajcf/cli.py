@@ -88,11 +88,6 @@ def _row_floats(cells, path: str, row: int, first_col: int) -> np.ndarray:
         return np.array([_cell_float(c, path, row, first_col + j) for j, c in enumerate(cells)])
 
 
-def _check_width(row, width: int, path: str, r: int) -> None:
-    if len(row) != width:
-        raise InputError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-
-
 def _read_input(path: str):
     """Parse any accepted layout.
 
@@ -101,93 +96,84 @@ def _read_input(path: str):
     accept exactly what Python's ``float`` accepts: numpy's C reader
     (`_parse_table`) parses the file when it can, and `_parse_cells`, one
     ``float`` per cell, parses the files it declines and names what is wrong.
+    Both only split the text into cells and convert them; `_layout` alone
+    reads the header cell and applies the layouts' rules.
     """
     text = _read_text(path)
-    parsed = _parse_table(text)
+    parsed = _parse_table(path, text)
     return _parse_cells(path, text) if parsed is None else parsed
 
 
-def _parse_table(text: str):
-    """What `_parse_cells` returns for the text, by numpy's C reader; None
-    for every file the two could read differently or `_parse_cells`
-    rejects: quoted cells, lone carriage returns, NUL characters, cells
-    over the csv module's field limit, blank or ragged rows, cells the C
-    reader rejects, misnumbered coefficient rows, one-row trajectories."""
-    if '"' in text or "\x00" in text:
+def _layout(path: str, header: list[str], first_cells: list[str], floats):
+    """The parsed file from its header row, the first cell of each data row
+    and ``floats(first)``, the data rows as floats from column ``first`` on
+    (1 in the ``id`` layout, whose first column holds the ids); None where
+    ``floats`` gives None.  A trajectory file needs at least 2 sample rows,
+    and row k of a ``coef`` file must say k."""
+    head = header[0].strip().lower()
+    if head not in ("t", "coef", "id"):
+        raise InputError(f"{path}: unrecognized header cell {header[0]!r} "
+                         "(expected 't', 'coef', or 'id')")
+    table = floats(1 if head == "id" else 0)
+    if table is None:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
+    ids = [c.strip() for c in (first_cells if head == "id" else header[1:])]
+    if head == "id":
+        return "coef", ids, table
+    if head == "t":
+        if len(table) == 1:
+            raise InputError(f"{path}: trajectories need at least 2 sample rows")
+        return "traj", ids, table[:, 0], table[:, 1:]
+    for r, k in enumerate(table[:, 0].tolist(), start=1):
+        if k != r:
+            raise InputError(f"{path}: row {r + 1} says coefficient {k:g}, expected {r}")
+    return "coef", ids, table[:, 1:].T
+
+
+def _parse_table(path: str, text: str):
+    """What `_parse_cells` returns for the text, by numpy's C reader; None
+    for every file the two could split or convert differently: quoted
+    cells, lone carriage returns, NUL characters, cells over the csv
+    module's field limit, a blank first row, blank or ragged rows, and
+    cells the C reader rejects."""
+    text = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' in text or "\x00" in text or "\r" in text:
+        return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) < 2:
+    if len(lines) < 2 or not lines[0].replace(",", "").strip():  # csv skips a blank row
         return None
     limit = csv.field_size_limit()
     if any(len(cell) >= limit for ln in lines if len(ln) >= limit for cell in ln.split(",")):
         return None
-    header = lines[0].split(",")
-    head, width, body = header[0].strip().lower(), len(header), lines[1:]
-    if width < 2:
-        return None
-    if head == "id":
-        table = _model._float_table(body, ",", usecols=range(1, width))
-        if table is None or text.count(",") != len(lines) * (width - 1):
+    header, body = lines[0].split(","), lines[1:]
+    width = len(header)
+
+    def floats(first: int) -> np.ndarray | None:  # usecols hide the extra cells of a longer row
+        if first and (width < 2 or text.count(",") != len(lines) * (width - 1)):
             return None
-        return "coef", [ln.partition(",")[0].strip() for ln in body], table
-    if head not in ("t", "coef"):
-        return None
-    table = _model._float_table(body, ",")
-    if table is None or table.shape[1] != width:
-        return None
-    ids = [c.strip() for c in header[1:]]
-    if head == "t":
-        return None if len(body) == 1 else ("traj", ids, table[:, 0], table[:, 1:])
-    if not np.array_equal(table[:, 0], np.arange(1, len(body) + 1)):
-        return None
-    return "coef", ids, table[:, 1:].T
+        table = _model._float_table(body, ",", range(first, width) if first else None)
+        return table if table is not None and table.shape[1] == width - first else None
+
+    return _layout(path, header, [ln.partition(",")[0] for ln in body], floats)
 
 
 def _parse_cells(path: str, text: str):
     """`_read_input` with one Python ``float`` per cell."""
     rows = _read_rows(path, text)
-    head = rows[0][0].strip().lower()
-    width = len(rows[0])
-    body = rows[1:]
-    if head == "t":
-        ids = [c.strip() for c in rows[0][1:]]
-        table = np.empty((len(body), width))
+    header, body = rows[0], rows[1:]
+    width = len(header)
+
+    def floats(first: int) -> np.ndarray:
+        table = np.empty((len(body), width - first))
         for r, row in enumerate(body, start=1):
-            _check_width(row, width, path, r)
-            table[r - 1] = _row_floats(row, path, r, 0)
-        if len(body) == 1:
-            raise InputError(f"{path}: trajectories need at least 2 sample rows")
-        return "traj", ids, table[:, 0], table[:, 1:]
-    if head == "coef":
-        ids = [c.strip() for c in rows[0][1:]]
-        coeffs = np.empty((len(body), width - 1))
-        for r, row in enumerate(body, start=1):
-            _check_width(row, width, path, r)
-            k = _cell_float(row[0], path, r, 0)
-            if k != r:
-                raise InputError(
-                    f"{path}: row {r + 1} says coefficient {k:g}, expected {r}"
-                )
-            coeffs[r - 1] = _row_floats(row[1:], path, r, 1)
-        return "coef", ids, coeffs.T
-    if head == "id":
-        ids = []
-        coeffs = np.empty((len(body), width - 1))
-        for r, row in enumerate(body, start=1):
-            _check_width(row, width, path, r)
-            ids.append(row[0].strip())
-            coeffs[r - 1] = _row_floats(row[1:], path, r, 1)
-        return "coef", ids, coeffs
-    raise InputError(
-        f"{path}: unrecognized header cell {rows[0][0]!r} "
-        "(expected 't', 'coef', or 'id')"
-    )
+            if len(row) != width:
+                raise InputError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
+            table[r - 1] = _row_floats(row[first:], path, r, first)
+        return table
+
+    return _layout(path, header, [row[0] for row in body], floats)
 
 
 def _check_times_in_domain(times: np.ndarray, domain, path: str, exc_cls) -> None:
@@ -357,7 +343,7 @@ def cmd_fit(args) -> int:
         ("input", args.input), ("output", args.output),
         ("d", args.degree_d), ("n", args.degree_n),
         ("epsilon", eps_text), ("quad_points", _quad_points(args, args.degree_n)),
-        ("domain", f"{args.domain[0]:g}:{args.domain[1]:g}"),
+        ("domain", ":".join(map(_scoring.float_text, args.domain))),
     ])
     parsed = _read_input(args.input)
     dataset = _dataset_from_input(parsed, args.domain, args.degree_n, args.quad_points,
@@ -495,7 +481,7 @@ def cmd_info(args) -> int:
     print(f"m {model.size}")
     print(f"epsilon {model.epsilon!r}")
     print(f"N {model.sample_count}")
-    print(f"domain {model.domain[0]:g}:{model.domain[1]:g}")
+    print("domain " + ":".join(map(_scoring.float_text, model.domain)))
     spectrum = model.spectrum()
     print(f"smallest_eigenvalue {float(spectrum[0])!r}")
     print(f"largest_eigenvalue {float(spectrum[-1])!r}")

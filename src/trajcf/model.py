@@ -59,10 +59,11 @@ of PANEL_ROWS rows (S mirrors its bits, so each panel copies the part
 right of its diagonal block from the panels below), so it never holds an
 m x m array of Python objects.
 `load` reads a path or a text file object once, a line at a time, hashing
-each line as it passes.  It allocates S only once d, n and m agree with the
-basis, then parses S PANEL_ROWS lines at a time straight into it, so it
-never holds the file's text whole.  It raises nothing before the end of the
-file, then reports the first problem in a fixed order.
+every line but the last (the checksum line) as it passes.  It allocates S
+only once d, n and m agree with the basis, fills it PANEL_ROWS lines at a
+time and drops it at the first row that does not fit (`_read_matrix`), so
+it never holds the file's text whole.  It raises nothing before the end of
+the file, then reports the first problem in a fixed order.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import sys
 import warnings
@@ -859,56 +861,32 @@ def _float_table(lines: list[str], delimiter=None, usecols=None) -> np.ndarray |
     return table if table.shape[0] == len(lines) else None
 
 
-class _MatrixRows:
-    """The S rows of a model file, fed a line at a time and parsed PANEL_ROWS
-    lines at a time by `_float_table`, or by `_parse_matrix_cells` where that
-    declines, so S gets the values, and bad text the message, of ``float``.
-    The rows fill one (m, m) array, allocated only if the fields' d, n and m
-    agree with the basis and dropped at the first row that does not fit;
-    otherwise each line is parsed alone and counted, never stored.
+def _read_matrix(lines, fields: dict) -> tuple[np.ndarray | None, int, BasisEnumeration | None]:
+    """S (None unless its rows filled it), the row count and the basis, from
+    the S rows ``lines`` of a model file whose fields before "S" are ``fields``.
+
+    S is allocated only if the fields' d, n and m agree with the basis, and
+    filled PANEL_ROWS lines at a time by `_float_table`, or by
+    `_parse_matrix_cells` where that declines, so S gets the values, and bad
+    text the message, of ``float``.  It is dropped at the first row that does
+    not fit; each later line is parsed alone and counted, never stored.
     """
-
-    def __init__(self, fields: dict[str, str]):
-        self.rows, self.error, self.lines = 0, None, []
-        self.basis = self.S = None
-        try:
-            m = _parse_scalar(fields, "m", int)
-            self.basis = enumerate_basis(_parse_scalar(fields, "d", int),
-                                         _parse_scalar(fields, "n", int))
-        except InputError:
-            return
-        if m == len(self.basis):
-            self.S = np.empty((m, m))
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-        if len(self.lines) == (1 if self.S is None else PANEL_ROWS):
-            self._parse()
-
-    def _parse(self) -> None:
-        lines, self.lines = self.lines, []
-        start, self.rows = self.rows, self.rows + len(lines)
-        if self.error is not None or not lines:
-            return
-        table = _float_table(lines)
-        try:
-            cells = _parse_matrix_cells(lines) if table is None else table
-        except InputError as exc:
-            self.error = exc
-            return
-        fits = self.S is not None and self.rows <= len(self.S)
-        if fits and all(len(r) == len(self.S) for r in cells):
-            self.S[start:self.rows] = cells
+    S = basis = None
+    with contextlib.suppress(InputError):
+        m = _parse_scalar(fields, "m", int)
+        basis = enumerate_basis(_parse_scalar(fields, "d", int), _parse_scalar(fields, "n", int))
+        if m == len(basis):
+            S = np.empty((m, m))
+    rows = 0
+    while panel := list(itertools.islice(lines, 1 if S is None else PANEL_ROWS)):
+        table = _float_table(panel)
+        cells = _parse_matrix_cells(panel) if table is None else table
+        start, rows = rows, rows + len(panel)
+        if S is not None and rows <= len(S) and all(len(r) == len(S) for r in cells):
+            S[start:rows] = cells
         else:
-            self.S = None
-
-    def result(self) -> tuple[np.ndarray | None, int, BasisEnumeration | None]:
-        """S (None unless its rows filled it), the row count and the basis."""
-        self._parse()
-        if self.error is not None:
-            raise self.error
-        full = self.S is not None and self.rows == len(self.S)
-        return (self.S if full else None), self.rows, self.basis
+            S = None
+    return (S if S is not None and rows == len(S) else None), rows, basis
 
 
 def _read_model(fh) -> tuple[dict[str, str], np.ndarray | None, int, BasisEnumeration | None]:
@@ -917,47 +895,58 @@ def _read_model(fh) -> tuple[dict[str, str], np.ndarray | None, int, BasisEnumer
 
     The lines, as ``str.splitlines`` gives them (it also breaks at \\x0c,
     \\x1c, \\u2028 and the like), are the header, the fields, "S", the S
-    rows (`_MatrixRows`) and the checksum line, the one line not hashed.
+    rows (`_read_matrix`) and the checksum line, the one line not hashed.
     Nothing is raised before the end of the file; then the first problem
     of: text not UTF-8, an empty file, the header, the checksum line, the
     checksum, a malformed S row.
     """
     digest = hashlib.sha256()
-    fields: dict[str, str] = {}
-    matrix = kind = None  # the held line is a "field", a "row" of S, or the header or "S"
-    try:
-        lines = (part for ln in fh for part in ln.splitlines())
-        first = held = next(lines, "")
-        blank = not first or first.isspace()
-        for ln in lines:  # held is not the last line: hash it and take it
+    last = None
+    blank = True
+
+    def payload():
+        """Every line but the last, hashed as it passes; the last stays in ``last``."""
+        nonlocal last, blank
+        for ln in (part for chunk in fh for part in chunk.splitlines()):
+            if last is not None:
+                digest.update(last.encode("utf-8"))
+                digest.update(b"\n")
+                yield last
             blank = blank and (not ln or ln.isspace())
-            digest.update(held.encode("utf-8"))
-            digest.update(b"\n")
-            if kind == "field":
-                key, _, value = held.partition(" ")
-                fields[key] = value
-            elif kind == "row":
-                matrix.add(held)
-            if matrix is not None:
-                kind = "row"
-            elif ln.strip() == "S":  # if it is the last line, the checksum line check fails
-                kind, matrix = None, _MatrixRows(fields)
-            else:
-                kind = "field"
-            held = ln
+            last = ln
+
+    fields: dict[str, str] = {}
+    error = None
+    lines = payload()
+    try:
+        first = next(lines, None)  # the header, or None in a file of one line
+        for ln in lines:
+            if ln.strip() == "S":
+                break
+            key, _, value = ln.partition(" ")
+            fields[key] = value
+        try:
+            S, rows, basis = _read_matrix(lines, fields)  # no rows if "S" is missing
+        except InputError as exc:  # a malformed row: raised once the checksum is checked
+            error = exc
+            for _ in lines:  # the rest is hashed unparsed
+                pass
     except UnicodeDecodeError as exc:
         raise InputError(f"model file is not UTF-8 text: {exc}") from exc
     if blank:
         raise InputError("model file is empty")
+    first = last if first is None else first
     if first != _FORMAT_HEADER:
         raise InputError(
             f"unsupported model format header {first!r} (expected {_FORMAT_HEADER!r})"
         )
-    if not held.startswith("checksum sha256 "):
+    if not last.startswith("checksum sha256 "):
         raise InputError("model file is missing its checksum line (truncated?)")
-    if digest.hexdigest() != held.split()[-1]:
+    if digest.hexdigest() != last.split()[-1]:
         raise InputError("model file checksum mismatch: payload corrupted")
-    return (fields, None, 0, None) if matrix is None else (fields, *matrix.result())
+    if error is not None:
+        raise error
+    return fields, S, rows, basis
 
 
 def load(source) -> ChristoffelModel:

@@ -109,6 +109,11 @@ def report_line(report: ScoreReport) -> str:
     return ",".join(fields)
 
 
+def float_text(x: float) -> str:
+    """The shortest text that reads back as ``x``: repr without a trailing ".0"."""
+    return repr(float(x)).removesuffix(".0")
+
+
 def nearest_rank(q: float, count: int) -> int:
     """The 1-based rank ceil(q * count) of the nearest-rank q-quantile, at least 1.
 
@@ -148,12 +153,12 @@ def calibrate(
         if data is None or len(data) == 0:
             raise InputError("quantile calibration needs a non-empty calibration set")
         cds = _model.cd_values(model, data.coefficient_matrix(model.n))
-        return Threshold(value=nearest_rank_quantile(cds, q), method=f"quantile({q:g})")
+        return Threshold(value=nearest_rank_quantile(cds, q), method=f"quantile({float_text(q)})")
     if method == "multiple":
         alpha = DEFAULT_MULTIPLE if param is None else float(param)
         if alpha < 1.0:
             raise InputError(f"threshold multiple must be >= 1, got {alpha}")
-        return Threshold(value=alpha * model.size, method=f"multiple({alpha:g})")
+        return Threshold(value=alpha * model.size, method=f"multiple({float_text(alpha)})")
     raise InputError(f"unknown threshold method {method!r} (want 'quantile' or 'multiple')")
 
 

@@ -560,6 +560,19 @@ def test_info_prints_the_metadata(ws, capsys):
     assert "provenance fit" in text
 
 
+def test_the_domain_info_prints_is_the_one_score_accepts(ws, tmp_path, capsys):
+    model = tmp_path / "narrow.txt"
+    assert main(["fit", "--input", ws["data"], "--output", str(model),
+                 "--domain", "0:0.1234567"]) == 0
+    assert "domain=0:0.1234567" in capsys.readouterr().out
+    assert main(["info", "--model", str(model)]) == 0
+    domain = next(ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("domain "))
+    assert domain == "0:0.1234567"
+    assert main(["score", "--model", str(model), "--input", ws["outlier"],
+                 "--domain", domain]) == 0
+
+
 # --- factorizations per command ----------------------------------------------------
 
 def test_each_command_factors_each_model_it_scores_or_writes_once(ws, tmp_path, monkeypatch):

@@ -114,10 +114,10 @@ def test_csv_reader_matches_the_per_cell_parse(tmp_path, text):
     "T,x\n-1,0\n1,1\n",
 ])
 def test_well_formed_files_take_the_c_reader(tmp_path, text):
-    parsed = cli._parse_table(text)
-    assert parsed is not None
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8")
+    parsed = cli._parse_table(str(path), text)
+    assert parsed is not None
     assert _same_parse(("ok", parsed), _outcome(cli._parse_cells, str(path), text))
 
 
@@ -127,16 +127,52 @@ def test_well_formed_files_take_the_c_reader(tmp_path, text):
     'id,c1\n"a,b",1\n',              # a quoted id
     "id,c1\na,1\n\nb,2\n",           # a blank row
     "id,c1\na,1\nb,2,3\n",           # a ragged row
-    "coef,a\n2,0.5\n",               # a misnumbered row
-    "t,x\n0,1\n",                    # one sample row
     "id,c1\ra,1\r",                  # lone carriage returns
+    " , \nt,x\n0,1\n1,2\n",           # a blank first row, which csv skips
 ])
 def test_files_the_c_reader_declines_fall_back(tmp_path, text):
-    assert cli._parse_table(text) is None
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8", newline="")
+    assert cli._parse_table(str(path), text) is None
     assert _same_parse(_outcome(cli._read_input, str(path)),
                        _outcome(cli._parse_cells, str(path), text))
+
+
+LAYOUT_RULE_BREAKS = {
+    "coef,a\n2,0.5\n": "row 2 says coefficient 2, expected 1",
+    "t,x\n0,1\n": "trajectories need at least 2 sample rows",
+}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("text", list(LAYOUT_RULE_BREAKS))
+def test_a_layout_rule_gives_one_message_by_either_route(tmp_path, text, ending):
+    message = LAYOUT_RULE_BREAKS[text]
+    text = text.replace("\n", ending)
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = ("InputError", f"{path}: {message}")
+    assert _outcome(cli._parse_table, str(path), text) == want
+    assert _outcome(cli._parse_cells, str(path), text) == want
+
+
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+@pytest.mark.parametrize("layout", ["id", "t"])
+def test_a_cell_at_the_csv_field_limit(tmp_path, layout, excess):
+    limit = csv.field_size_limit()
+    long_id = "a" * (limit + excess)
+    text = (f"id,c1\n{long_id},1\n" if layout == "id"
+            else f"t,{long_id}\n-1,0\n1,1\n")
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    got = _outcome(cli._read_input, str(path))
+    assert _same_parse(got, _outcome(cli._parse_cells, str(path), text))
+    # the C reader takes cells below the limit; csv takes one at the limit
+    assert (cli._parse_table(str(path), text) is not None) == (excess < 0)
+    if excess > 0:
+        assert got == ("InputError", f"{path}: field larger than field limit ({limit})")
+    else:
+        assert got[0] == "ok" and got[1][1] == [long_id]
 
 
 # --- the S block of a model file ---------------------------------------------------

@@ -64,6 +64,19 @@ def test_calibrate_multiple_is_alpha_times_dimension():
     assert thr.value == 210.0
 
 
+@pytest.mark.parametrize("method, param", [
+    ("quantile", 0.999), ("quantile", 1.0), ("quantile", 0.9999999), ("quantile", 1e-05),
+    ("multiple", 10.0), ("multiple", 10.0000001), ("multiple", 123456789.0), ("multiple", 1e20),
+])
+def test_a_threshold_label_reads_back_as_its_parameter(small_family, method, param):
+    exp, model = small_family
+    label = calibrate(model, exp.dataset, method=method, param=param).method
+    assert label.startswith(f"{method}(") and label.endswith(")")
+    assert float(label[len(method) + 1:-1]) == param
+    if param in (0.999, 1.0, 10.0):  # as the 6-digit format printed them
+        assert label == f"{method}({param:g})"
+
+
 def test_calibrate_rejects_bad_inputs(small_family):
     _, model = small_family
     with pytest.raises(InputError):
