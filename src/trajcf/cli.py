@@ -126,7 +126,8 @@ def _layout(path: str, header: list[str], first_cells: list[str], floats):
         return "traj", ids, table[:, 0], table[:, 1:]
     for r, k in enumerate(table[:, 0].tolist(), start=1):
         if k != r:
-            raise InputError(f"{path}: row {r + 1} says coefficient {k:g}, expected {r}")
+            raise InputError(f"{path}: row {r + 1} says coefficient {_scoring.float_text(k)}, "
+                             f"expected {r}")
     return "coef", ids, table[:, 1:].T
 
 
@@ -180,10 +181,8 @@ def _check_times_in_domain(times: np.ndarray, domain, path: str, exc_cls) -> Non
     lo, hi = domain
     span = hi - lo
     if times.size and (times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span):
-        raise exc_cls(
-            f"{path}: sample times [{times[0]:g}, {times[-1]:g}] leave the "
-            f"domain [{lo:g}, {hi:g}]"
-        )
+        first, last, lo, hi = map(_scoring.float_text, (times[0], times[-1], lo, hi))
+        raise exc_cls(f"{path}: sample times [{first}, {last}] leave the domain [{lo}, {hi}]")
 
 
 def _batch_from_input(parsed, domain, n: int, quad_points, path: str,

@@ -45,12 +45,14 @@ anything that wraps the public function still sees it.
 
 Rows are never turned into one N x m monomial matrix.  `_moment_sum`
 (fit, update and downdate) evaluates the monomials of MOMENT_BLOCK_ROWS
-rows at a time and adds that block's V^T V to S; `_cd_rows` (every CD
-value) does the same with blocks of CD_BLOCK_ROWS rows, so memory is
-O(m^2 + block * m) whatever N is.  The last CD block is padded with zero
+rows at a time and adds that block's V^T V to S.  `_cd_rows` (every CD
+value) evaluates a chunk of whole CD_BLOCK_ROWS-row blocks at a time,
+about CD_CHUNK_FLOATS monomial values, so memory is O(m^2 + chunk * m)
+whatever N is.  The rows past the last whole block are padded with zero
 rows to CD_BLOCK_ROWS, so every product has one shape and a probe gets the
-same bits alone or in any batch.  Each block meets W in panels of
-CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper triangle.
+same bits alone or in any batch.  The chunk meets W in panels of
+CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper triangle; each
+panel is one matmul over the chunk's stack of blocks.
 
 Model files are bounded the same way.  `save` ranks the cells of S by one
 sort of their bit patterns, formats each distinct value once and builds
@@ -414,46 +416,65 @@ def _moment_sum(C: np.ndarray, basis: BasisEnumeration) -> np.ndarray:
 CD_BLOCK_ROWS = 256
 CD_PANEL_ROWS = 128
 
+# Monomial values `_cd_rows` evaluates at once: a chunk of whole blocks,
+# CD_BLOCK_ROWS * max(1, CD_CHUNK_FLOATS // (CD_BLOCK_ROWS * m)) rows, so
+# 4352 at m = 15, 768 at m = 70 and one block from m = 257 on.  No value
+# depends on it.
+CD_CHUNK_FLOATS = 2 ** 16
+
 
 def _cd_from_factor(W: np.ndarray, Vt: np.ndarray) -> np.ndarray:
-    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each column v of Vt.
+    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each column v of
+    each block of the (blocks, m, CD_BLOCK_ROWS) stack Vt, shaped (blocks,
+    CD_BLOCK_ROWS).
 
     W is lower triangular, so z = W v is taken by panels of rows,
     z[s:e] = W[s:e, :e] v[:e], and the zero upper triangle is never read.
+    A panel is one matmul over the stack, which numpy runs as the same
+    (e - s) x e by e x CD_BLOCK_ROWS product for each block, and panels are
+    added in order, so a block's values do not depend on the others.
     """
     m = W.shape[0]
-    out = np.zeros(Vt.shape[1])
+    out = np.zeros((Vt.shape[0], Vt.shape[2]))
     for s in range(0, m, CD_PANEL_ROWS):
         e = min(s + CD_PANEL_ROWS, m)
-        Z = W[s:e, :e] @ Vt[:e]
+        Z = W[s:e, :e] @ Vt[:, :e]
         Z *= Z
-        out += Z.sum(axis=0)
+        out += Z.sum(axis=1)
     return out
 
 
 def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
     """`_cd_from_factor` of the model's monomial rows of the coefficient
-    rows C, evaluated one block of CD_BLOCK_ROWS rows at a time.
+    rows C, evaluated a chunk of whole CD_BLOCK_ROWS-row blocks at a time.
 
-    Each block's monomials go to the product as one C-ordered (m,
-    CD_BLOCK_ROWS) array; the last block is padded with zero columns after
-    its monomials are evaluated, so a row's value does not depend on the
-    batch it came in.  A row whose monomials overflowed (an inf or nan
-    entry) scores inf: the diagonal of W is nonzero, so the entry reaches
-    its panel's product.
+    A chunk's monomials come as the transpose of a C-ordered (m, rows)
+    array, which is viewed without a copy as a stack of (m, CD_BLOCK_ROWS)
+    blocks.  The rows past the last whole block are evaluated alone and
+    padded with zero columns to one block, so every product has one shape
+    and a row's value does not depend on the batch it came in.  A row whose
+    monomials overflowed (an inf or nan entry) scores inf: the diagonal of
+    W is nonzero, so the entry reaches its panel's product.
     """
     W = model.inverse_factor  # a loaded model factors here, before any block is allocated
-    out = np.empty(C.shape[0])
+    m, N = W.shape[0], C.shape[0]
+    whole = N - N % CD_BLOCK_ROWS
+    step = CD_BLOCK_ROWS * max(1, CD_CHUNK_FLOATS // (CD_BLOCK_ROWS * m))
+    edges = sorted({*range(0, whole, step), whole, N})
+    out = np.empty(N)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
-        for start in range(0, C.shape[0], CD_BLOCK_ROWS):
-            V = eval_monomial_matrix(C[start:start + CD_BLOCK_ROWS], model.basis)
-            k = V.shape[0]
-            if k < CD_BLOCK_ROWS:
-                Vt = np.zeros((V.shape[1], CD_BLOCK_ROWS))
-                Vt[:, :k] = V.T
-            else:
-                Vt = np.ascontiguousarray(V.T)
-            out[start:start + k] = _cd_from_factor(W, Vt)[:k]
+        for start, stop in zip(edges, edges[1:]):
+            k = stop - start
+            # V outlives its padded copy, as in a loop of single blocks: at
+            # m = 1287 (one block per chunk) freeing it first raised the
+            # benchmark's peak RSS by up to 8 MB through heap layout alone.
+            V = eval_monomial_matrix(C[start:stop], model.basis).T
+            Vt = V
+            if k < CD_BLOCK_ROWS:  # the rows past the last whole block
+                Vt = np.zeros((m, CD_BLOCK_ROWS))
+                Vt[:, :k] = V
+            out[start:stop] = _cd_from_factor(
+                W, Vt.reshape(m, -1, CD_BLOCK_ROWS).transpose(1, 0, 2)).ravel()[:k]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf

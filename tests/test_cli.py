@@ -668,6 +668,27 @@ def test_probe_times_outside_the_model_domain(ws, tmp_path):
                  "--output", str(tmp_path / "u.txt")]) == 2
 
 
+def test_times_past_the_domain_are_reported_with_every_digit(tmp_path, capsys):
+    # six significant digits printed "[0, 0.123457] leave the domain [0, 0.123457]"
+    rng = np.random.default_rng(5)
+
+    def write(name, end, curves):
+        rows = zip(np.linspace(0.0, end, 12).tolist(), *rng.standard_normal((curves, 12)).tolist())
+        path = tmp_path / name
+        path.write_text("t," + ",".join(f"c{j}" for j in range(curves)) + "\n"
+                        + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        return str(path)
+
+    model = str(tmp_path / "model.txt")
+    assert main(["fit", "--input", write("ref.csv", 0.1234567, 40), "--output", model,
+                 "--degree-d", "2", "--degree-n", "2", "--domain", "0:0.1234567"]) == 0
+    late = write("late.csv", 0.1234568, 2)
+    capsys.readouterr()
+    assert main(["score", "--model", model, "--input", late]) == 4
+    assert (f"{late}: sample times [0, 0.1234568] leave the domain [0, 0.1234567]"
+            in capsys.readouterr().err)
+
+
 def test_downdate_batch_with_a_row_never_absorbed_is_a_numerical_error(ws, tmp_path, capsys):
     lines = Path(ws["data"]).read_text(encoding="utf-8").splitlines()
     src = tmp_path / "mixed.csv"

@@ -1162,3 +1162,71 @@ def test_blocked_moment_sum_matches_one_product(d, n):
     S = fit(TrajectoryDataset.from_coefficients(C), d, n).moment_sum
     want = V.T @ V
     assert np.max(np.abs(S - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# --- CD values a chunk of blocks at a time ---------------------------------------
+
+def _per_block_cd_values(model, C):
+    """CD values one zero-padded CD_BLOCK_ROWS-row block at a time: one
+    monomial evaluation per block and one 2-D product per panel of W."""
+    from trajcf.model import CD_BLOCK_ROWS, CD_PANEL_ROWS
+    W = model.inverse_factor
+    m = W.shape[0]
+    out = np.empty(len(C))
+    for start in range(0, len(C), CD_BLOCK_ROWS):
+        V = eval_monomial_matrix(C[start:start + CD_BLOCK_ROWS], model.basis)
+        Vt = np.zeros((m, CD_BLOCK_ROWS))
+        Vt[:, :len(V)] = V.T
+        cd = np.zeros(CD_BLOCK_ROWS)
+        for s in range(0, m, CD_PANEL_ROWS):
+            e = min(s + CD_PANEL_ROWS, m)
+            Z = W[s:e, :e] @ Vt[:e]
+            Z *= Z
+            cd += Z.sum(axis=0)
+        out[start:start + len(V)] = cd[:len(V)]
+    return out
+
+
+def _chunk_rows(m):
+    from trajcf.model import CD_BLOCK_ROWS, CD_CHUNK_FLOATS
+    return CD_BLOCK_ROWS * max(1, CD_CHUNK_FLOATS // (CD_BLOCK_ROWS * m))
+
+
+@pytest.fixture(scope="module")
+def cloud_model():
+    """A model at the pointwise cloud's basis, (4, 2) with m = 15, and probe
+    rows that fill three chunks, two more whole blocks and part of one."""
+    from trajcf.model import CD_BLOCK_ROWS
+    model = fit(gaussian_dataset(3000, 2, seed=21), 4, 2)
+    rows = 3 * _chunk_rows(model.size) + 2 * CD_BLOCK_ROWS + 100
+    return model, gaussian_dataset(rows, 2, seed=22, scale=1.5).coeffs
+
+
+def test_chunked_cd_values_match_the_per_block_loop_bit_for_bit(cloud_model):
+    model, probes = cloud_model
+    assert _chunk_rows(model.size) == 4352
+    np.testing.assert_array_equal(cd_values(model, probes), _per_block_cd_values(model, probes))
+
+
+@pytest.mark.parametrize("budget", ["one block", "four times the default"])
+def test_cd_values_do_not_depend_on_the_chunk_budget(cloud_model, monkeypatch, budget):
+    from trajcf import model as model_module
+    model, probes = cloud_model
+    want = cd_values(model, probes)
+    floats = (model_module.CD_BLOCK_ROWS * model.size if budget == "one block"
+              else 4 * model_module.CD_CHUNK_FLOATS)
+    monkeypatch.setattr(model_module, "CD_CHUNK_FLOATS", floats)
+    np.testing.assert_array_equal(cd_values(model, probes), want)
+
+
+def test_cd_values_memory_stays_within_the_output_and_four_chunks(cloud_model, model_m1287):
+    # a chunk's monomials, one panel's products and a grade of the evaluation
+    # peak near 2.8 chunks; evaluating every row at once would hold 15.5 MB of
+    # monomials at m = 15 and 30.9 MB at m = 1287, where a chunk is one block
+    model, _ = cloud_model
+    for fitted, rows in ((model, 129_000), (model_m1287, 3000)):
+        probes = gaussian_dataset(rows, fitted.n, seed=23, scale=0.5).coeffs
+        fitted.inverse_factor  # factored outside the trace
+        out, peak = _traced(cd_values, fitted, probes)
+        chunk = 8 * fitted.size * _chunk_rows(fitted.size)
+        assert peak < out.nbytes + 4 * chunk, (fitted.size, peak, out.nbytes, chunk)

@@ -140,6 +140,7 @@ def test_files_the_c_reader_declines_fall_back(tmp_path, text):
 
 LAYOUT_RULE_BREAKS = {
     "coef,a\n2,0.5\n": "row 2 says coefficient 2, expected 1",
+    "coef,a\n1.0000001,0.5\n": "row 2 says coefficient 1.0000001, expected 1",  # not "1"
     "t,x\n0,1\n": "trajectories need at least 2 sample rows",
 }
 
