@@ -97,7 +97,8 @@ def _read_input(path: str):
     (`_parse_table`) parses the file when it can, and `_parse_cells`, one
     ``float`` per cell, parses the files it declines and names what is wrong.
     Both only split the text into cells and convert them; `_layout` alone
-    reads the header cell and applies the layouts' rules.
+    reads the header cell and applies the layouts' rules.  A file may name
+    no curves or hold no data: `_read_dataset` decides what that means.
     """
     text = _read_text(path)
     parsed = _parse_table(path, text)
@@ -177,36 +178,35 @@ def _parse_cells(path: str, text: str):
     return _layout(path, header, [row[0] for row in body], floats)
 
 
-def _check_times_in_domain(times: np.ndarray, domain, path: str, exc_cls) -> None:
+def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
+                  reference: bool = False) -> TrajectoryDataset:
+    """The file at ``path`` as a dataset: curves projected to n coefficients
+    in one pass, or coefficient rows as given.  A ``reference`` set that
+    names no curve or holds no data is an input error, as is any file that
+    names curves but holds no data; any other file that names no curves is
+    an empty dataset.  Sample times past an end of ``domain`` by more than
+    1e-12 of its width (`projection._check_grid`'s rule) raise ``outside``."""
+    parsed = _read_input(path)
+    kind, ids, data = parsed[:3]
+    held = data.size if kind == "traj" else data.shape[1]
+    if reference and not (ids and held):
+        raise InputError(f"{path}: the file holds no "
+                         + ("trajectories" if kind == "traj" else "coefficient data"))
+    if ids and not held:
+        raise InputError(f"{path}: the file names curves but holds no "
+                         + ("sample rows" if kind == "traj" else "coefficients"))
+    if kind == "coef":
+        if quad_points is not None:  # unused by coefficient rows, but checked as for curves
+            quad_point_count(n, quad_points)
+        return TrajectoryDataset(data, ids=ids, domain=domain)
+    times, values = data, parsed[3]
     lo, hi = domain
     span = hi - lo
     if times.size and (times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span):
         first, last, lo, hi = map(_scoring.float_text, (times[0], times[-1], lo, hi))
-        raise exc_cls(f"{path}: sample times [{first}, {last}] leave the domain [{lo}, {hi}]")
-
-
-def _batch_from_input(parsed, domain, n: int, quad_points, path: str,
-                      mismatch_exc) -> TrajectoryDataset:
-    """Curves projected to n coefficients in one pass, or coefficient rows as given."""
-    if parsed[0] == "traj":
-        _, ids, times, values = parsed
-        _check_times_in_domain(times, domain, path, mismatch_exc)
-        coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
-        return TrajectoryDataset(coeffs, ids=ids, domain=domain, times=times, values=values)
-    _, ids, coeffs = parsed
-    if quad_points is not None:  # unused by coefficient rows, but checked as for curves
-        quad_point_count(n, quad_points)
-    return TrajectoryDataset(coeffs, ids=ids, domain=domain)
-
-
-def _dataset_from_input(parsed, domain, n: int, quad_points, path: str) -> TrajectoryDataset:
-    if parsed[0] == "traj":
-        _, ids, times, _values = parsed
-        if not ids or times.size == 0:
-            raise InputError(f"{path}: the file holds no trajectories")
-    elif parsed[2].shape[0] == 0 or parsed[2].shape[1] == 0:
-        raise InputError(f"{path}: the file holds no coefficient data")
-    return _batch_from_input(parsed, domain, n, quad_points, path, InputError)
+        raise outside(f"{path}: sample times [{first}, {last}] leave the domain [{lo}, {hi}]")
+    coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
+    return TrajectoryDataset(coeffs, ids=ids, domain=domain, times=times, values=values)
 
 
 # Data rows are joined here rather than by csv.writer, which costs more than
@@ -319,8 +319,8 @@ def _load_calibration(args, model) -> TrajectoryDataset | None:
     """The --calibration file as a dataset, or None without one."""
     if args.calibration is None:
         return None
-    parsed = _read_input(args.calibration)
-    return _dataset_from_input(parsed, model.domain, model.n, args.quad_points, args.calibration)
+    return _read_dataset(args.calibration, model.domain, model.n, args.quad_points,
+                         reference=True)
 
 
 def _emit_report(lines: list[str], output: str | None) -> None:
@@ -344,9 +344,8 @@ def cmd_fit(args) -> int:
         ("epsilon", eps_text), ("quad_points", _quad_points(args, args.degree_n)),
         ("domain", ":".join(map(_scoring.float_text, args.domain))),
     ])
-    parsed = _read_input(args.input)
-    dataset = _dataset_from_input(parsed, args.domain, args.degree_n, args.quad_points,
-                                  args.input)
+    dataset = _read_dataset(args.input, args.domain, args.degree_n, args.quad_points,
+                            reference=True)
     model = _model.fit(dataset, args.degree_d, args.degree_n, epsilon=args.epsilon)
     _model.save(model, args.output)
     print(f"# fitted: m={model.size} N={model.sample_count} "
@@ -372,9 +371,7 @@ def cmd_score(args) -> int:
     ])
     if note:
         print(f"# note: {note}")
-    parsed = _read_input(args.input)
-    probes = _batch_from_input(parsed, model.domain, model.n,
-                               args.quad_points, args.input, MismatchError)
+    probes = _read_dataset(args.input, model.domain, model.n, args.quad_points, MismatchError)
     reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids)
     cds = [rep.cd for rep in reports]
     n_out = sum(rep.verdict == "Outlier" for rep in reports)
@@ -400,9 +397,7 @@ def _absorb(args, op, command: str) -> int:
     _header(command, [
         ("model", args.model), ("input", args.input), ("output", args.output),
     ])
-    parsed = _read_input(args.input)
-    batch = _batch_from_input(parsed, model.domain, model.n,
-                              args.quad_points, args.input, InputError)
+    batch = _read_dataset(args.input, model.domain, model.n, args.quad_points)
     model = op(model, batch.coeffs)
     _model.save(model, args.output)
     print(f"# absorbed={len(batch.ids)} N={model.sample_count}")
@@ -456,9 +451,7 @@ def cmd_baseline(args) -> int:
     ])
     if note:
         print(f"# note: {note}")
-    parsed = _read_input(args.input)
-    probes = _batch_from_input(parsed, model.domain, model.n,
-                               args.quad_points, args.input, MismatchError)
+    probes = _read_dataset(args.input, model.domain, model.n, args.quad_points, MismatchError)
     nodes = chebyshev_quadrature_nodes(_scoring.NEAREST_QUAD_POINTS)
     l2 = _scoring.nearest_distances(calibration.on_nodes(nodes), probes.on_nodes(nodes))
     reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids,

@@ -156,7 +156,7 @@ class TrajectoryDataset:
             raise InputError(f"coefficient rows must form an (N, k) array, got shape {C.shape}")
         N = C.shape[0]
         if N and C.shape[1] == 0:
-            raise InputError("coefficients must form a non-empty 1-D sequence")
+            raise InputError(f"coefficient rows must be non-empty, got shape {C.shape}")
         ids = (None,) * N if self.ids is None else tuple(self.ids)
         if len(ids) != N:
             raise InputError(f"{N} coefficient rows need as many ids")

@@ -11,7 +11,9 @@ import pytest
 
 from helpers import assert_same_text
 from trajcf.cli import CSV_BLOCK_ROWS, _write_trajectory_csv, _write_wide_csv, main
+from trajcf.errors import InputError
 from trajcf.model import cd_value, cd_values, load
+from trajcf.projection import project_samples
 from trajcf.synth import generate_example1
 
 
@@ -418,7 +420,7 @@ def test_update_with_no_rows_is_the_identity(ws, tmp_path):
     assert_same_text(out.read_bytes(), Path(ws["model"]).read_bytes())
 
 
-@pytest.mark.parametrize("header", ["id", "id,c1", "coef"])
+@pytest.mark.parametrize("header", ["id", "id,c1", "coef", "t", "t\n-1\n1"])
 @pytest.mark.parametrize("command", ["score", "baseline", "update", "downdate"])
 def test_a_probe_file_with_no_rows_is_no_probes_whatever_its_width(ws, tmp_path, capsys,
                                                                    header, command):
@@ -437,6 +439,38 @@ def test_a_probe_file_with_no_rows_is_no_probes_whatever_its_width(ws, tmp_path,
         assert "probes=0" in capsys.readouterr().out
     else:
         assert_same_text(out.read_bytes(), Path(ws["model"]).read_bytes())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,a,b", "the file names curves but holds no sample rows"),
+    ("coef,a", "the file names curves but holds no coefficients"),
+    ("id\na\nb", "the file names curves but holds no coefficients"),
+])
+@pytest.mark.parametrize("command", ["score", "baseline", "update", "downdate"])
+def test_a_probe_file_that_names_curves_but_holds_no_data_is_an_input_error(
+        ws, tmp_path, capsys, command, text, message):
+    src = tmp_path / "ids.csv"
+    src.write_text(text + "\n")
+    argv = [command, "--model", ws["model"], "--input", str(src), "--output", str(tmp_path / "out")]
+    if command == "baseline":
+        argv += ["--calibration", ws["data"]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"trajcf: input error: {src}: {message}\n"
+
+
+@pytest.mark.parametrize("command, code", [("score", 4), ("baseline", 4),
+                                           ("update", 2), ("downdate", 2)])
+def test_a_file_without_curves_still_has_its_times_checked_against_the_domain(
+        ws, tmp_path, capsys, command, code):
+    src = tmp_path / "late.csv"
+    src.write_text("t\n5\n6\n")
+    argv = [command, "--model", ws["model"], "--input", str(src), "--output", str(tmp_path / "out")]
+    if command == "baseline":
+        argv += ["--calibration", ws["data"]]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert f"{src}: sample times [5, 6] leave the domain [-1, 1]" in capsys.readouterr().err
 
 
 def test_update_then_downdate_round_trips(ws, tmp_path):
@@ -687,6 +721,37 @@ def test_times_past_the_domain_are_reported_with_every_digit(tmp_path, capsys):
     assert main(["score", "--model", model, "--input", late]) == 4
     assert (f"{late}: sample times [0, 0.1234568] leave the domain [0, 0.1234567]"
             in capsys.readouterr().err)
+
+
+def test_sample_times_may_pass_either_end_of_the_domain_by_1e_12_of_its_width(tmp_path):
+    # the domain is 10 wide, so a tolerance of 1e-12 that forgot the width would refuse 5e-12
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 10.0, 12)
+
+    def write(name, times, curves):
+        values = rng.standard_normal((times.size, curves))
+        _write_trajectory_csv(str(tmp_path / name), [f"c{j}" for j in range(curves)], times, values)
+        return str(tmp_path / name), values
+
+    model = str(tmp_path / "model.txt")
+    assert main(["fit", "--input", write("ref.csv", grid, 30)[0], "--output", model,
+                 "--degree-d", "1", "--degree-n", "2", "--domain", "0:10"]) == 0
+    for past, accepted in ((0.5e-12, True), (2e-12, False)):
+        for end, sign in ((0, -1.0), (-1, 1.0)):
+            times = grid.copy()
+            times[end] += sign * past * 10.0
+            probe, values = write("probe.csv", times, 4)
+            out = str(tmp_path / "out.txt")
+            codes = (main(["fit", "--input", probe, "--output", out, "--degree-d", "1",
+                           "--degree-n", "2", "--domain", "0:10"]),
+                     main(["score", "--model", model, "--input", probe]),
+                     main(["update", "--model", model, "--input", probe, "--output", out]))
+            assert codes == ((0, 0, 0) if accepted else (2, 4, 2)), (past, end)
+            if accepted:
+                assert project_samples(times, values, 2, domain=(0.0, 10.0)).shape == (4, 2)
+            else:
+                with pytest.raises(InputError, match="leave the declared domain"):
+                    project_samples(times, values, 2, domain=(0.0, 10.0))
 
 
 def test_downdate_batch_with_a_row_never_absorbed_is_a_numerical_error(ws, tmp_path, capsys):

@@ -1097,6 +1097,12 @@ def test_dataset_rejects_rows_that_are_not_one_finite_array(rows, ids, message):
         TrajectoryDataset.from_coefficients(rows, ids=ids)
 
 
+def test_a_dataset_of_empty_rows_names_their_shape():
+    with pytest.raises(InputError) as info:
+        TrajectoryDataset(np.empty((3, 0)))
+    assert str(info.value) == "coefficient rows must be non-empty, got shape (3, 0)"
+
+
 @pytest.mark.parametrize("times, values, message", [
     ([1.0, 0.0, -1.0], [[0.0], [1.0], [0.0]], "strictly increasing \\(id='g'\\)"),
     ([-1.0, 0.0, 2.0], [[0.0], [1.0], [0.0]], "leave the declared domain"),
