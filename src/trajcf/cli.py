@@ -14,6 +14,10 @@ Three CSV layouts are auto-detected by the first header cell:
 * ``coef`` — coefficient layout: row k holds coefficient k of every curve,
              one curve per column;
 * ``id``   — wide coefficient layout: one curve per row, ``id,c1,...,cn``.
+
+``score`` and ``baseline`` take every probe's CD value from one
+`model.cd_values` call and render the report from that array with
+`scoring.report_lines`; the summary and the histogram read the same array.
 """
 
 from __future__ import annotations
@@ -184,8 +188,9 @@ def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
     in one pass, or coefficient rows as given.  A ``reference`` set that
     names no curve or holds no data is an input error, as is any file that
     names curves but holds no data; any other file that names no curves is
-    an empty dataset.  Sample times past an end of ``domain`` by more than
-    1e-12 of its width (`projection._check_grid`'s rule) raise ``outside``."""
+    an empty dataset, though `project_samples` still checks its sample
+    times.  Sample times past an end of ``domain`` by more than 1e-12 of
+    its width (`projection._check_grid`'s rule) raise ``outside``."""
     parsed = _read_input(path)
     kind, ids, data = parsed[:3]
     held = data.size if kind == "traj" else data.shape[1]
@@ -372,11 +377,10 @@ def cmd_score(args) -> int:
     if note:
         print(f"# note: {note}")
     probes = _read_dataset(args.input, model.domain, model.n, args.quad_points, MismatchError)
-    reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids)
-    cds = [rep.cd for rep in reports]
-    n_out = sum(rep.verdict == "Outlier" for rep in reports)
-    _emit_report([_scoring.report_header()] + [_scoring.report_line(rep) for rep in reports],
-                 args.output)
+    cds = _model.cd_values(model, probes.coeffs)
+    n_out = _scoring.verdicts(cds, threshold.value).count("Outlier")
+    lines = _scoring.report_lines(probes.ids, cds, threshold.value)
+    _emit_report([_scoring.report_header(), *lines], args.output)
     if args.histogram_out:
         _write_histogram(args.histogram_out, cds)
         print(f"# wrote histogram {args.histogram_out}")
@@ -386,9 +390,9 @@ def cmd_score(args) -> int:
             print(f"# note: overlay leaves out {len(dropped)} probe(s) whose curve is not "
                   f"finite: {', '.join(map(repr, dropped))}")
         print(f"# wrote overlay {args.overlay_out}")
-    mean = float(np.mean(cds)) if cds else float("nan")
-    print(f"# summary: probes={len(reports)} outliers={n_out} "
-          f"inliers={len(reports) - n_out} mean_cd={mean!r}")
+    mean = float(np.mean(cds)) if cds.size else float("nan")
+    print(f"# summary: probes={cds.size} outliers={n_out} "
+          f"inliers={cds.size - n_out} mean_cd={mean!r}")
     return EXIT_OK
 
 
@@ -454,14 +458,13 @@ def cmd_baseline(args) -> int:
     probes = _read_dataset(args.input, model.domain, model.n, args.quad_points, MismatchError)
     nodes = chebyshev_quadrature_nodes(_scoring.NEAREST_QUAD_POINTS)
     l2 = _scoring.nearest_distances(calibration.on_nodes(nodes), probes.on_nodes(nodes))
-    reports = _scoring.classify_batch(model, threshold, probes.coeffs, probes.ids,
-                                      baseline_l2=l2)
+    cds = _model.cd_values(model, probes.coeffs)
     fractions = cloud.fractions_below(probes.on_nodes(cloud.nodes), delta)
-    lines = [_scoring.report_header() + ",naive_fraction"]
-    for rep, frac in zip(reports, fractions.tolist()):
-        lines.append(_scoring.report_line(rep) + f",{frac!r}")
-    _emit_report(lines, args.output)
-    print(f"# summary: probes={len(reports)}")
+    lines = _scoring.report_lines(probes.ids, cds, threshold.value, l2)
+    _emit_report([_scoring.report_header() + ",naive_fraction",
+                  *(f"{ln},{frac!r}" for ln, frac in zip(lines, fractions.tolist()))],
+                 args.output)
+    print(f"# summary: probes={cds.size}")
     return EXIT_OK
 
 

@@ -644,12 +644,14 @@ def christoffel_value(model: ChristoffelModel, c) -> float:
     return _reciprocal(cd_value(model, c))
 
 
-def _reciprocal(cd: float) -> float:
-    """The Christoffel value 1 / cd of a CD value: 0.0 where cd overflowed
-    to inf (or nan), inf where it is 0."""
-    if not math.isfinite(cd):
-        return 0.0
-    return 1.0 / cd if cd > 0.0 else math.inf
+def _reciprocal(cd):
+    """The Christoffel values 1 / cd of a CD value or an array of them
+    (a float or an array back): 0.0 where cd overflowed to inf (or nan),
+    inf where it is 0."""
+    cd = np.asarray(cd, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.where(np.isfinite(cd), np.where(cd > 0.0, 1.0 / cd, np.inf), 0.0)
+    return out if out.ndim else float(out)
 
 
 def kernel(model: ChristoffelModel, c1, c2) -> float:

@@ -111,7 +111,7 @@ def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]
 def _check_samples(times: np.ndarray, values: np.ndarray, domain, ids=None) -> tuple[float, float]:
     """`_check_grid` of the grid of the (T, K) samples, which must be finite;
     ``ids`` names the curves in the messages.  Returns the domain as floats."""
-    domain = _check_grid(times, domain, None if ids is None else ids[0])
+    domain = _check_grid(times, domain, ids[0] if ids else None)
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -236,7 +236,8 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
     Parameters
     ----------
     times : array_like, shape (T,)
-        Strictly increasing sample times inside ``domain``.
+        Strictly increasing sample times inside ``domain``, checked even
+        when K = 0; only T = K = 0 (no grid, no curves) is not checked.
     values : array_like, shape (T, K)
         One curve per column.
     n, quad_points
@@ -256,7 +257,7 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
     V = np.asarray(values, dtype=float)
     if t.ndim != 1 or V.ndim != 2 or V.shape[0] != t.size:
         raise InputError(f"expected samples of shape ({t.size}, K), got {V.shape}")
-    if V.shape[1] == 0:
+    if V.shape == (0, 0):  # no grid and no curves: nothing to check
         return np.empty((0, int(n)))
     domain = _check_samples(t, V, domain, ids)
     return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T

@@ -19,6 +19,11 @@ where the probe's pointwise Christoffel value drops below a user-chosen
 delta.  The pointwise baseline is the method the functional score is
 designed to beat: a probe whose graph never leaves the reference envelope
 gets fraction ~ 0 no matter how abnormal the curve is as a function.
+
+Reports are rendered from the array of CD values: `report_lines` builds
+every CSV line column by column, and `report_line` of one `ScoreReport` is
+its one-row case, so the line format, the verdict rule (`verdicts`) and
+the Christoffel value's inf/0 rule each live in one place.
 """
 
 from __future__ import annotations
@@ -78,7 +83,14 @@ class ScoreReport:
 
     @property
     def verdict(self) -> str:
-        return "Outlier" if self.cd > self.threshold else "Inlier"
+        return verdicts([self.cd], self.threshold)[0]
+
+
+def verdicts(cds, threshold: float) -> list[str]:
+    """The verdict of each CD value against tau: "Outlier" exactly when the
+    value strictly exceeds tau, so a tie sits on the inlier side."""
+    return ["Outlier" if out else "Inlier"
+            for out in (np.asarray(cds, dtype=float) > threshold).tolist()]
 
 
 _CSV_SPECIAL = re.compile('[,"\r\n]')
@@ -96,17 +108,27 @@ def report_header() -> str:
     return ",".join(REPORT_COLUMNS)
 
 
+def report_lines(ids, cds, threshold: float, baseline_l2=None) -> list[str]:
+    """One CSV line per CD value, columns in `REPORT_COLUMNS` order.
+
+    ``ids`` labels the rows (None for an unlabelled one), ``threshold`` is
+    tau and ``baseline_l2`` an optional per-row sequence.  Each column is
+    built from the arrays at once: the Christoffel values and the verdicts
+    in one pass each, tau formatted once, and every float as its ``repr``.
+    """
+    cds = np.asarray(cds, dtype=float)
+    tau = repr(float(threshold))
+    l2 = ([""] * cds.size if baseline_l2 is None
+          else list(map(repr, np.asarray(baseline_l2, dtype=float).tolist())))
+    return [f"{csv_cell(i or '')},{cd!r},{ch!r},{tau},{verdict},{b}"
+            for i, cd, ch, verdict, b in zip(ids, cds.tolist(), _model._reciprocal(cds).tolist(),
+                                             verdicts(cds, threshold), l2, strict=True)]
+
+
 def report_line(report: ScoreReport) -> str:
-    """One report as a CSV line, columns in `REPORT_COLUMNS` order."""
-    fields = [
-        csv_cell(report.id or ""),
-        repr(report.cd),
-        repr(report.christoffel),
-        repr(report.threshold),
-        report.verdict,
-        "" if report.baseline_l2 is None else repr(report.baseline_l2),
-    ]
-    return ",".join(fields)
+    """One report as a CSV line: the one-row case of `report_lines`."""
+    return report_lines([report.id], [report.cd], report.threshold,
+                        None if report.baseline_l2 is None else [report.baseline_l2])[0]
 
 
 def float_text(x: float) -> str:

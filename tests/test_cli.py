@@ -334,6 +334,19 @@ def test_score_flags_the_designated_outlier(ws, tmp_path):
     assert float(fields[1]) == expected
 
 
+def test_a_probe_whose_cd_equals_tau_is_an_inlier(ws, tmp_path, capsys):
+    # the 1-quantile of the calibration file is its largest CD value, so
+    # scoring that file against itself puts one probe exactly at tau
+    rep = tmp_path / "rep.csv"
+    assert main(["score", "--model", ws["model"], "--input", ws["data"],
+                 "--calibration", ws["data"], "--threshold-quantile", "1",
+                 "--output", str(rep)]) == 0
+    rows = [ln.split(",") for ln in rep.read_text().splitlines()[1:]]
+    ties = [r for r in rows if float(r[1]) == float(r[3])]
+    assert len(ties) >= 1 and {r[4] for r in rows} == {"Inlier"}
+    assert "outliers=0 inliers=120" in capsys.readouterr().out
+
+
 def test_score_quantile_needs_calibration_data(ws):
     assert main(["score", "--model", ws["model"], "--input", ws["outlier"],
                  "--threshold-quantile", "0.99"]) == 2
@@ -471,6 +484,28 @@ def test_a_file_without_curves_still_has_its_times_checked_against_the_domain(
     capsys.readouterr()
     assert main(argv) == code
     assert f"{src}: sample times [5, 6] leave the domain [-1, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("times, message", [
+    (["1", "0"], "trajectory times must be strictly increasing"),
+    (["0", "0"], "trajectory times must be strictly increasing"),
+    (["nan", "0"], "trajectory times contain non-finite entries"),
+], ids=["decreasing", "repeated", "nan"])
+@pytest.mark.parametrize("command", ["score", "baseline", "update", "downdate"])
+def test_a_file_without_curves_still_has_its_grid_checked(ws, tmp_path, capsys,
+                                                          command, times, message):
+    # as a file with one curve on the same grid is
+    out = tmp_path / "out"
+    for header, cell in (("t", ""), ("t,a", ",0.5")):
+        src = tmp_path / "grid.csv"
+        src.write_text("\n".join([header] + [t + cell for t in times]) + "\n")
+        argv = [command, "--model", ws["model"], "--input", str(src), "--output", str(out)]
+        if command == "baseline":
+            argv += ["--calibration", ws["data"]]
+        capsys.readouterr()
+        assert main(argv) == 2, header
+        assert capsys.readouterr().err.startswith(f"trajcf: input error: {message}"), header
+    assert not out.exists()
 
 
 def test_update_then_downdate_round_trips(ws, tmp_path):

@@ -267,6 +267,18 @@ def test_shared_grid_projection_names_a_curve_with_non_finite_samples():
 
 def test_shared_grid_projection_of_no_curves_is_empty():
     assert project_samples(np.linspace(-1, 1, 5), np.empty((5, 0)), 3).shape == (0, 3)
+    assert project_samples(np.empty(0), np.empty((0, 0)), 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([1.0, 0.0], "strictly increasing \\(id=None\\)"),
+    ([0.0, 0.0], "strictly increasing \\(id=None\\)"),
+    ([math.nan, 0.0], "non-finite entries"),
+    ([0.5], "at least 2 samples"),
+], ids=["decreasing", "repeated", "nan", "one-sample"])
+def test_shared_grid_of_no_curves_is_still_checked(times, message):
+    with pytest.raises(InputError, match=message):
+        project_samples(times, np.empty((len(times), 0)), 3, ids=[])
 
 
 def test_values_on_nodes_is_np_interp_bit_for_bit():

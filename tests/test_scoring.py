@@ -20,12 +20,14 @@ from trajcf.scoring import (
     calibrate,
     classify,
     classify_batch,
+    csv_cell,
     nearest_distances,
     nearest_rank,
     nearest_rank_quantile,
     nearest_trajectory_score,
     report_header,
     report_line,
+    report_lines,
 )
 from trajcf.synth import generate_example1
 
@@ -131,6 +133,30 @@ def test_report_line_column_order():
     rep = ScoreReport(id="x", cd=2.0, threshold=3.0)
     assert report_header() == "id,cd,christoffel,threshold,verdict,baseline_l2"
     assert report_line(rep) == "x,2.0,0.5,3.0,Inlier,"
+
+
+def _per_row_line(id_, cd, tau, baseline_l2):
+    """A report line as one ScoreReport was rendered field by field, with
+    the scalar reciprocal and verdict rules written out."""
+    christoffel = 0.0 if not math.isfinite(cd) else 1.0 / cd if cd > 0.0 else math.inf
+    return ",".join([csv_cell(id_ or ""), repr(cd), repr(christoffel), repr(tau),
+                     "Outlier" if cd > tau else "Inlier",
+                     "" if baseline_l2 is None else repr(baseline_l2)])
+
+
+_REPORT_IDS = [None, "", "a,b", 'q"x', "two\nlines"]
+
+
+@pytest.mark.parametrize("baseline_l2", [None, 0.0, math.inf], ids=["no-l2", "l2-0", "l2-inf"])
+@pytest.mark.parametrize("cd", [0.0, math.inf, 5e-324, 1e308])
+def test_report_lines_match_the_per_row_text(cd, baseline_l2):
+    tau = 1e308  # the largest cd ties with tau
+    cds = np.full(len(_REPORT_IDS), cd)
+    l2 = None if baseline_l2 is None else [baseline_l2] * len(_REPORT_IDS)
+    want = [_per_row_line(i, cd, tau, baseline_l2) for i in _REPORT_IDS]
+    assert report_lines(_REPORT_IDS, cds, tau, l2) == want
+    assert [report_line(ScoreReport(id=i, cd=cd, threshold=tau, baseline_l2=baseline_l2))
+             for i in _REPORT_IDS] == want
 
 
 # --- nearest-trajectory baseline -------------------------------------------------

@@ -5,14 +5,16 @@
 Runs, in a new temporary directory and through ``trajcf.cli.main``:
 ``synth`` (two families of curves) -> ``fit`` (curves at (4, 4) and
 coefficient rows at (8, 5)) -> ``score`` (with ``--histogram-out`` and
-``--overlay-out``) -> ``update`` -> ``downdate`` -> ``baseline`` ->
-``info``.  Every path is relative to that directory, so the output does not
-depend on where it is.  Prints one ``sha256  name`` line per command's
-stdout (``<step>.stdout``) and per file the command wrote, in pipeline
-order.  Two checkouts that write the same bytes print the same lines, so a
-change that must not alter any output is checked by diffing two runs; see
-README.md.  ``--src`` imports trajcf from another source tree (default: the
-``src/`` beside this script).
+``--overlay-out``; with the default threshold; and with
+``--threshold-multiple 10``, the report printed to stdout) -> ``update``
+-> ``downdate`` -> ``baseline`` -> ``info``.  Every path is relative to
+that directory, so the output does not depend on where it is.  Prints one
+``sha256  name`` line per command's stdout (``<step>.stdout``) and per
+file the command wrote, in pipeline order.  Two checkouts that write the
+same bytes print the same lines, so a change that must not alter any
+output is checked by diffing two runs; see README.md.  ``--src`` imports
+trajcf from another source tree (default: the ``src/`` beside this
+script).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ def pipeline(seed: int) -> list[tuple[str, list[str]]]:
                           "--histogram-out", "histogram.txt", "--overlay-out", "overlay.csv"]),
         ("score-coef", ["score", "--model", "coef.model", "--input", "ref_outlier.csv",
                         "--output", "score_coef.csv"]),
+        ("score-stdout", ["score", "--model", "curves.model", "--input", "new_curves.csv",
+                          "--threshold-multiple", "10"]),
         ("update", ["update", "--model", "curves.model", "--input", "new_curves.csv",
                     "--output", "updated.model"]),
         ("downdate", ["downdate", "--model", "updated.model", "--input", "new_curves.csv",
