@@ -40,11 +40,9 @@ from .projection import (
 )
 from .scoring import (
     PointwiseChristoffel,
-    ScoreReport,
     Threshold,
     calibrate,
     classify,
-    classify_batch,
     nearest_distances,
     nearest_trajectory_score,
 )
@@ -60,8 +58,8 @@ __all__ = [
     "fit", "kernel", "load", "save", "update",
     "SampledTrajectory", "chebyshev_quadrature_nodes",
     "project", "project_samples", "reconstruct_batch", "values_on_nodes",
-    "PointwiseChristoffel", "ScoreReport", "Threshold", "calibrate", "classify",
-    "classify_batch", "nearest_distances", "nearest_trajectory_score",
+    "PointwiseChristoffel", "Threshold", "calibrate", "classify",
+    "nearest_distances", "nearest_trajectory_score",
     "SyntheticExperiment", "generate_example1", "generate_example2", "sample_ball",
     "__version__",
 ]

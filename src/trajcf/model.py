@@ -173,7 +173,7 @@ class TrajectoryDataset:
                     f"samples of {N} curves on {t.size} times must form a "
                     f"({t.size}, {N}) array, got shape {V.shape}"
                 )
-            if N:
+            if N or t.size:  # as `project_samples`: only no grid and no curves goes unchecked
                 _projection._check_samples(t, V, self.domain, ids)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", V)
@@ -959,9 +959,10 @@ def _read_model(fh) -> tuple[dict[str, str], np.ndarray | None, int, BasisEnumer
     if blank:
         raise InputError("model file is empty")
     first = last if first is None else first
-    if first != _FORMAT_HEADER:
+    if first != _FORMAT_HEADER:  # quoted to 80 characters: the file may be any text
         raise InputError(
-            f"unsupported model format header {first!r} (expected {_FORMAT_HEADER!r})"
+            f"unsupported model format header {first[:80]!r}{'...' * (len(first) > 80)} "
+            f"(expected {_FORMAT_HEADER!r})"
         )
     if not last.startswith("checksum sha256 "):
         raise InputError("model file is missing its checksum line (truncated?)")

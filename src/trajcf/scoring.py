@@ -21,9 +21,8 @@ designed to beat: a probe whose graph never leaves the reference envelope
 gets fraction ~ 0 no matter how abnormal the curve is as a function.
 
 Reports are rendered from the array of CD values: `report_lines` builds
-every CSV line column by column, and `report_line` of one `ScoreReport` is
-its one-row case, so the line format, the verdict rule (`verdicts`) and
-the Christoffel value's inf/0 rule each live in one place.
+every CSV line column by column, and `verdicts`, of which `classify` is the
+one-probe case, states the verdict rule once.
 """
 
 from __future__ import annotations
@@ -67,25 +66,6 @@ class Threshold:
             raise InputError(f"threshold must be finite and > 0, got {self.value!r}")
 
 
-@dataclass(frozen=True)
-class ScoreReport:
-    """Scores for one probe trajectory; its Christoffel value and verdict
-    follow from ``cd`` and ``threshold``."""
-
-    id: str | None
-    cd: float
-    threshold: float
-    baseline_l2: float | None = None
-
-    @property
-    def christoffel(self) -> float:
-        return _model._reciprocal(self.cd)
-
-    @property
-    def verdict(self) -> str:
-        return verdicts([self.cd], self.threshold)[0]
-
-
 def verdicts(cds, threshold: float) -> list[str]:
     """The verdict of each CD value against tau: "Outlier" exactly when the
     value strictly exceeds tau, so a tie sits on the inlier side."""
@@ -123,12 +103,6 @@ def report_lines(ids, cds, threshold: float, baseline_l2=None) -> list[str]:
     return [f"{csv_cell(i or '')},{cd!r},{ch!r},{tau},{verdict},{b}"
             for i, cd, ch, verdict, b in zip(ids, cds.tolist(), _model._reciprocal(cds).tolist(),
                                              verdicts(cds, threshold), l2, strict=True)]
-
-
-def report_line(report: ScoreReport) -> str:
-    """One report as a CSV line: the one-row case of `report_lines`."""
-    return report_lines([report.id], [report.cd], report.threshold,
-                        None if report.baseline_l2 is None else [report.baseline_l2])[0]
 
 
 def float_text(x: float) -> str:
@@ -184,44 +158,10 @@ def calibrate(
     raise InputError(f"unknown threshold method {method!r} (want 'quantile' or 'multiple')")
 
 
-def classify(
-    model: ChristoffelModel,
-    threshold: Threshold,
-    c,
-    baseline_l2: float | None = None,
-) -> ScoreReport:
-    """Score one probe and compare against the threshold.
-
-    Ties sit on the inlier side: a probe is an outlier only when its CD
-    value strictly exceeds tau.  A one-row call of `classify_batch`; the
-    report's id is None (pass ``ids`` to `classify_batch` to label rows).
-    """
-    return classify_batch(
-        model, threshold, coeff_array(c)[None, :],
-        baseline_l2=None if baseline_l2 is None else [baseline_l2],
-    )[0]
-
-
-def classify_batch(
-    model: ChristoffelModel,
-    threshold: Threshold,
-    coeffs,
-    ids=None,
-    baseline_l2=None,
-) -> list[ScoreReport]:
-    """Score the rows of a (K, >= n) coefficient matrix with one `cd_values` call.
-
-    ``ids`` and ``baseline_l2`` are optional per-row sequences carried
-    into the reports.
-    """
-    cds = _model.cd_values(model, coeffs)
-    reports = []
-    for i, cd in enumerate(cds.tolist()):
-        reports.append(ScoreReport(
-            id=None if ids is None else ids[i], cd=cd, threshold=threshold.value,
-            baseline_l2=None if baseline_l2 is None else float(baseline_l2[i]),
-        ))
-    return reports
+def classify(model: ChristoffelModel, threshold: Threshold, c) -> str:
+    """The verdict of one probe's coefficient vector against the threshold,
+    "Outlier" or "Inlier": the one-row case of `verdicts` of its CD value."""
+    return verdicts([_model.cd_value(model, c)], threshold.value)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ def read_model_whole(fh):
     if all(not ln or ln.isspace() for ln in lines):
         raise InputError("model file is empty")
     if lines[0] != model_mod._FORMAT_HEADER:
-        raise InputError(f"unsupported model format header {lines[0]!r} "
+        raise InputError(f"unsupported model format header {lines[0][:80]!r}"
+                         f"{'...' * (len(lines[0]) > 80)} "
                          f"(expected {model_mod._FORMAT_HEADER!r})")
     if not lines[-1].startswith("checksum sha256 "):
         raise InputError("model file is missing its checksum line (truncated?)")

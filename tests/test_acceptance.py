@@ -221,7 +221,7 @@ def test_c10_functional_score_beats_the_pointwise_baseline():
     exp = _family(276)
     model = fit(exp.dataset, 4, 4, epsilon=0.0)
     tau = calibrate(model, exp.dataset, method="quantile", param=0.999)
-    verdict = classify(model, tau, exp.outlier).verdict
+    verdict = classify(model, tau, exp.outlier)
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=4)
     frac = cloud.fraction_below(exp.outlier, cloud.cloud_floor)
     cd = cd_value(model, exp.outlier)

@@ -642,6 +642,18 @@ def test_the_domain_info_prints_is_the_one_score_accepts(ws, tmp_path, capsys):
                  "--domain", domain]) == 0
 
 
+@pytest.mark.parametrize("command", ["info", "score"])
+def test_a_wrong_model_file_gives_a_short_error(ws, tmp_path, capsys, command):
+    # a data file of many curves passed as --model: the message quotes only
+    # the start of its first line, however long that line is
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("t" * 10**6 + "\n0.5\n", encoding="utf-8")
+    probes = [] if command == "info" else ["--input", ws["outlier"]]
+    assert main([command, "--model", str(wrong), *probes]) == 2
+    err = capsys.readouterr().err
+    assert "unsupported model format header" in err and len(err) < 300
+
+
 # --- factorizations per command ----------------------------------------------------
 
 def test_each_command_factors_each_model_it_scores_or_writes_once(ws, tmp_path, monkeypatch):

@@ -1048,16 +1048,14 @@ def test_indefinite_moments_at_positive_epsilon_are_a_numerical_error():
 
 
 def test_overflowing_probes_score_inf_and_are_outliers():
-    from trajcf.scoring import calibrate, classify_batch
+    from trajcf.scoring import calibrate, verdicts
     model = fit(gaussian_dataset(200, 3, seed=74), 4, 3)
     probes = np.array([[0.1, -0.2, 0.3], [1e80, -1e80, 1e80], [1e200, 0.0, 0.0]])
     cds = cd_values(model, probes)
     assert cds[0] == pytest.approx(cd_value(model, probes[0]), rel=1e-12)
     assert cds[1] == cds[2] == math.inf
     assert christoffel_value(model, probes[1]) == christoffel_value(model, probes[2]) == 0.0
-    reports = classify_batch(model, calibrate(model, method="multiple"), probes)
-    assert [r.verdict for r in reports[1:]] == ["Outlier", "Outlier"]
-    assert [r.christoffel for r in reports[1:]] == [0.0, 0.0]
+    assert verdicts(cds, calibrate(model, method="multiple").value)[1:] == ["Outlier", "Outlier"]
 
 
 # --- the dataset's array -------------------------------------------------------
@@ -1107,18 +1105,22 @@ def test_a_dataset_of_empty_rows_names_their_shape():
     ([1.0, 0.0, -1.0], [[0.0], [1.0], [0.0]], "strictly increasing \\(id='g'\\)"),
     ([-1.0, 0.0, 2.0], [[0.0], [1.0], [0.0]], "leave the declared domain"),
     ([-1.0, 0.0, 1.0], [[0.0], [np.nan], [0.0]], "non-finite entries \\(id='g'\\)"),
-], ids=["reversed", "outside-domain", "nan"])
+    ([1.0, 0.0], np.empty((2, 0)), "strictly increasing \\(id=None\\)"),
+    ([0.0, np.nan], np.empty((2, 0)), "times contain non-finite entries"),
+], ids=["reversed", "outside-domain", "nan", "no-curves-reversed", "no-curves-nan-time"])
 def test_dataset_checks_its_sample_grid_as_projection_does(times, values, message):
-    # a reversed grid would put [0.5, 0.5] on these nodes as [0, 0]
+    # a reversed grid would put [0.5, 0.5] on these nodes as [0, 0]; a grid
+    # with no curves is checked too, so the two agree on a file of no curves
+    ids = ["g"] * np.shape(values)[1]
     with pytest.raises(InputError, match=message):
-        TrajectoryDataset(np.zeros((1, 2)), ids=["g"], times=times, values=values)
+        TrajectoryDataset(np.zeros((len(ids), 2)), ids=ids, times=times, values=values)
     with pytest.raises(InputError, match=message):
-        project_samples(times, values, 2, domain=(-1.0, 1.0), ids=["g"])
+        project_samples(times, values, 2, domain=(-1.0, 1.0), ids=ids)
 
 
-def test_dataset_of_no_curves_keeps_any_grid():
-    # a probe file with no curves still scores as no probes
-    data = TrajectoryDataset(np.empty((0, 2)), times=[1.0, 0.0], values=np.empty((2, 0)))
+@pytest.mark.parametrize("times", [[], [-1.0, 1.0]], ids=["no-grid", "grid"])
+def test_dataset_of_no_curves_on_an_empty_or_valid_grid(times):
+    data = TrajectoryDataset(np.empty((0, 2)), times=times, values=np.empty((len(times), 0)))
     assert len(data) == 0 and data.on_nodes([0.0, 0.5]).shape == (0, 2)
 
 

@@ -382,6 +382,16 @@ def test_a_file_that_is_not_utf8_in_S_gives_the_same_message(tmp_path):
     assert once == whole and "not UTF-8" in whole[1]
 
 
+@pytest.mark.parametrize("width", [80, 81])
+def test_a_wrong_header_is_quoted_to_80_characters(tmp_path, width):
+    path = tmp_path / "m.txt"
+    path.write_text("x" * width + "\nchecksum sha256 0\n", encoding="utf-8")
+    once, whole = load_both_ways(path)
+    quoted = repr("x" * 80) + "..." * (width > 80)
+    assert once == whole == ("InputError", f"unsupported model format header {quoted} "
+                                           "(expected 'trajcf model 1')")
+
+
 def test_a_file_object_that_is_not_utf8_is_an_input_error(tmp_path):
     data = WIDE_MODEL.encode("utf-8")
     at = data.index(b"\n", len(data) // 2) + 3

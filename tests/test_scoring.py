@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajcf.errors import InputError
-from trajcf.model import TrajectoryDataset, cd_value, cd_values, fit
+from trajcf.model import TrajectoryDataset, cd_value, cd_values, christoffel_value, fit
 from trajcf.projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
@@ -15,19 +15,17 @@ from trajcf.projection import (
 from trajcf.scoring import (
     POINTWISE_QUAD_POINTS,
     PointwiseChristoffel,
-    ScoreReport,
     Threshold,
     calibrate,
     classify,
-    classify_batch,
     csv_cell,
     nearest_distances,
     nearest_rank,
     nearest_rank_quantile,
     nearest_trajectory_score,
     report_header,
-    report_line,
     report_lines,
+    verdicts,
 )
 from trajcf.synth import generate_example1
 
@@ -101,43 +99,37 @@ def test_tie_with_threshold_is_an_inlier(small_family):
     probe = exp.dataset.coeffs[0]
     cd = cd_value(model, probe)
     thr = Threshold(value=cd, method="quantile(1)")
-    assert classify(model, thr, probe).verdict == "Inlier"
+    assert classify(model, thr, probe) == "Inlier"
 
 
 def test_verdict_depends_only_on_the_comparison(small_family):
     exp, model = small_family
     thr = calibrate(model, exp.dataset)
     probe = exp.outlier
-    plain = classify(model, thr, probe)
-    decorated = classify(model, thr, probe, baseline_l2=12345.0)
-    assert plain.verdict == decorated.verdict == "Outlier"
-    assert decorated.baseline_l2 == 12345.0
+    by_comparison = "Outlier" if cd_value(model, probe) > thr.value else "Inlier"
+    assert classify(model, thr, probe) == by_comparison == "Outlier"
 
 
-def test_report_reciprocal_and_id(small_family):
+def test_christoffel_value_is_the_reciprocal_of_cd(small_family):
     exp, model = small_family
-    thr = calibrate(model, exp.dataset)
-    rep = classify(model, thr, exp.outlier)
-    assert rep.id is None  # a row carries no id; classify_batch takes ids
-    assert rep.christoffel == pytest.approx(1.0 / rep.cd, rel=1e-12)
+    assert christoffel_value(model, exp.outlier) == pytest.approx(
+        1.0 / cd_value(model, exp.outlier), rel=1e-12)
 
 
 def test_report_derives_its_verdict_and_reciprocal():
-    verdicts = [ScoreReport(id=None, cd=cd, threshold=3.0).verdict for cd in (2.0, 3.0, 3.5)]
-    assert verdicts == ["Inlier", "Inlier", "Outlier"]  # a tie is an inlier
-    assert ScoreReport(id=None, cd=math.inf, threshold=3.0).christoffel == 0.0
-    assert ScoreReport(id=None, cd=0.0, threshold=3.0).christoffel == math.inf
+    assert verdicts([2.0, 3.0, 3.5], 3.0) == ["Inlier", "Inlier", "Outlier"]  # a tie is an inlier
+    assert [ln.split(",")[2] for ln in report_lines([None, None], [math.inf, 0.0], 3.0)] == [
+        "0.0", "inf"]
 
 
 def test_report_line_column_order():
-    rep = ScoreReport(id="x", cd=2.0, threshold=3.0)
     assert report_header() == "id,cd,christoffel,threshold,verdict,baseline_l2"
-    assert report_line(rep) == "x,2.0,0.5,3.0,Inlier,"
+    assert report_lines(["x"], [2.0], 3.0) == ["x,2.0,0.5,3.0,Inlier,"]
 
 
 def _per_row_line(id_, cd, tau, baseline_l2):
-    """A report line as one ScoreReport was rendered field by field, with
-    the scalar reciprocal and verdict rules written out."""
+    """A report line rendered field by field, with the scalar reciprocal
+    and verdict rules written out."""
     christoffel = 0.0 if not math.isfinite(cd) else 1.0 / cd if cd > 0.0 else math.inf
     return ",".join([csv_cell(id_ or ""), repr(cd), repr(christoffel), repr(tau),
                      "Outlier" if cd > tau else "Inlier",
@@ -155,8 +147,6 @@ def test_report_lines_match_the_per_row_text(cd, baseline_l2):
     l2 = None if baseline_l2 is None else [baseline_l2] * len(_REPORT_IDS)
     want = [_per_row_line(i, cd, tau, baseline_l2) for i in _REPORT_IDS]
     assert report_lines(_REPORT_IDS, cds, tau, l2) == want
-    assert [report_line(ScoreReport(id=i, cd=cd, threshold=tau, baseline_l2=baseline_l2))
-             for i in _REPORT_IDS] == want
 
 
 # --- nearest-trajectory baseline -------------------------------------------------
@@ -267,18 +257,13 @@ def test_naive_accepts_curve_probes(small_family):
 
 # --- batch forms ------------------------------------------------------------------
 
-def test_classify_batch_equals_classify_row_by_row(small_family):
+def test_classify_row_by_row_equals_verdicts_of_cd_values(small_family):
     exp, model = small_family
     thr = calibrate(model, exp.dataset)
     C = np.vstack([exp.dataset.coefficient_matrix(4)[:20], exp.outlier[None, :4]])
-    ids = [f"p{i}" for i in range(len(C))]
-    batch = classify_batch(model, thr, C, ids=ids, baseline_l2=np.arange(len(C)))
-    for i, rep in enumerate(batch):
-        single = classify(model, thr, C[i], baseline_l2=float(i))
-        assert (rep.id, rep.verdict) == (ids[i], single.verdict)
-        assert rep.baseline_l2 == single.baseline_l2
-        assert rep.cd == pytest.approx(single.cd, rel=1e-12)
-    assert batch[-1].verdict == "Outlier"
+    batch = verdicts(cd_values(model, C), thr.value)
+    assert [classify(model, thr, row) for row in C] == batch
+    assert batch[-1] == "Outlier"
 
 
 def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
