@@ -34,7 +34,6 @@ from .projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
     project,
-    project_samples,
     reconstruct_batch,
     values_on_nodes,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "cd_values", "christoffel_value", "downdate", "extremal_polynomial",
     "fit", "kernel", "load", "save", "update",
     "SampledTrajectory", "chebyshev_quadrature_nodes",
-    "project", "project_samples", "reconstruct_batch", "values_on_nodes",
+    "project", "reconstruct_batch", "values_on_nodes",
     "PointwiseChristoffel", "Threshold", "calibrate", "classify",
     "nearest_distances", "nearest_trajectory_score",
     "SyntheticExperiment", "generate_example1", "generate_example2", "sample_ball",

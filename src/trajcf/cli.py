@@ -36,11 +36,9 @@ from .errors import InputError, MismatchError, NumericalError
 from .model import TrajectoryDataset
 from .projection import (
     DomainWidthError,
-    chebyshev_quadrature_nodes,
     check_domain,
     default_quad_points,
-    project,  # noqa: F401  (a binding perfbench's tracer wraps and checks)
-    project_samples,
+    project,
     quad_point_count,
 )
 
@@ -188,8 +186,8 @@ def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
     in one pass, or coefficient rows as given.  A ``reference`` set that
     names no curve or holds no data is an input error, as is any file that
     names curves but holds no data; any other file that names no curves is
-    an empty dataset, though `project_samples` still checks its sample
-    times.  Sample times past an end of ``domain`` by more than 1e-12 of
+    an empty dataset, though `project` still checks its sample times.
+    Sample times past an end of ``domain`` by more than 1e-12 of
     its width (`projection._check_grid`'s rule) raise ``outside``."""
     parsed = _read_input(path)
     kind, ids, data = parsed[:3]
@@ -210,7 +208,7 @@ def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
     if times.size and (times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span):
         first, last, lo, hi = map(_scoring.float_text, (times[0], times[-1], lo, hi))
         raise outside(f"{path}: sample times [{first}, {last}] leave the domain [{lo}, {hi}]")
-    coeffs = project_samples(times, values, n, quad_points, domain, ids=ids)
+    coeffs = project(times, values, n, quad_points, domain, ids=ids)
     return TrajectoryDataset(coeffs, ids=ids, domain=domain, times=times, values=values)
 
 
@@ -456,10 +454,9 @@ def cmd_baseline(args) -> int:
     if note:
         print(f"# note: {note}")
     probes = _read_dataset(args.input, model.domain, model.n, args.quad_points, MismatchError)
-    nodes = chebyshev_quadrature_nodes(_scoring.NEAREST_QUAD_POINTS)
-    l2 = _scoring.nearest_distances(calibration.on_nodes(nodes), probes.on_nodes(nodes))
+    l2 = _scoring.nearest_trajectory_score(calibration, probes)
     cds = _model.cd_values(model, probes.coeffs)
-    fractions = cloud.fractions_below(probes.on_nodes(cloud.nodes), delta)
+    fractions = cloud.fraction_below(probes, delta)
     lines = _scoring.report_lines(probes.ids, cds, threshold.value, l2)
     _emit_report([_scoring.report_header() + ",naive_fraction",
                   *(f"{ln},{frac!r}" for ln, frac in zip(lines, fractions.tolist()))],

@@ -137,8 +137,8 @@ class TrajectoryDataset:
     float64 array that owns its data and is already read-only is kept as
     handed over, anything else is copied (`_read_only_array`).  The rows
     and the samples are checked once for finiteness, and the grid as
-    `project_samples` checks it.  A dataset may be empty (a probe file may
-    hold no curves); `fit` refuses one.
+    `projection.project` checks it.  A dataset may be empty (a probe file
+    may hold no curves); `fit` refuses one.
     """
 
     coeffs: np.ndarray
@@ -173,7 +173,7 @@ class TrajectoryDataset:
                     f"samples of {N} curves on {t.size} times must form a "
                     f"({t.size}, {N}) array, got shape {V.shape}"
                 )
-            if N or t.size:  # as `project_samples`: only no grid and no curves goes unchecked
+            if N or t.size:  # as `project`: only no grid and no curves goes unchecked
                 _projection._check_samples(t, V, self.domain, ids)
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", V)
@@ -213,7 +213,7 @@ class TrajectoryDataset:
 
     @classmethod
     def from_trajectories(cls, trajectories, n: int, quad_points: int | None = None) -> "TrajectoryDataset":
-        """Project curves to n coefficients with one `project_samples` call.
+        """Project curves to n coefficients with one `projection.project` call.
 
         The curves must share one domain and one sample grid; the dataset
         keeps the grid and the samples.
@@ -235,7 +235,7 @@ class TrajectoryDataset:
                 )
         ids = [tr.id for tr in trajectories]
         values = np.stack([tr.values for tr in trajectories], axis=1)
-        C = _projection.project_samples(first.times, values, n, quad_points, first.domain, ids=ids)
+        C = _projection.project(first.times, values, n, quad_points, first.domain, ids=ids)
         return cls(C, ids=ids, domain=first.domain, times=first.times, values=values)
 
 

@@ -229,8 +229,8 @@ def _projection_operator(unit_times: np.ndarray, n: int, M: int) -> np.ndarray:
     return op.T
 
 
-def project_samples(times, values, n: int, quad_points: int | None = None,
-                    domain=(-1.0, 1.0), ids=None) -> np.ndarray:
+def project(times, values, n: int, quad_points: int | None = None,
+            domain=(-1.0, 1.0), ids=None) -> np.ndarray:
     """Project curves sampled on one shared grid onto n orthonormal coefficients.
 
     Parameters
@@ -240,8 +240,11 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
         when K = 0; only T = K = 0 (no grid, no curves) is not checked.
     values : array_like, shape (T, K)
         One curve per column.
-    n, quad_points
-        As for `project`.
+    n : int
+        Harmonic truncation, 1 <= n <= MAX_HARMONIC.
+    quad_points : int, optional
+        Gauss-Chebyshev point count M; defaults to max(256, 8n) and must
+        be at least n so the discrete system stays orthonormal.
     domain : (float, float)
     ids : sequence of str, optional
         Curve labels, used to name a curve with non-finite samples.
@@ -249,8 +252,9 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
     Returns
     -------
     ndarray, shape (K, n)
-        Row k equals ``project`` of curve k: one (n x T) operator applied
-        to all columns at once.
+        Row k holds curve k's coefficients: entry 1 is the quadrature mean
+        of f, entry k >= 2 is (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  One
+        (n x T) operator is applied to all columns at once.
     """
     M = quad_point_count(n, quad_points)
     t = np.asarray(times, dtype=float)
@@ -261,29 +265,6 @@ def project_samples(times, values, n: int, quad_points: int | None = None,
         return np.empty((0, int(n)))
     domain = _check_samples(t, V, domain, ids)
     return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
-
-
-def project(traj: SampledTrajectory, n: int, quad_points: int | None = None) -> np.ndarray:
-    """Project a sampled curve onto the first n orthonormal coefficients.
-
-    Parameters
-    ----------
-    traj : SampledTrajectory
-    n : int
-        Harmonic truncation, 1 <= n <= MAX_HARMONIC.
-    quad_points : int, optional
-        Gauss-Chebyshev point count M; defaults to max(256, 8n) and must
-        be at least n so the discrete system stays orthonormal.
-
-    Returns
-    -------
-    ndarray, shape (n,)
-        Entry 1 is the quadrature mean of f; entry k >= 2 is
-        (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  A one-column call of
-        `project_samples`.
-    """
-    return project_samples(traj.times, traj.values[:, None], n, quad_points,
-                           traj.domain, ids=[traj.id])[0]
 
 
 def reconstruct_batch(coeff_matrix, t) -> np.ndarray:

@@ -38,14 +38,7 @@ from . import model as _model
 from .basis import eval_monomial_matrix  # noqa: F401  (a binding perfbench's tracer wraps and checks)
 from .errors import InputError, NumericalError
 from .model import ChristoffelModel, TrajectoryDataset
-from .projection import (
-    SampledTrajectory,
-    chebyshev_quadrature_nodes,
-    coeff_array,
-    reconstruct_batch,
-    unit_times,
-    values_on_nodes,
-)
+from .projection import chebyshev_quadrature_nodes
 
 DEFAULT_QUANTILE = 0.999
 DEFAULT_MULTIPLE = 10.0
@@ -177,21 +170,11 @@ POINTWISE_QUAD_POINTS = 129
 NEAREST_BLOCK_ROWS = 256
 
 
-def _probe_values(f, nodes: np.ndarray) -> np.ndarray:
-    """One probe at unit-interval nodes, (1, M): a curve by linear
-    interpolation, a coefficient vector as a truncated series."""
-    if isinstance(f, SampledTrajectory):
-        if not np.isfinite(f.values).all():
-            raise InputError(f"trajectory values contain non-finite entries (id={f.id!r})")
-        return values_on_nodes(unit_times(f.times, f.domain), f.values[:, None], nodes)
-    return reconstruct_batch(coeff_array(f)[None, :], nodes)
-
-
 def nearest_distances(reference_values, probe_values) -> np.ndarray:
     """Smallest quadrature-weighted L2 distance from each probe to any reference.
 
     Both arguments hold curves evaluated on the same Gauss-Chebyshev grid,
-    one per row; the distance uses the probability weight,
+    one per row, else `InputError`; the distance uses the probability weight,
     ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  All distances come
     from one product ||f||^2 - 2 f.g + ||g||^2 per block of probes; the
     references within its rounding error of the smallest are then measured
@@ -202,6 +185,9 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
     if G.shape[0] == 0:
         raise InputError("nearest-trajectory score needs a non-empty database")
     M = G.shape[1]
+    if F.ndim != 2 or F.shape[1] != M:
+        raise InputError(f"probe values of shape {F.shape} are not rows on the "
+                         f"references' {M} nodes")
     gg = np.einsum("ij,ij->i", G, G) / M
     out = np.empty(F.shape[0])
     # Curves too large to square overflow to an inf distance, which is their score.
@@ -219,17 +205,16 @@ def nearest_distances(reference_values, probe_values) -> np.ndarray:
     return np.sqrt(out)
 
 
-def nearest_trajectory_score(data: TrajectoryDataset, f) -> float:
-    """Smallest quadrature-weighted L2 distance from the probe to the database.
+def nearest_trajectory_score(reference: TrajectoryDataset, probes: TrajectoryDataset) -> np.ndarray:
+    """Smallest quadrature-weighted L2 distance from each probe to the database.
 
-    Probe and references are all evaluated on the NEAREST_QUAD_POINTS
-    Gauss-Chebyshev grid (curves by linear interpolation, so a probe that
-    *is* a database curve scores exactly 0), and the distance uses the
-    probability weight: ||f - g||^2 ~ (1/M) sum_j (f(t_j) - g(t_j))^2.  A
-    one-probe call of `nearest_distances`.
+    Probes and references are all evaluated on the NEAREST_QUAD_POINTS
+    Gauss-Chebyshev grid (`TrajectoryDataset.on_nodes`: curves by linear
+    interpolation, so a probe that *is* a database curve scores exactly 0)
+    and compared by `nearest_distances`; returns one distance per probe.
     """
     nodes = chebyshev_quadrature_nodes(NEAREST_QUAD_POINTS)
-    return float(nearest_distances(data.on_nodes(nodes), _probe_values(f, nodes))[0])
+    return nearest_distances(reference.on_nodes(nodes), probes.on_nodes(nodes))
 
 
 @dataclass(frozen=True)
@@ -271,24 +256,24 @@ class PointwiseChristoffel:
         """Pointwise Christoffel values Lambda(t_j, f(t_j)) of many probes.
 
         ``values`` holds each probe's values on ``self.nodes``, one probe
-        per row; all probes share one `cd_values` call.  A non-finite
-        value (an overflowed curve) gets 0: its CD value is inf.
+        per row (a 1-D array is one probe); all probes share one
+        `cd_values` call.  A non-finite value (an overflowed curve) gets 0:
+        its CD value is inf.
         """
-        F = np.asarray(values, dtype=float).reshape(-1, self.nodes.size)
+        F = np.atleast_2d(np.asarray(values, dtype=float))
+        if F.ndim != 2 or F.shape[1] != self.nodes.size:
+            raise InputError(f"probes on {F.shape[-1]} nodes cannot be profiled on "
+                             f"the cloud's {self.nodes.size}")
         pts = np.stack([np.tile(self.nodes, F.shape[0]), F.ravel()], axis=1)
         finite = np.isfinite(F.ravel())
         cd = np.full(finite.size, np.inf)
         cd[finite] = _model.cd_values(self.model, pts[finite])
         return (1.0 / cd).reshape(F.shape)
 
-    def fractions_below(self, values, delta: float) -> np.ndarray:
-        """Per probe row of `profiles` input, the fraction of nodes where
-        the pointwise value drops under delta.  delta = 0 gives 0; the
-        largest delta that flags no reference curve is `cloud_floor`."""
+    def fraction_below(self, probes: TrajectoryDataset, delta: float) -> np.ndarray:
+        """Per probe, the fraction of nodes where its pointwise value drops
+        under delta.  delta = 0 gives 0; the largest delta that flags no
+        reference curve is `cloud_floor`."""
         if delta < 0.0 or not math.isfinite(delta):
             raise InputError(f"delta must be finite and >= 0, got {delta!r}")
-        return np.mean(self.profiles(values) < delta, axis=1)
-
-    def fraction_below(self, f, delta: float) -> float:
-        """Fraction of nodes where the probe's pointwise value drops under delta."""
-        return float(self.fractions_below(_probe_values(f, self.nodes), delta)[0])
+        return np.mean(self.profiles(probes.on_nodes(self.nodes)) < delta, axis=1)

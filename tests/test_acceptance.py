@@ -223,7 +223,7 @@ def test_c10_functional_score_beats_the_pointwise_baseline():
     tau = calibrate(model, exp.dataset, method="quantile", param=0.999)
     verdict = classify(model, tau, exp.outlier)
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=4)
-    frac = cloud.fraction_below(exp.outlier, cloud.cloud_floor)
+    frac = cloud.fraction_below(TrajectoryDataset(exp.outlier[None, :]), cloud.cloud_floor)[0]
     cd = cd_value(model, exp.outlier)
     ok = verdict == "Outlier" and frac < 0.05
     _report(10, ok, f"outlier cd = {cd:.3e} vs tau = {tau.value:.1f} -> {verdict}; "

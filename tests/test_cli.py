@@ -13,7 +13,7 @@ from helpers import assert_same_text
 from trajcf.cli import CSV_BLOCK_ROWS, _write_trajectory_csv, _write_wide_csv, main
 from trajcf.errors import InputError
 from trajcf.model import cd_value, cd_values, load
-from trajcf.projection import project_samples
+from trajcf.projection import project
 from trajcf.synth import generate_example1
 
 
@@ -795,10 +795,10 @@ def test_sample_times_may_pass_either_end_of_the_domain_by_1e_12_of_its_width(tm
                      main(["update", "--model", model, "--input", probe, "--output", out]))
             assert codes == ((0, 0, 0) if accepted else (2, 4, 2)), (past, end)
             if accepted:
-                assert project_samples(times, values, 2, domain=(0.0, 10.0)).shape == (4, 2)
+                assert project(times, values, 2, domain=(0.0, 10.0)).shape == (4, 2)
             else:
                 with pytest.raises(InputError, match="leave the declared domain"):
-                    project_samples(times, values, 2, domain=(0.0, 10.0))
+                    project(times, values, 2, domain=(0.0, 10.0))
 
 
 def test_downdate_batch_with_a_row_never_absorbed_is_a_numerical_error(ws, tmp_path, capsys):

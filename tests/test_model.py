@@ -31,7 +31,7 @@ from trajcf.basis import enumerate_basis, eval_monomial_matrix
 from trajcf.projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,
-    project_samples,
+    project,
     reconstruct_batch,
     unit_times,
 )
@@ -1115,7 +1115,7 @@ def test_dataset_checks_its_sample_grid_as_projection_does(times, values, messag
     with pytest.raises(InputError, match=message):
         TrajectoryDataset(np.zeros((len(ids), 2)), ids=ids, times=times, values=values)
     with pytest.raises(InputError, match=message):
-        project_samples(times, values, 2, domain=(-1.0, 1.0), ids=ids)
+        project(times, values, 2, domain=(-1.0, 1.0), ids=ids)
 
 
 @pytest.mark.parametrize("times", [[], [-1.0, 1.0]], ids=["no-grid", "grid"])

@@ -15,7 +15,6 @@ from trajcf.projection import (
     coeff_array,
     default_quad_points,
     project,
-    project_samples,
     reconstruct_batch,
     unit_times,
     values_on_nodes,
@@ -29,6 +28,11 @@ def _traj_on_cheb_nodes(f, M=256, domain=(-1.0, 1.0)):
     lo, hi = domain
     t = lo + (x + 1.0) * (hi - lo) / 2.0
     return SampledTrajectory(times=t, values=f(x), domain=domain)
+
+
+def _project_one(traj, n, quad_points=None):
+    """One curve's (n,) coefficient row: a one-column `project` call."""
+    return project(traj.times, traj.values[:, None], n, quad_points, traj.domain, ids=[traj.id])[0]
 
 
 # --- nodes -----------------------------------------------------------------
@@ -60,27 +64,26 @@ def test_nodes_descending_in_unit_interval():
 
 # --- projection ------------------------------------------------------------
 
-def test_project_returns_one_row_of_project_samples():
+def test_project_returns_one_row_per_curve():
     traj = _traj_on_cheb_nodes(np.cos, domain=(0.0, 3.0))
-    c = project(traj, n=5)
-    assert type(c) is np.ndarray and c.shape == (5,) and c.dtype == float
-    shared = project_samples(traj.times, traj.values[:, None], 5, None, traj.domain)
-    assert c.tolist() == shared[0].tolist()
+    C = project(traj.times, traj.values[:, None], 5, None, traj.domain)
+    assert type(C) is np.ndarray and C.shape == (1, 5) and C.dtype == float
+    assert TrajectoryDataset.from_trajectories([traj], 5).coeffs.tolist() == C.tolist()
 
 
 def test_project_constant():
-    c = project(_traj_on_cheb_nodes(lambda x: np.ones_like(x)), n=6, quad_points=256)
+    c = _project_one(_traj_on_cheb_nodes(lambda x: np.ones_like(x)), n=6, quad_points=256)
     np.testing.assert_allclose(c, [1, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_project_normalized_linear():
-    c = project(_traj_on_cheb_nodes(lambda x: math.sqrt(2) * x), n=6, quad_points=256)
+    c = _project_one(_traj_on_cheb_nodes(lambda x: math.sqrt(2) * x), n=6, quad_points=256)
     np.testing.assert_allclose(c, [0, 1, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_project_two_t_squared():
     # 2t^2 = 1 + T_2(t): coefficients (1, 0, sqrt(2)/2, 0, ...)
-    c = project(_traj_on_cheb_nodes(lambda x: 2.0 * x**2), n=6, quad_points=256)
+    c = _project_one(_traj_on_cheb_nodes(lambda x: 2.0 * x**2), n=6, quad_points=256)
     np.testing.assert_allclose(
         c, [1, 0, math.sqrt(2) / 2, 0, 0, 0], atol=1e-13
     )
@@ -90,7 +93,7 @@ def test_project_two_t_squared_uniform_grid():
     # same target through genuine piecewise-linear resampling: small bias
     t = np.linspace(-1, 1, 4097)
     traj = SampledTrajectory(times=t, values=2.0 * t**2)
-    c = project(traj, n=4)
+    c = _project_one(traj, n=4)
     np.testing.assert_allclose(
         c, [1, 0, math.sqrt(2) / 2, 0], atol=1e-6
     )
@@ -98,7 +101,7 @@ def test_project_two_t_squared_uniform_grid():
 
 def test_project_then_reconstruct_polynomial():
     poly = lambda x: 0.3 - 0.5 * x + 0.8 * x**3
-    c = project(_traj_on_cheb_nodes(poly, M=256), n=4, quad_points=256)
+    c = _project_one(_traj_on_cheb_nodes(poly, M=256), n=4, quad_points=256)
     grid = np.linspace(-1, 1, 1001)
     err = np.max(np.abs(reconstruct_batch(c[None, :], grid)[0] - poly(grid)))
     assert err <= 1e-10
@@ -107,7 +110,7 @@ def test_project_then_reconstruct_polynomial():
 def test_project_affine_domain_mapping():
     # f(t) = 1 on [0, 10] must project identically to f = 1 on [-1, 1]
     traj = SampledTrajectory(times=np.linspace(0, 10, 33), values=np.ones(33), domain=(0, 10))
-    c = project(traj, n=3)
+    c = _project_one(traj, n=3)
     np.testing.assert_allclose(c, [1, 0, 0], atol=1e-14)
 
 
@@ -131,9 +134,9 @@ def test_projection_is_linear_on_common_grids(alpha, beta):
     f = np.sin(2.0 * x)
     g = x**2 - 0.3
     combined = SampledTrajectory(times=x, values=alpha * f + beta * g)
-    cf = project(SampledTrajectory(times=x, values=f), 5, 64)
-    cg = project(SampledTrajectory(times=x, values=g), 5, 64)
-    cc = project(combined, 5, 64)
+    cf = _project_one(SampledTrajectory(times=x, values=f), 5, 64)
+    cg = _project_one(SampledTrajectory(times=x, values=g), 5, 64)
+    cc = _project_one(combined, 5, 64)
     np.testing.assert_allclose(cc, alpha * cf + beta * cg, atol=1e-10)
 
 
@@ -141,7 +144,7 @@ def test_truncated_energy_is_monotone_in_n():
     traj = _traj_on_cheb_nodes(lambda x: np.exp(x) * np.cos(3 * x), M=256)
     norms = []
     for n in range(1, 9):
-        c = project(traj, n, quad_points=256)
+        c = _project_one(traj, n, quad_points=256)
         norms.append(float(np.sum(c * c)))
     assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -149,12 +152,12 @@ def test_truncated_energy_is_monotone_in_n():
 def test_project_input_validation():
     traj = _traj_on_cheb_nodes(lambda x: x, M=16)
     with pytest.raises(InputError):
-        project(traj, 0)
+        _project_one(traj, 0)
     with pytest.raises(InputError):
-        project(traj, 8, quad_points=4)  # coarser than n
+        _project_one(traj, 8, quad_points=4)  # coarser than n
     bad = SampledTrajectory(times=np.array([-0.5, 0.5]), values=np.array([1.0, np.nan]))
     with pytest.raises(InputError):
-        project(bad, 2)
+        _project_one(bad, 2)
 
 
 # --- resampling ------------------------------------------------------------
@@ -245,14 +248,14 @@ def test_shared_grid_projection_equals_per_curve_project(domain):
     times = np.sort(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.1 * (hi - lo), 41))
     values = rng.normal(size=(41, 12))
     ids = [f"c{k}" for k in range(12)]
-    C = project_samples(times, values, 6, None, domain, ids=ids)
+    C = project(times, values, 6, None, domain, ids=ids)
     assert C.shape == (12, 6)
     nodes = chebyshev_quadrature_nodes(256)
     E = cheb.chebvander(nodes, 5)
     E[:, 1:] *= math.sqrt(2.0)
     for k in range(12):
         traj = SampledTrajectory(times=times, values=values[:, k], id=ids[k], domain=domain)
-        np.testing.assert_allclose(C[k], project(traj, 6), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(C[k], _project_one(traj, 6), rtol=0, atol=1e-14)
         t = unit_times(traj.times, traj.domain)
         direct = E.T @ np.interp(nodes, t, values[:, k]) / 256
         np.testing.assert_allclose(C[k], direct, rtol=0, atol=1e-14)
@@ -262,12 +265,12 @@ def test_shared_grid_projection_names_a_curve_with_non_finite_samples():
     values = np.ones((5, 3))
     values[2, 1] = np.nan
     with pytest.raises(InputError, match="'b'"):
-        project_samples(np.linspace(-1, 1, 5), values, 2, ids=["a", "b", "c"])
+        project(np.linspace(-1, 1, 5), values, 2, ids=["a", "b", "c"])
 
 
 def test_shared_grid_projection_of_no_curves_is_empty():
-    assert project_samples(np.linspace(-1, 1, 5), np.empty((5, 0)), 3).shape == (0, 3)
-    assert project_samples(np.empty(0), np.empty((0, 0)), 3).shape == (0, 3)
+    assert project(np.linspace(-1, 1, 5), np.empty((5, 0)), 3).shape == (0, 3)
+    assert project(np.empty(0), np.empty((0, 0)), 3).shape == (0, 3)
 
 
 @pytest.mark.parametrize("times, message", [
@@ -278,7 +281,7 @@ def test_shared_grid_projection_of_no_curves_is_empty():
 ], ids=["decreasing", "repeated", "nan", "one-sample"])
 def test_shared_grid_of_no_curves_is_still_checked(times, message):
     with pytest.raises(InputError, match=message):
-        project_samples(times, np.empty((len(times), 0)), 3, ids=[])
+        project(times, np.empty((len(times), 0)), 3, ids=[])
 
 
 def test_values_on_nodes_is_np_interp_bit_for_bit():

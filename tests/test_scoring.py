@@ -155,19 +155,20 @@ def test_member_probe_scores_zero(small_family):
     exp, _ = small_family
     data = exp.dataset
     member_curve = SampledTrajectory(data.times, data.values[:, 3])
-    assert nearest_trajectory_score(exp.dataset, member_curve) == 0.0
+    probes = TrajectoryDataset.from_trajectories([member_curve], 4)
+    assert nearest_trajectory_score(exp.dataset, probes).tolist() == [0.0]
 
 
 def test_constant_against_zero_database():
     data = TrajectoryDataset.from_coefficients([[0.0, 0.0]])
     for c in (0.7, -1.2):
-        probe = np.array([c, 0.0])
-        assert nearest_trajectory_score(data, probe) == pytest.approx(abs(c), rel=1e-12)
+        probe = TrajectoryDataset(np.array([[c, 0.0]]))
+        assert nearest_trajectory_score(data, probe)[0] == pytest.approx(abs(c), rel=1e-12)
 
 
 def test_empty_database_is_refused_by_every_baseline():
     empty = TrajectoryDataset(np.empty((0, 2)))
-    probe = np.array([0.5, 0.0])
+    probe = TrajectoryDataset(np.array([[0.5, 0.0]]))
     with pytest.raises(InputError, match="non-empty database"):
         nearest_trajectory_score(empty, probe)
     with pytest.raises(InputError, match="non-empty database"):
@@ -185,18 +186,18 @@ def test_nearest_matches_exhaustive_distances():
         math.sqrt(float(np.mean((pv - reconstruct_batch(row[None, :], nodes)[0]) ** 2)))
         for row in C
     )
-    got = nearest_trajectory_score(data, probe)
-    assert got == pytest.approx(brute, rel=1e-12)
+    got = nearest_trajectory_score(data, TrajectoryDataset(probe[None, :]))
+    assert got.shape == (1,) and got[0] == pytest.approx(brute, rel=1e-12)
 
 
 def test_union_takes_the_min():
     d1 = TrajectoryDataset.from_coefficients([[0.0, 0.0]])
     d2 = TrajectoryDataset.from_coefficients([[1.0, 0.0]])
     union = TrajectoryDataset(np.vstack([d1.coeffs, d2.coeffs]))
-    probe = np.array([0.9, 0.0])
-    s1 = nearest_trajectory_score(d1, probe)
-    s2 = nearest_trajectory_score(d2, probe)
-    assert nearest_trajectory_score(union, probe) == pytest.approx(min(s1, s2), rel=1e-12)
+    probe = TrajectoryDataset(np.array([[0.9, 0.0]]))
+    s1 = nearest_trajectory_score(d1, probe)[0]
+    s2 = nearest_trajectory_score(d2, probe)[0]
+    assert nearest_trajectory_score(union, probe)[0] == pytest.approx(min(s1, s2), rel=1e-12)
 
 
 # --- pointwise baseline ----------------------------------------------------------
@@ -221,7 +222,7 @@ def test_pointwise_baseline_is_the_fitted_model_of_the_point_cloud(small_family)
 def test_naive_fraction_zero_for_delta_zero(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
-    assert cloud.fraction_below(exp.outlier, 0.0) == 0.0
+    assert cloud.fraction_below(TrajectoryDataset(exp.outlier[None, :]), 0.0).tolist() == [0.0]
 
 
 def test_member_probe_stays_above_the_floor(small_family):
@@ -229,8 +230,8 @@ def test_member_probe_stays_above_the_floor(small_family):
     # so any whisker below it keeps every member clean
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
-    member = exp.dataset.coeffs[0]
-    assert cloud.fraction_below(member, 0.99 * cloud.cloud_floor) == 0.0
+    member = TrajectoryDataset(exp.dataset.coeffs[:1])
+    assert cloud.fraction_below(member, 0.99 * cloud.cloud_floor).tolist() == [0.0]
 
 
 def test_cloud_floor_is_positive(small_family):
@@ -245,14 +246,15 @@ def test_naive_rejects_negative_delta(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
     with pytest.raises(InputError):
-        cloud.fraction_below(exp.outlier, -0.1)
+        cloud.fraction_below(TrajectoryDataset(exp.outlier[None, :]), -0.1)
 
 
 def test_naive_accepts_curve_probes(small_family):
     exp, _ = small_family
     traj = SampledTrajectory(exp.dataset.times, exp.dataset.values[:, 2])
-    frac = PointwiseChristoffel.fit(exp.dataset, d2=3).fraction_below(traj, 1e-12)
-    assert frac == 0.0
+    probes = TrajectoryDataset.from_trajectories([traj], 4)
+    frac = PointwiseChristoffel.fit(exp.dataset, d2=3).fraction_below(probes, 1e-12)
+    assert frac.tolist() == [0.0]
 
 
 # --- batch forms ------------------------------------------------------------------
@@ -280,7 +282,8 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
     probes = np.vstack([G[[5, 17, 100]], on_nodes(shifted)])
     got = nearest_distances(G, probes)
     assert got[:3].tolist() == [0.0, 0.0, 0.0]
-    assert got[3] == nearest_trajectory_score(exp.dataset, shifted) > 0.0
+    alone = nearest_trajectory_score(exp.dataset, TrajectoryDataset.from_trajectories([shifted], 4))
+    assert got[3] == alone[0] > 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         assert nearest_distances(G, np.full((1, 256), 1e200))[0] == math.inf
 
@@ -288,11 +291,30 @@ def test_nearest_distances_batch_keeps_members_at_exactly_zero(small_family):
 def test_pointwise_fractions_batch_equals_one_probe_at_a_time(small_family):
     exp, _ = small_family
     cloud = PointwiseChristoffel.fit(exp.dataset, d2=3)
-    probes = [exp.outlier] + list(exp.dataset.coeffs[:5])
-    values = np.vstack([reconstruct_batch(row[None, :], cloud.nodes) for row in probes])
+    probes = np.vstack([exp.outlier, exp.dataset.coeffs[:5]])
     delta = 2.0 * cloud.cloud_floor
-    batch = cloud.fractions_below(values, delta)
-    assert batch.tolist() == [cloud.fraction_below(p, delta) for p in probes]
+    batch = cloud.fraction_below(TrajectoryDataset(probes), delta)
+    assert batch.tolist() == [cloud.fraction_below(TrajectoryDataset(p[None, :]), delta)[0]
+                              for p in probes]
+
+
+def test_profiles_refuse_probes_on_another_number_of_nodes(small_family):
+    exp, _ = small_family
+    cloud = PointwiseChristoffel.fit(TrajectoryDataset(exp.dataset.coeffs[:40]), d2=3)
+    row = reconstruct_batch(exp.outlier[None, :], cloud.nodes)
+    np.testing.assert_array_equal(cloud.profiles(row[0]), cloud.profiles(row))
+    assert cloud.profiles(row[0]).shape == (1, POINTWISE_QUAD_POINTS)
+    for bad in (np.hstack([row, row]), np.zeros((1, 100)), np.zeros(100)):
+        with pytest.raises(InputError, match=f"on {bad.shape[-1]} nodes .* the cloud's 129"):
+            cloud.profiles(bad)
+
+
+def test_nearest_distances_refuse_probes_on_another_grid():
+    G = np.zeros((3, 256))
+    with pytest.raises(InputError, match=r"shape \(2, 129\) .* 256 nodes"):
+        nearest_distances(G, np.zeros((2, 129)))
+    with pytest.raises(InputError, match=r"shape \(256,\) .* 256 nodes"):
+        nearest_distances(G, np.zeros(256))
 
 
 # --- nearest-rank quantile --------------------------------------------------------
