@@ -14,10 +14,10 @@ from .basis import (
     enumerate_basis,
     eval_monomial_matrix,
 )
+from .dataset import TrajectoryDataset
 from .errors import InputError, MismatchError, NumericalError, TrajcfError
 from .model import (
     ChristoffelModel,
-    TrajectoryDataset,
     cd_value,
     cd_value_after_update,
     cd_values,
@@ -26,10 +26,9 @@ from .model import (
     extremal_polynomial,
     fit,
     kernel,
-    load,
-    save,
     update,
 )
+from .modelfile import load, save
 from .projection import (
     SampledTrajectory,
     chebyshev_quadrature_nodes,

@@ -30,10 +30,11 @@ import sys
 import numpy as np
 
 from . import model as _model
+from . import modelfile as _modelfile
 from . import scoring as _scoring
 from . import synth as _synth
 from .errors import InputError, MismatchError, NumericalError
-from .model import TrajectoryDataset
+from .dataset import TrajectoryDataset
 from .projection import (
     DomainWidthError,
     check_domain,
@@ -157,7 +158,7 @@ def _parse_table(path: str, text: str):
     def floats(first: int) -> np.ndarray | None:  # usecols hide the extra cells of a longer row
         if first and (width < 2 or text.count(",") != len(lines) * (width - 1)):
             return None
-        table = _model._float_table(body, ",", range(first, width) if first else None)
+        table = _modelfile.float_table(body, ",", range(first, width) if first else None)
         return table if table is not None and table.shape[1] == width - first else None
 
     return _layout(path, header, [ln.partition(",")[0] for ln in body], floats)
@@ -350,7 +351,7 @@ def cmd_fit(args) -> int:
     dataset = _read_dataset(args.input, args.domain, args.degree_n, args.quad_points,
                             reference=True)
     model = _model.fit(dataset, args.degree_d, args.degree_n, epsilon=args.epsilon)
-    _model.save(model, args.output)
+    _modelfile.save(model, args.output)
     print(f"# fitted: m={model.size} N={model.sample_count} "
           f"epsilon={model.epsilon!r} "
           f"effective_dimension={model.effective_dimension()!r}")
@@ -359,7 +360,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_score(args) -> int:
-    model = _model.load(args.model)
+    model = _modelfile.load(args.model)
     if args.domain is not None and tuple(args.domain) != model.domain:
         raise MismatchError(
             f"probe domain {args.domain} does not match the model domain {model.domain}"
@@ -395,13 +396,13 @@ def cmd_score(args) -> int:
 
 
 def _absorb(args, op, command: str) -> int:
-    model = _model.load(args.model)
+    model = _modelfile.load(args.model)
     _header(command, [
         ("model", args.model), ("input", args.input), ("output", args.output),
     ])
     batch = _read_dataset(args.input, model.domain, model.n, args.quad_points)
     model = op(model, batch.coeffs)
-    _model.save(model, args.output)
+    _modelfile.save(model, args.output)
     print(f"# absorbed={len(batch.ids)} N={model.sample_count}")
     print(f"# wrote {args.output}")
     return EXIT_OK
@@ -436,7 +437,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    model = _model.load(args.model)
+    model = _modelfile.load(args.model)
     calibration = _load_calibration(args, model)
     if calibration is None:
         raise InputError("baseline scoring needs --calibration (the reference database)")
@@ -466,7 +467,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_info(args) -> int:
-    model = _model.load(args.model)
+    model = _modelfile.load(args.model)
     _header("info", [("model", args.model)])
     print(f"d {model.d}")
     print(f"n {model.n}")

@@ -108,7 +108,7 @@ def _check_grid(times: np.ndarray, domain, curve_id=None) -> tuple[float, float]
     return lo, hi
 
 
-def _check_samples(times: np.ndarray, values: np.ndarray, domain, ids=None) -> tuple[float, float]:
+def check_samples(times: np.ndarray, values: np.ndarray, domain, ids=None) -> tuple[float, float]:
     """`_check_grid` of the grid of the (T, K) samples, which must be finite;
     ``ids`` names the curves in the messages.  Returns the domain as floats."""
     domain = _check_grid(times, domain, ids[0] if ids else None)
@@ -263,7 +263,7 @@ def project(times, values, n: int, quad_points: int | None = None,
         raise InputError(f"expected samples of shape ({t.size}, K), got {V.shape}")
     if V.shape == (0, 0):  # no grid and no curves: nothing to check
         return np.empty((0, int(n)))
-    domain = _check_samples(t, V, domain, ids)
+    domain = check_samples(t, V, domain, ids)
     return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
 
 

@@ -37,7 +37,8 @@ import numpy as np
 from . import model as _model
 from .basis import eval_monomial_matrix  # noqa: F401  (a binding perfbench's tracer wraps and checks)
 from .errors import InputError, NumericalError
-from .model import ChristoffelModel, TrajectoryDataset
+from .dataset import TrajectoryDataset
+from .model import ChristoffelModel
 from .projection import chebyshev_quadrature_nodes
 
 DEFAULT_QUANTILE = 0.999
@@ -94,7 +95,7 @@ def report_lines(ids, cds, threshold: float, baseline_l2=None) -> list[str]:
     l2 = ([""] * cds.size if baseline_l2 is None
           else list(map(repr, np.asarray(baseline_l2, dtype=float).tolist())))
     return [f"{csv_cell(i or '')},{cd!r},{ch!r},{tau},{verdict},{b}"
-            for i, cd, ch, verdict, b in zip(ids, cds.tolist(), _model._reciprocal(cds).tolist(),
+            for i, cd, ch, verdict, b in zip(ids, cds.tolist(), _model.reciprocal(cds).tolist(),
                                              verdicts(cds, threshold), l2, strict=True)]
 
 

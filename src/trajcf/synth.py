@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import TrajectoryDataset, _read_only_array
+from .dataset import TrajectoryDataset, read_only_array
 from .projection import chebyshev_quadrature_nodes, reconstruct_batch
 
 # Orthonormal coefficients of the shared nominal curve (T1 + T2 + T3)/3:
@@ -82,12 +82,12 @@ class SyntheticExperiment:
     outlier: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outlier", _read_only_array(self.outlier))
+        object.__setattr__(self, "outlier", read_only_array(self.outlier))
 
     @property
     def nominal(self) -> np.ndarray:
         """NOMINAL_COEFFS, the row every family perturbs."""
-        return _read_only_array(NOMINAL_COEFFS)
+        return read_only_array(NOMINAL_COEFFS)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:

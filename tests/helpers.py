@@ -16,12 +16,12 @@ def assert_same_text(got, want):
 def read_model_whole(fh):
     """The model-file reader `load` used before it read a file once: every
     line held in a list, checked, and S parsed whole.  A test-only oracle
-    with the signature and results of `trajcf.model._read_model`; like it,
+    with the signature and results of `trajcf.modelfile._read_model`; like it,
     it maps text that is not UTF-8 to an InputError for a file object too."""
     import hashlib
 
     import numpy as np
-    from trajcf import model as model_mod
+    from trajcf import modelfile
     from trajcf.errors import InputError
 
     try:
@@ -30,10 +30,10 @@ def read_model_whole(fh):
         raise InputError(f"model file is not UTF-8 text: {exc}") from exc
     if all(not ln or ln.isspace() for ln in lines):
         raise InputError("model file is empty")
-    if lines[0] != model_mod._FORMAT_HEADER:
+    if lines[0] != modelfile._FORMAT_HEADER:
         raise InputError(f"unsupported model format header {lines[0][:80]!r}"
                          f"{'...' * (len(lines[0]) > 80)} "
-                         f"(expected {model_mod._FORMAT_HEADER!r})")
+                         f"(expected {modelfile._FORMAT_HEADER!r})")
     if not lines[-1].startswith("checksum sha256 "):
         raise InputError("model file is missing its checksum line (truncated?)")
     digest = hashlib.sha256()
@@ -47,8 +47,8 @@ def read_model_whole(fh):
     for marker, ln in enumerate(body):
         if ln.strip() == "S":
             rows = body[marker + 1:]
-            table = model_mod._float_table(rows)
-            cells = model_mod._parse_matrix_cells(rows) if table is None else table
+            table = modelfile.float_table(rows)
+            cells = modelfile._parse_matrix_cells(rows) if table is None else table
             square = all(len(r) == len(cells) for r in cells)
             return fields, np.asarray(cells, dtype=float) if square else None, len(cells), None
         key, _, value = ln.partition(" ")
@@ -78,7 +78,7 @@ def load_both_ways(path, as_file=False):
     reads a text file object over the file's bytes instead of the path."""
     import io
 
-    from trajcf import model as model_mod
+    from trajcf import modelfile
 
     def source():
         if not as_file:
@@ -88,6 +88,6 @@ def load_both_ways(path, as_file=False):
 
     once = _load_outcome(source())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_mod, "_read_model", read_model_whole)
+        mp.setattr(modelfile, "_read_model", read_model_whole)
         whole = _load_outcome(source())
     return once, whole

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_text, load_both_ways
-from trajcf import cli, model as model_mod
+from trajcf import cli, model as model_mod, modelfile
 from trajcf.errors import InputError, TrajcfError
 from trajcf.model import TrajectoryDataset, dumps, fit, load
 
@@ -232,7 +232,7 @@ def _same_model(got, want) -> bool:
 def test_model_matrix_reader_matches_the_per_cell_parse(text):
     got = _outcome(_load_factored, io.StringIO(text))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model_mod, "_float_table", lambda *args, **kwargs: None)
+        mp.setattr(modelfile, "float_table", lambda *args, **kwargs: None)
         want = _outcome(_load_factored, io.StringIO(text))
     assert _same_model(got, want), (got, want)
 
@@ -248,7 +248,7 @@ def test_streaming_load_matches_the_all_lines_reader(tmp_path, text, as_file):
 
 def test_a_saved_model_takes_the_c_reader():
     rows = BASE_MODEL.splitlines()[:-1]
-    S = model_mod._float_table(rows[rows.index("S") + 1:])
+    S = modelfile.float_table(rows[rows.index("S") + 1:])
     assert S is not None and S.shape == (3, 3)
     assert _bits(S) == _bits(load(io.StringIO(BASE_MODEL)).moment_sum)
 
@@ -328,7 +328,7 @@ def _fills_S(path) -> bool:
     """Whether the reader parses the file's S into an m x m array."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return model_mod._read_model(fh)[1] is not None
+            return modelfile._read_model(fh)[1] is not None
     except InputError:
         return False
 
@@ -366,8 +366,8 @@ def test_a_streamed_load_enumerates_its_basis_once(tmp_path, monkeypatch):
     path = tmp_path / "m.txt"
     path.write_bytes(WIDE_MODEL.encode("utf-8"))
     calls = []
-    enumerate_basis = model_mod.enumerate_basis
-    monkeypatch.setattr(model_mod, "enumerate_basis",
+    enumerate_basis = modelfile.enumerate_basis
+    monkeypatch.setattr(modelfile, "enumerate_basis",
                         lambda d, n: calls.append((d, n)) or enumerate_basis(d, n))
     model = load(path)
     assert calls == [(model.d, model.n)]
