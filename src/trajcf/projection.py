@@ -30,6 +30,11 @@ from .errors import InputError
 # default M = max(256, 8n) and downstream basis sizes desk-scale.
 MAX_HARMONIC = 4096
 
+# Curves per block in `project`.  Every block is padded to this many curves,
+# so its product with the operator has one shape and a curve gets the same
+# bits alone or in any batch.
+PROJECT_BLOCK_CURVES = 256
+
 
 def default_quad_points(n: int) -> int:
     """Default Gauss-Chebyshev point count for projecting to n coefficients."""
@@ -254,7 +259,9 @@ def project(times, values, n: int, quad_points: int | None = None,
     ndarray, shape (K, n)
         Row k holds curve k's coefficients: entry 1 is the quadrature mean
         of f, entry k >= 2 is (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  One
-        (n x T) operator is applied to all columns at once.
+        (n x T) operator is applied to blocks of PROJECT_BLOCK_CURVES
+        columns, the last padded with zero columns, so a curve's row does
+        not depend on the batch it came in.
     """
     M = quad_point_count(n, quad_points)
     t = np.asarray(times, dtype=float)
@@ -264,7 +271,17 @@ def project(times, values, n: int, quad_points: int | None = None,
     if V.shape == (0, 0):  # no grid and no curves: nothing to check
         return np.empty((0, int(n)))
     domain = check_samples(t, V, domain, ids)
-    return V.T @ _projection_operator(unit_times(t, domain), int(n), M).T
+    A = _projection_operator(unit_times(t, domain), int(n), M).T
+    K = V.shape[1]
+    out = np.empty((K, int(n)))
+    for start in range(0, K, PROJECT_BLOCK_CURVES):
+        block = V[:, start:start + PROJECT_BLOCK_CURVES]
+        k = block.shape[1]
+        if k < PROJECT_BLOCK_CURVES:  # the curves past the last whole block
+            block = np.zeros((t.size, PROJECT_BLOCK_CURVES))
+            block[:, :k] = V[:, start:]
+        out[start:start + k] = (block.T @ A)[:k]
+    return out
 
 
 def reconstruct_batch(coeff_matrix, t) -> np.ndarray:
