@@ -146,9 +146,17 @@ def calibrate(
         return Threshold(value=nearest_rank_quantile(cds, q), method=f"quantile({float_text(q)})")
     if method == "multiple":
         alpha = DEFAULT_MULTIPLE if param is None else float(param)
+        if not math.isfinite(alpha):
+            raise InputError(f"threshold multiple must be finite, got {alpha}")
         if alpha < 1.0:
             raise InputError(f"threshold multiple must be >= 1, got {alpha}")
-        return Threshold(value=alpha * model.size, method=f"multiple({float_text(alpha)})")
+        tau = alpha * model.size
+        if not math.isfinite(tau):
+            raise InputError(
+                f"threshold multiple {alpha!r} times the basis dimension m = {model.size} "
+                "overflows the float range"
+            )
+        return Threshold(value=tau, method=f"multiple({float_text(alpha)})")
     raise InputError(f"unknown threshold method {method!r} (want 'quantile' or 'multiple')")
 
 

@@ -358,6 +358,17 @@ def test_score_rejects_two_threshold_rules(ws):
                  "--calibration", ws["data"]]) == 2
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("nan", "threshold multiple must be finite, got nan"),
+    ("1e308", "threshold multiple 1e+308 times the basis dimension m = "),
+])
+def test_score_names_a_threshold_multiple_that_is_not_finite_or_overflows(ws, capsys, alpha, message):
+    assert main(["score", "--model", ws["model"], "--input", ws["outlier"],
+                 "--threshold-multiple", alpha]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_score_short_probe_is_a_mismatch(ws, tmp_path):
     src = tmp_path / "short.csv"
     src.write_text("id,c1,c2,c3\np,0.1,0.2,0.3\n")

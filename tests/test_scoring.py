@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,17 @@ def test_calibrate_rejects_bad_inputs(small_family):
         calibrate(model, None, method="multiple", param=0.5)
     with pytest.raises(InputError):
         calibrate(model, None, method="median")
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (float("nan"), "threshold multiple must be finite, got nan"),
+    (float("inf"), "threshold multiple must be finite, got inf"),
+    (1e308, "threshold multiple 1e+308 times the basis dimension m = 15 overflows"),
+])
+def test_calibrate_names_a_multiple_that_is_not_finite_or_overflows(small_family, alpha, message):
+    _, model = small_family
+    with pytest.raises(InputError, match=re.escape(message)):
+        calibrate(model, None, method="multiple", param=alpha)
 
 
 def test_threshold_must_be_positive():
