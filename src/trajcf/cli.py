@@ -7,13 +7,8 @@ mismatch.  Every run prints a header line with the effective settings
 other run-varying text is ever emitted, which makes all artifacts
 byte-reproducible.
 
-Three CSV layouts are auto-detected by the first header cell:
-
-* ``t``    — trajectory layout: first column sample times, one curve per
-             subsequent column, header carries the ids;
-* ``coef`` — coefficient layout: row k holds coefficient k of every curve,
-             one curve per column;
-* ``id``   — wide coefficient layout: one curve per row, ``id,c1,...,cn``.
+Input and output CSV files are read and written by `csvfile`, which knows
+the three layouts; `_read_dataset` applies the CLI's rules to what it reads.
 
 ``score`` and ``baseline`` take every probe's CD value from one
 `model.cd_values` call and render the report from that array with
@@ -23,16 +18,17 @@ Three CSV layouts are auto-detected by the first header cell:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import math
 import sys
 
 import numpy as np
 
+from . import csvfile as _csvfile
 from . import model as _model
 from . import modelfile as _modelfile
 from . import scoring as _scoring
 from . import synth as _synth
+from .csvfile import read_input as _read_input  # the name perfbench's tracer wraps
 from .errors import InputError, MismatchError, NumericalError
 from .dataset import TrajectoryDataset
 from .projection import (
@@ -50,136 +46,8 @@ EXIT_MISMATCH = 4
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# input and output files
 # ---------------------------------------------------------------------------
-
-def _read_text(path: str) -> str:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _read_rows(path: str, text: str) -> list[list[str]]:
-    try:
-        rows = [row for row in csv.reader(io.StringIO(text, newline=""))
-                if any(cell.strip() for cell in row)]
-    except csv.Error as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if not rows:
-        raise InputError(f"{path}: file is empty")
-    return rows
-
-
-def _cell_float(cell: str, path: str, row: int, col: int) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise InputError(
-            f"{path}: row {row + 1}, column {col + 1}: not a number: {cell!r}"
-        ) from exc
-
-
-def _row_floats(cells, path: str, row: int, first_col: int) -> np.ndarray:
-    """The cells of one row as floats; a bad cell is named as `_cell_float` names it."""
-    try:
-        return np.array(cells, dtype=float)
-    except ValueError:
-        return np.array([_cell_float(c, path, row, first_col + j) for j, c in enumerate(cells)])
-
-
-def _read_input(path: str):
-    """Parse any accepted layout.
-
-    Returns ``("traj", ids, times, values)`` with values shaped (M, K), or
-    ``("coef", ids, coeffs)`` with coeffs shaped (K, n).  Numeric cells
-    accept exactly what Python's ``float`` accepts: numpy's C reader
-    (`_parse_table`) parses the file when it can, and `_parse_cells`, one
-    ``float`` per cell, parses the files it declines and names what is wrong.
-    Both only split the text into cells and convert them; `_layout` alone
-    reads the header cell and applies the layouts' rules.  A file may name
-    no curves or hold no data: `_read_dataset` decides what that means.
-    """
-    text = _read_text(path)
-    parsed = _parse_table(path, text)
-    return _parse_cells(path, text) if parsed is None else parsed
-
-
-def _layout(path: str, header: list[str], first_cells: list[str], floats):
-    """The parsed file from its header row, the first cell of each data row
-    and ``floats(first)``, the data rows as floats from column ``first`` on
-    (1 in the ``id`` layout, whose first column holds the ids); None where
-    ``floats`` gives None.  A trajectory file needs at least 2 sample rows,
-    and row k of a ``coef`` file must say k."""
-    head = header[0].strip().lower()
-    if head not in ("t", "coef", "id"):
-        raise InputError(f"{path}: unrecognized header cell {header[0]!r} "
-                         "(expected 't', 'coef', or 'id')")
-    table = floats(1 if head == "id" else 0)
-    if table is None:
-        return None
-    ids = [c.strip() for c in (first_cells if head == "id" else header[1:])]
-    if head == "id":
-        return "coef", ids, table
-    if head == "t":
-        if len(table) == 1:
-            raise InputError(f"{path}: trajectories need at least 2 sample rows")
-        return "traj", ids, table[:, 0], table[:, 1:]
-    for r, k in enumerate(table[:, 0].tolist(), start=1):
-        if k != r:
-            raise InputError(f"{path}: row {r + 1} says coefficient {_scoring.float_text(k)}, "
-                             f"expected {r}")
-    return "coef", ids, table[:, 1:].T
-
-
-def _parse_table(path: str, text: str):
-    """What `_parse_cells` returns for the text, by numpy's C reader; None
-    for every file the two could split or convert differently: quoted
-    cells, lone carriage returns, NUL characters, cells over the csv
-    module's field limit, a blank first row, blank or ragged rows, and
-    cells the C reader rejects."""
-    text = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in text or "\x00" in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or not lines[0].replace(",", "").strip():  # csv skips a blank row
-        return None
-    limit = csv.field_size_limit()
-    if any(len(cell) >= limit for ln in lines if len(ln) >= limit for cell in ln.split(",")):
-        return None
-    header, body = lines[0].split(","), lines[1:]
-    width = len(header)
-
-    def floats(first: int) -> np.ndarray | None:  # usecols hide the extra cells of a longer row
-        if first and (width < 2 or text.count(",") != len(lines) * (width - 1)):
-            return None
-        table = _modelfile.float_table(body, ",", range(first, width) if first else None)
-        return table if table is not None and table.shape[1] == width - first else None
-
-    return _layout(path, header, [ln.partition(",")[0] for ln in body], floats)
-
-
-def _parse_cells(path: str, text: str):
-    """`_read_input` with one Python ``float`` per cell."""
-    rows = _read_rows(path, text)
-    header, body = rows[0], rows[1:]
-    width = len(header)
-
-    def floats(first: int) -> np.ndarray:
-        table = np.empty((len(body), width - first))
-        for r, row in enumerate(body, start=1):
-            if len(row) != width:
-                raise InputError(f"{path}: row {r + 1} has {len(row)} cells, expected {width}")
-            table[r - 1] = _row_floats(row[first:], path, r, first)
-        return table
-
-    return _layout(path, header, [row[0] for row in body], floats)
-
 
 def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
                   reference: bool = False) -> TrajectoryDataset:
@@ -207,35 +75,10 @@ def _read_dataset(path: str, domain, n: int, quad_points, outside=InputError,
     lo, hi = domain
     span = hi - lo
     if times.size and (times[0] < lo - 1e-12 * span or times[-1] > hi + 1e-12 * span):
-        first, last, lo, hi = map(_scoring.float_text, (times[0], times[-1], lo, hi))
+        first, last, lo, hi = map(_csvfile.float_text, (times[0], times[-1], lo, hi))
         raise outside(f"{path}: sample times [{first}, {last}] leave the domain [{lo}, {hi}]")
     coeffs = project(times, values, n, quad_points, domain, ids=ids)
     return TrajectoryDataset(coeffs, ids=ids, domain=domain, times=times, values=values)
-
-
-# Data rows are joined here rather than by csv.writer, which costs more than
-# the repr of each cell; they match its default dialect byte for byte.  The
-# wide writer formats CSV_BLOCK_ROWS rows at a time, so its Python floats and
-# strings stay block-sized; no byte depends on it.
-_CSV_EOL = "\r\n"
-CSV_BLOCK_ROWS = 1024
-
-
-def _write_wide_csv(path: str, ids, coeffs: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["id"] + [f"c{k}" for k in range(1, coeffs.shape[1] + 1)])
-        for s in range(0, coeffs.shape[0], CSV_BLOCK_ROWS):
-            rows = coeffs[s:s + CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join([_scoring.csv_cell(i or ""), *map(repr, row)]) + _CSV_EOL
-                             for i, row in zip(ids[s:s + CSV_BLOCK_ROWS], rows)))
-
-
-def _write_trajectory_csv(path: str, ids, times, values) -> None:
-    """Curves sampled at ``times``, ``values`` (T, K) one curve per column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["t"] + list(ids))
-        for t, row in zip(times.tolist(), values):
-            fh.write(",".join(map(repr, [t, *row.tolist()])) + _CSV_EOL)
 
 
 def _write_histogram(path: str, cds) -> None:
@@ -249,6 +92,14 @@ def _write_histogram(path: str, cds) -> None:
         if hi <= lo:
             hi = lo + 1.0
         edges = np.linspace(lo, hi, 51)
+        if not np.all(edges[1:] > edges[:-1]):  # too few floats from lo to hi for 50 bins
+            top = max(abs(lo), abs(hi))
+            width = 128 * (top - float(np.nextafter(top, 0.0)))
+            if math.isfinite(lo + width):
+                hi = max(hi, lo + width)
+            else:
+                lo = hi - width
+            edges = np.linspace(lo, hi, 51)
         counts, _ = np.histogram(finite, bins=edges)
     if finite.size < cds.size:  # probes whose CD value overflowed get a last, open bin
         edges = np.append(edges, np.inf)
@@ -270,7 +121,7 @@ def _write_overlay(path: str, probes: TrajectoryDataset) -> list:
     curves = probes.on_nodes(np.linspace(-1.0, 1.0, 201))
     finite = np.isfinite(curves).all(axis=1)
     kept = [i for i, ok in zip(probes.ids, finite.tolist()) if ok]
-    _write_trajectory_csv(path, kept, t, curves[finite].T)
+    _csvfile.write_trajectories(path, kept, t, curves[finite].T)
     return [i for i, ok in zip(probes.ids, finite.tolist()) if not ok]
 
 
@@ -346,7 +197,7 @@ def cmd_fit(args) -> int:
         ("input", args.input), ("output", args.output),
         ("d", args.degree_d), ("n", args.degree_n),
         ("epsilon", eps_text), ("quad_points", _quad_points(args, args.degree_n)),
-        ("domain", ":".join(map(_scoring.float_text, args.domain))),
+        ("domain", ":".join(map(_csvfile.float_text, args.domain))),
     ])
     dataset = _read_dataset(args.input, args.domain, args.degree_n, args.quad_points,
                             reference=True)
@@ -427,10 +278,10 @@ def cmd_synth(args) -> int:
         exp = _synth.generate_example2(args.count, args.seed, radius=args.radius)
     paths = [f"{args.output}_{part}.csv" for part in ("data", "curves", "outlier", "nominal")]
     data_path, curves_path, outlier_path, nominal_path = paths
-    _write_wide_csv(data_path, exp.dataset.ids, exp.dataset.coeffs)
-    _write_trajectory_csv(curves_path, exp.dataset.ids, exp.dataset.times, exp.dataset.values)
-    _write_wide_csv(outlier_path, ["outlier"], exp.outlier[None, :])
-    _write_wide_csv(nominal_path, ["nominal"], exp.nominal[None, :])
+    _csvfile.write_wide(data_path, exp.dataset.ids, exp.dataset.coeffs)
+    _csvfile.write_trajectories(curves_path, exp.dataset.ids, exp.dataset.times, exp.dataset.values)
+    _csvfile.write_wide(outlier_path, ["outlier"], exp.outlier[None, :])
+    _csvfile.write_wide(nominal_path, ["nominal"], exp.nominal[None, :])
     for p in paths:
         print(f"# wrote {p}")
     return EXIT_OK
@@ -474,7 +325,7 @@ def cmd_info(args) -> int:
     print(f"m {model.size}")
     print(f"epsilon {model.epsilon!r}")
     print(f"N {model.sample_count}")
-    print("domain " + ":".join(map(_scoring.float_text, model.domain)))
+    print("domain " + ":".join(map(_csvfile.float_text, model.domain)))
     spectrum = model.spectrum()
     print(f"smallest_eigenvalue {float(spectrum[0])!r}")
     print(f"largest_eigenvalue {float(spectrum[-1])!r}")

@@ -273,25 +273,52 @@ CD_PANEL_ROWS = 128
 CD_CHUNK_FLOATS = 2 ** 16
 
 
-def _cd_from_factor(W: np.ndarray, Vt: np.ndarray) -> np.ndarray:
-    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each column v of
-    each block of the (blocks, m, CD_BLOCK_ROWS) stack Vt, shaped (blocks,
-    CD_BLOCK_ROWS).
+def _factor_panels(W: np.ndarray, Vt: np.ndarray):
+    """z = W v for each column v of each block of the (blocks, m,
+    CD_BLOCK_ROWS) stack Vt, one panel of CD_PANEL_ROWS rows at a time.
 
-    W is lower triangular, so z = W v is taken by panels of rows,
+    W is lower triangular, so z is taken by panels of rows,
     z[s:e] = W[s:e, :e] v[:e], and the zero upper triangle is never read.
     A panel is one matmul over the stack, which numpy runs as the same
-    (e - s) x e by e x CD_BLOCK_ROWS product for each block, and panels are
-    added in order, so a block's values do not depend on the others.
+    (e - s) x e by e x CD_BLOCK_ROWS product for each block, so a block's
+    values do not depend on the others.  Yields the (blocks, e - s,
+    CD_BLOCK_ROWS) panels in order.
     """
     m = W.shape[0]
-    out = np.zeros((Vt.shape[0], Vt.shape[2]))
     for s in range(0, m, CD_PANEL_ROWS):
         e = min(s + CD_PANEL_ROWS, m)
-        Z = W[s:e, :e] @ Vt[:, :e]
-        Z *= Z
+        yield W[s:e, :e] @ Vt[:, :e]
+
+
+def _cd_from_factor(W: np.ndarray, Vt: np.ndarray, Ut: np.ndarray | None = None) -> np.ndarray:
+    """Quadratic forms ||W v||^2 = v^T (L L^T)^{-1} v for each column v of
+    each block of the stack Vt, shaped (blocks, CD_BLOCK_ROWS); with a stack
+    Ut of the same shape, the bilinear forms (W v) . (W u) of the columns
+    u of Ut in the same places.
+
+    Both take z = W v by `_factor_panels` and add the panels' sums in
+    order, so a column paired with itself gives its quadratic form bit for
+    bit.
+    """
+    out = np.zeros((Vt.shape[0], Vt.shape[2]))
+    others = None if Ut is None else _factor_panels(W, Ut)
+    for Z in _factor_panels(W, Vt):
+        Z *= Z if others is None else next(others)
         out += Z.sum(axis=1)
     return out
+
+
+def _block_stack(V: np.ndarray) -> np.ndarray:
+    """The monomial columns V, (m, k), as a (blocks, m, CD_BLOCK_ROWS)
+    stack: viewed without a copy when k is a multiple of CD_BLOCK_ROWS,
+    else (k < CD_BLOCK_ROWS) copied into one block padded with zero
+    columns."""
+    m, k = V.shape
+    Vt = V
+    if k < CD_BLOCK_ROWS:
+        Vt = np.zeros((m, CD_BLOCK_ROWS))
+        Vt[:, :k] = V
+    return Vt.reshape(m, -1, CD_BLOCK_ROWS).transpose(1, 0, 2)
 
 
 def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
@@ -319,12 +346,8 @@ def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
             # m = 1287 (one block per chunk) freeing it first raised the
             # benchmark's peak RSS by up to 8 MB through heap layout alone.
             V = eval_monomial_matrix(C[start:stop], model.basis).T
-            Vt = V
-            if k < CD_BLOCK_ROWS:  # the rows past the last whole block
-                Vt = np.zeros((m, CD_BLOCK_ROWS))
-                Vt[:, :k] = V
-            out[start:stop] = _cd_from_factor(
-                W, Vt.reshape(m, -1, CD_BLOCK_ROWS).transpose(1, 0, 2)).ravel()[:k]
+            Vt = _block_stack(V)
+            out[start:stop] = _cd_from_factor(W, Vt).ravel()[:k]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf
@@ -433,10 +456,6 @@ class ChristoffelModel:
             )
         return arr[:, : self.n]
 
-    def _probe_matrix(self, coeffs) -> np.ndarray:
-        """Monomial vectors of one or many probes, with mismatch checks."""
-        return eval_monomial_matrix(self._probe_rows(coeffs), self.basis)
-
 
 def fit(data: TrajectoryDataset, d: int, n: int, epsilon: float | None = None) -> ChristoffelModel:
     """Fit a model of order (d, n) on a reference dataset.
@@ -504,12 +523,20 @@ def reciprocal(cd):
     return out if out.ndim else float(out)
 
 
+def _probe_stack(model: ChristoffelModel, c) -> np.ndarray:
+    """The monomials of one probe as `_cd_rows` stacks them: one block,
+    padded with zero columns."""
+    return _block_stack(eval_monomial_matrix(model._probe_rows(coeff_array(c)), model.basis).T)
+
+
 def kernel(model: ChristoffelModel, c1, c2) -> float:
-    """Evaluation kernel v(c1)^T (S/N + eps*I)^{-1} v(c2) (symmetric)."""
-    V1 = model._probe_matrix(coeff_array(c1))
-    V2 = model._probe_matrix(coeff_array(c2))
+    """Evaluation kernel v(c1)^T (S/N + eps*I)^{-1} v(c2) (symmetric).
+
+    It is summed as `cd_values` sums, so kernel(c, c) is cd_value(c) bit
+    for bit.
+    """
     W = model.inverse_factor
-    return float(np.dot(W @ V1[0], W @ V2[0]))
+    return float(_cd_from_factor(W, _probe_stack(model, c1), _probe_stack(model, c2))[0, 0])
 
 
 def extremal_polynomial(model: ChristoffelModel, h) -> np.ndarray:
@@ -518,11 +545,11 @@ def extremal_polynomial(model: ChristoffelModel, h) -> np.ndarray:
 
     The returned w satisfies w . v(h) = 1, and at eps = 0 its empirical
     second moment (1/N) sum_i (w . v(g_i))^2 equals christoffel_value(h).
+    z = W v(h) comes from the panel products of `cd_values`.
     """
-    V = model._probe_matrix(coeff_array(h))
     W = model.inverse_factor
-    z = W @ V[0]
-    cd = float(np.dot(z, z))
+    z = np.concatenate([Z[0, :, 0] for Z in _factor_panels(W, _probe_stack(model, h))])
+    cd = cd_value(model, h)
     if cd <= 0.0 or not math.isfinite(cd):
         raise NumericalError(f"cannot normalize the extremal polynomial: CD value {cd!r}")
     return W.T @ z / cd

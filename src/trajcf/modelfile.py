@@ -18,9 +18,6 @@ only once d, n and m agree with the basis, fills it PANEL_ROWS lines at a
 time and drops it at the first row that does not fit (`_read_matrix`), so
 it never holds the file's text whole.  It raises nothing before the end of
 the file, then reports the first problem in a fixed order.
-
-`float_table` is the package's one entry to numpy's C text reader: `load`
-parses S with it and `cli` its CSV inputs.
 """
 
 from __future__ import annotations
@@ -29,11 +26,11 @@ import contextlib
 import hashlib
 import io
 import itertools
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import csvfile as _csvfile
 from .basis import BasisEnumeration, enumerate_basis
 from .errors import InputError
 from .projection import check_domain
@@ -155,31 +152,12 @@ def _parse_matrix_cells(rows: list[str]) -> list[list[float]]:
     return matrix_rows
 
 
-def float_table(lines: list[str], delimiter=None, usecols=None) -> np.ndarray | None:
-    """The lines as one float array, a row per line, by numpy's C text reader.
-
-    `load`'s S rows and `cli`'s CSV inputs both come through here, so one
-    replacement of this name reaches both readers.  None when that reader
-    raises or returns another number of rows (it skips blank lines).  A
-    cell it accepts is one Python's ``float`` accepts, with the same value;
-    it rejects some that ``float`` accepts (``1_000``, non-ASCII digits).
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an input of blank lines warns
-            table = np.loadtxt(lines, dtype=float, delimiter=delimiter, comments=None,
-                               ndmin=2, usecols=usecols)
-    except ValueError:
-        return None
-    return table if table.shape[0] == len(lines) else None
-
-
 def _read_matrix(lines, fields: dict) -> tuple[np.ndarray | None, int, BasisEnumeration | None]:
     """S (None unless its rows filled it), the row count and the basis, from
     the S rows ``lines`` of a model file whose fields before "S" are ``fields``.
 
     S is allocated only if the fields' d, n and m agree with the basis, and
-    filled PANEL_ROWS lines at a time by `float_table`, or by
+    filled PANEL_ROWS lines at a time by `csvfile.float_table`, or by
     `_parse_matrix_cells` where that declines, so S gets the values, and bad
     text the message, of ``float``.  It is dropped at the first row that does
     not fit; each later line is parsed alone and counted, never stored.
@@ -192,7 +170,7 @@ def _read_matrix(lines, fields: dict) -> tuple[np.ndarray | None, int, BasisEnum
             S = np.empty((m, m))
     rows = 0
     while panel := list(itertools.islice(lines, 1 if S is None else PANEL_ROWS)):
-        table = float_table(panel)
+        table = _csvfile.float_table(panel)
         cells = _parse_matrix_cells(panel) if table is None else table
         start, rows = rows, rows + len(panel)
         if S is not None and rows <= len(S) and all(len(r) == len(S) for r in cells):

@@ -28,7 +28,6 @@ one-probe case, states the verdict rule once.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -36,6 +35,7 @@ import numpy as np
 
 from . import model as _model
 from .basis import eval_monomial_matrix  # noqa: F401  (a binding perfbench's tracer wraps and checks)
+from .csvfile import csv_cell, float_text
 from .errors import InputError, NumericalError
 from .dataset import TrajectoryDataset
 from .model import ChristoffelModel
@@ -67,17 +67,6 @@ def verdicts(cds, threshold: float) -> list[str]:
             for out in (np.asarray(cds, dtype=float) > threshold).tolist()]
 
 
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
-def csv_cell(text: str) -> str:
-    """``text`` quoted as csv.writer quotes a cell that is not alone in its
-    row (QUOTE_MINIMAL): the id cell of a report or of a data file."""
-    if _CSV_SPECIAL.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def report_header() -> str:
     return ",".join(REPORT_COLUMNS)
 
@@ -97,11 +86,6 @@ def report_lines(ids, cds, threshold: float, baseline_l2=None) -> list[str]:
     return [f"{csv_cell(i or '')},{cd!r},{ch!r},{tau},{verdict},{b}"
             for i, cd, ch, verdict, b in zip(ids, cds.tolist(), _model.reciprocal(cds).tolist(),
                                              verdicts(cds, threshold), l2, strict=True)]
-
-
-def float_text(x: float) -> str:
-    """The shortest text that reads back as ``x``: repr without a trailing ".0"."""
-    return repr(float(x)).removesuffix(".0")
 
 
 def nearest_rank(q: float, count: int) -> int:
@@ -143,7 +127,15 @@ def calibrate(
         if data is None or len(data) == 0:
             raise InputError("quantile calibration needs a non-empty calibration set")
         cds = _model.cd_values(model, data.coefficient_matrix(model.n))
-        return Threshold(value=nearest_rank_quantile(cds, q), method=f"quantile({float_text(q)})")
+        tau = nearest_rank_quantile(cds, q)
+        if tau == math.inf:
+            over = np.flatnonzero(cds == math.inf)
+            raise InputError(
+                f"quantile({float_text(q)}) of the calibration CD values is inf: "
+                f"{over.size} of {cds.size} calibration rows have a CD value that overflows, "
+                f"the first {data.ids[over[0]]!r}"
+            )
+        return Threshold(value=tau, method=f"quantile({float_text(q)})")
     if method == "multiple":
         alpha = DEFAULT_MULTIPLE if param is None else float(param)
         if not math.isfinite(alpha):

@@ -21,7 +21,7 @@ def read_model_whole(fh):
     import hashlib
 
     import numpy as np
-    from trajcf import modelfile
+    from trajcf import csvfile, modelfile
     from trajcf.errors import InputError
 
     try:
@@ -47,7 +47,7 @@ def read_model_whole(fh):
     for marker, ln in enumerate(body):
         if ln.strip() == "S":
             rows = body[marker + 1:]
-            table = modelfile.float_table(rows)
+            table = csvfile.float_table(rows)
             cells = modelfile._parse_matrix_cells(rows) if table is None else table
             square = all(len(r) == len(cells) for r in cells)
             return fields, np.asarray(cells, dtype=float) if square else None, len(cells), None

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_text
-from trajcf.cli import CSV_BLOCK_ROWS, _write_trajectory_csv, _write_wide_csv, main
+from trajcf.cli import _write_histogram, main
+from trajcf.csvfile import CSV_BLOCK_ROWS, write_trajectories, write_wide
 from trajcf.errors import InputError
 from trajcf.model import cd_value, cd_values, load
 from trajcf.projection import project
@@ -113,7 +114,7 @@ _AWKWARD_VALUES = [-0.0, 5e-324, 1e22, 1e-07, math.inf, -math.inf, math.nan, 0.1
 ], ids=["cells", "no-rows"])
 def test_wide_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, coeffs):
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
-    _write_wide_csv(str(ours), ids, coeffs)
+    write_wide(str(ours), ids, coeffs)
     _csv_writer_wide(str(oracle), ids, coeffs)
     assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
@@ -127,7 +128,7 @@ def test_wide_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, coeffs):
 ], ids=["cells", "no-curves", "no-rows", "nothing"])
 def test_trajectory_writer_matches_csv_writer_byte_for_byte(tmp_path, ids, times, values):
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
-    _write_trajectory_csv(str(ours), ids, times, values)
+    write_trajectories(str(ours), ids, times, values)
     _csv_writer_trajectory(str(oracle), ids, times, values)
     assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
@@ -137,10 +138,10 @@ def test_synth_files_match_the_csv_writer_oracle(tmp_path):
     exp = generate_example1(2 * CSV_BLOCK_ROWS + 1, 2)
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     data = exp.dataset
-    _write_wide_csv(str(ours), data.ids, data.coefficient_matrix(5))
+    write_wide(str(ours), data.ids, data.coefficient_matrix(5))
     _csv_writer_wide(str(oracle), data.ids, data.coefficient_matrix(5))
     assert_same_text(ours.read_bytes(), oracle.read_bytes())
-    _write_trajectory_csv(str(ours), data.ids, data.times, data.values)
+    write_trajectories(str(ours), data.ids, data.times, data.values)
     _csv_writer_trajectory(str(oracle), data.ids, data.times, data.values)
     assert_same_text(ours.read_bytes(), oracle.read_bytes())
 
@@ -151,7 +152,7 @@ def test_trajectory_writer_memory_stays_row_sized(tmp_path):
     data = generate_example1(11000, 0).dataset
     tracemalloc.start()
     try:
-        _write_trajectory_csv(str(tmp_path / "c.csv"), data.ids, data.times, data.values)
+        write_trajectories(str(tmp_path / "c.csv"), data.ids, data.times, data.values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -369,6 +370,18 @@ def test_score_names_a_threshold_multiple_that_is_not_finite_or_overflows(ws, ca
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["score", "baseline"])
+def test_a_calibration_quantile_that_overflows_names_the_rows(ws, tmp_path, capsys, command):
+    # the 1-quantile is the overflowed row's CD value, inf; the user gave no threshold
+    cal = tmp_path / "cal.csv"
+    cal.write_text(Path(ws["data"]).read_text(encoding="utf-8") + "huge,1e80,1e80,1e80,1e80,0\n")
+    assert main([command, "--model", ws["model"], "--input", ws["outlier"],
+                 "--calibration", str(cal), "--threshold-quantile", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "quantile(1)" in err and "1 of 121 calibration rows" in err and "'huge'" in err
+    assert "threshold must be" not in err and "Traceback" not in err
+
+
 def test_score_short_probe_is_a_mismatch(ws, tmp_path):
     src = tmp_path / "short.csv"
     src.write_text("id,c1,c2,c3\np,0.1,0.2,0.3\n")
@@ -404,6 +417,19 @@ def test_score_side_artifacts(ws, tmp_path):
     assert edges == sorted(edges)
     olines = over.read_text().splitlines()
     assert len(olines) == 202 and olines[0].startswith("t,")
+
+
+@pytest.mark.parametrize("cds", [[1e16], [1e16, 1e16 + 2], [1.7976931348623157e308]],
+                         ids=["one", "two-floats", "largest-float"])
+def test_histogram_of_values_a_few_floats_apart_has_50_increasing_bins(tmp_path, cds):
+    # floats are 2 apart at 1e16, so lo + 1.0 is lo and one more float spans the data
+    hist = tmp_path / "hist.txt"
+    _write_histogram(str(hist), cds)
+    bins = [ln.split() for ln in hist.read_text().splitlines()]
+    assert len(bins) == 50
+    assert all(float(lo) < float(hi) for lo, hi, _ in bins)
+    assert all(b[1] == nxt[0] for b, nxt in zip(bins, bins[1:]))
+    assert sum(int(count) for _, _, count in bins) == len(cds)
 
 
 # --- update / downdate --------------------------------------------------------------
@@ -576,7 +602,7 @@ def test_baseline_default_delta_flags_no_sampled_reference_curve(tmp_path, capsy
     values = np.sin(5.0 * t[:, None] + phase) * (1.0 + 0.05 * z)
     curves, model, rep = tmp_path / "wig.csv", tmp_path / "model.txt", tmp_path / "rep.csv"
     ids = [f"w{i:02d}" for i in range(30)]
-    _write_trajectory_csv(str(curves), ids, t, values)
+    write_trajectories(str(curves), ids, t, values)
     assert main(["fit", "--input", str(curves), "--output", str(model), "--degree-d", "2"]) == 0
     assert main(["baseline", "--model", str(model), "--input", str(curves),
                  "--calibration", str(curves), "--output", str(rep)]) == 0
@@ -788,7 +814,7 @@ def test_sample_times_may_pass_either_end_of_the_domain_by_1e_12_of_its_width(tm
 
     def write(name, times, curves):
         values = rng.standard_normal((times.size, curves))
-        _write_trajectory_csv(str(tmp_path / name), [f"c{j}" for j in range(curves)], times, values)
+        write_trajectories(str(tmp_path / name), [f"c{j}" for j in range(curves)], times, values)
         return str(tmp_path / name), values
 
     model = str(tmp_path / "model.txt")

@@ -1,5 +1,5 @@
 """The package's export list, the names the benchmark reaches, and the
-boundaries between its modules."""
+boundaries between its modules, the CSV format's among them."""
 
 import ast
 import importlib
@@ -112,3 +112,32 @@ def test_the_boundary_check_finds_a_private_reach_and_a_cycle(tmp_path):
     assert boundary_faults(tmp_path) == (["a -> b._y", "a -> c._x"], None)
     (tmp_path / "c.py").write_text("from .a import f\n")
     assert boundary_faults(tmp_path)[1] == ["a", "b", "c", "a"]
+
+
+def csv_format_faults(src):
+    """The modules ``src/*.py`` of one package, other than ``csvfile``, that
+    import the csv module or name ``loadtxt``: the CSV format and numpy's
+    text reader belong to ``csvfile`` alone."""
+    def knows_csv(node):
+        if isinstance(node, ast.Import):
+            return any(a.name == "csv" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 and node.module == "csv"
+        return (isinstance(node, ast.Attribute) and node.attr == "loadtxt"
+                or isinstance(node, ast.Name) and node.id == "loadtxt")
+
+    return [p.stem for p in sorted(Path(src).glob("*.py")) if p.stem != "csvfile"
+            and any(map(knows_csv, ast.walk(ast.parse(p.read_text(encoding="utf-8")))))]
+
+
+def test_only_csvfile_imports_csv_or_calls_loadtxt():
+    assert csv_format_faults(Path(trajcf.__file__).parent) == []
+
+
+def test_the_csv_check_finds_csv_imports_and_loadtxt_calls(tmp_path):
+    (tmp_path / "csvfile.py").write_text("import csv\nimport numpy as np\n\nT = np.loadtxt([])\n")
+    (tmp_path / "a.py").write_text("import csv as c\n")
+    (tmp_path / "b.py").write_text("import numpy as np\n\n\ndef f(x):\n    return np.loadtxt(x)\n")
+    (tmp_path / "c.py").write_text("from csv import reader\n")
+    (tmp_path / "d.py").write_text("from . import csvfile\n\n\ndef f(x):\n    return csvfile.float_table(x)\n")
+    assert csv_format_faults(tmp_path) == ["a", "b", "c"]

@@ -1,6 +1,6 @@
 """Numeric text to arrays: numpy's C reader against the per-cell parse.
 
-`cli._read_input` and `model.load` parse with `np.loadtxt` and fall back to
+`csvfile.read_input` and `model.load` parse with `np.loadtxt` and fall back to
 one Python ``float`` per cell wherever that reader declines.  These tests
 generate inputs, clean and dirty, and check that both routes give the same
 ids and the same value bits, or the same error message.
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_same_text, load_both_ways
-from trajcf import cli, model as model_mod, modelfile
+from trajcf import csvfile, model as model_mod, modelfile
 from trajcf.errors import InputError, TrajcfError
 from trajcf.model import TrajectoryDataset, dumps, fit, load
 
@@ -96,14 +96,14 @@ def _same_parse(got, want) -> bool:
 def test_csv_reader_matches_the_per_cell_parse(tmp_path, text):
     path = tmp_path / "input.csv"
     path.write_bytes(text.encode("utf-8"))
-    got = _outcome(cli._read_input, str(path))
-    want = _outcome(cli._parse_cells, str(path), text)
+    got = _outcome(csvfile.read_input, str(path))
+    want = _outcome(csvfile._parse_cells, str(path), text)
     assert _same_parse(got, want), (got, want)
     # the per-cell parse reads the text as csv read the file before
     with open(path, newline="", encoding="utf-8") as fh:
         from_file = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if from_file:
-        assert cli._read_rows(str(path), text) == from_file
+        assert csvfile._read_rows(str(path), text) == from_file
 
 
 @pytest.mark.parametrize("text", [
@@ -116,9 +116,9 @@ def test_csv_reader_matches_the_per_cell_parse(tmp_path, text):
 def test_well_formed_files_take_the_c_reader(tmp_path, text):
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8")
-    parsed = cli._parse_table(str(path), text)
+    parsed = csvfile._parse_table(str(path), text)
     assert parsed is not None
-    assert _same_parse(("ok", parsed), _outcome(cli._parse_cells, str(path), text))
+    assert _same_parse(("ok", parsed), _outcome(csvfile._parse_cells, str(path), text))
 
 
 @pytest.mark.parametrize("text", [
@@ -133,9 +133,9 @@ def test_well_formed_files_take_the_c_reader(tmp_path, text):
 def test_files_the_c_reader_declines_fall_back(tmp_path, text):
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    assert cli._parse_table(str(path), text) is None
-    assert _same_parse(_outcome(cli._read_input, str(path)),
-                       _outcome(cli._parse_cells, str(path), text))
+    assert csvfile._parse_table(str(path), text) is None
+    assert _same_parse(_outcome(csvfile.read_input, str(path)),
+                       _outcome(csvfile._parse_cells, str(path), text))
 
 
 LAYOUT_RULE_BREAKS = {
@@ -153,8 +153,8 @@ def test_a_layout_rule_gives_one_message_by_either_route(tmp_path, text, ending)
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8", newline="")
     want = ("InputError", f"{path}: {message}")
-    assert _outcome(cli._parse_table, str(path), text) == want
-    assert _outcome(cli._parse_cells, str(path), text) == want
+    assert _outcome(csvfile._parse_table, str(path), text) == want
+    assert _outcome(csvfile._parse_cells, str(path), text) == want
 
 
 @pytest.mark.parametrize("excess", [-1, 0, 1])
@@ -166,10 +166,10 @@ def test_a_cell_at_the_csv_field_limit(tmp_path, layout, excess):
             else f"t,{long_id}\n-1,0\n1,1\n")
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8")
-    got = _outcome(cli._read_input, str(path))
-    assert _same_parse(got, _outcome(cli._parse_cells, str(path), text))
+    got = _outcome(csvfile.read_input, str(path))
+    assert _same_parse(got, _outcome(csvfile._parse_cells, str(path), text))
     # the C reader takes cells below the limit; csv takes one at the limit
-    assert (cli._parse_table(str(path), text) is not None) == (excess < 0)
+    assert (csvfile._parse_table(str(path), text) is not None) == (excess < 0)
     if excess > 0:
         assert got == ("InputError", f"{path}: field larger than field limit ({limit})")
     else:
@@ -232,7 +232,7 @@ def _same_model(got, want) -> bool:
 def test_model_matrix_reader_matches_the_per_cell_parse(text):
     got = _outcome(_load_factored, io.StringIO(text))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modelfile, "float_table", lambda *args, **kwargs: None)
+        mp.setattr(csvfile, "float_table", lambda *args, **kwargs: None)
         want = _outcome(_load_factored, io.StringIO(text))
     assert _same_model(got, want), (got, want)
 
@@ -248,7 +248,7 @@ def test_streaming_load_matches_the_all_lines_reader(tmp_path, text, as_file):
 
 def test_a_saved_model_takes_the_c_reader():
     rows = BASE_MODEL.splitlines()[:-1]
-    S = modelfile.float_table(rows[rows.index("S") + 1:])
+    S = csvfile.float_table(rows[rows.index("S") + 1:])
     assert S is not None and S.shape == (3, 3)
     assert _bits(S) == _bits(load(io.StringIO(BASE_MODEL)).moment_sum)
 

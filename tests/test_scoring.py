@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from trajcf.csvfile import csv_cell
 from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, cd_values, christoffel_value, fit
 from trajcf.projection import (
@@ -19,7 +20,6 @@ from trajcf.scoring import (
     Threshold,
     calibrate,
     classify,
-    csv_cell,
     nearest_distances,
     nearest_rank,
     nearest_rank_quantile,
