@@ -137,12 +137,26 @@ def _domain_arg(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"domain must be numeric lo:hi, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"domain needs finite lo and hi, got {text!r}")
     try:
         return check_domain((lo, hi))
     except DomainWidthError:
         raise argparse.ArgumentTypeError(f"domain needs a finite width 2 * (hi - lo), got {text!r}")
     except InputError:
         raise argparse.ArgumentTypeError(f"domain needs lo < hi, got {text!r}")
+
+
+def _joined_domains(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--domain lo:hi`` whose lo starts with '-' joined
+    into ``--domain=lo:hi``: argparse reads such a value as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--domain" and arg.startswith("-") and ":" in arg:
+            out[-1] = f"--domain={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _header(command: str, pairs) -> None:
@@ -426,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_domains(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except InputError as exc:

@@ -48,11 +48,12 @@ Rows are never turned into one N x m monomial matrix.  `_moment_sum`
 rows at a time and adds that block's V^T V to S.  `_cd_rows` (every CD
 value) evaluates a chunk of whole CD_BLOCK_ROWS-row blocks at a time,
 about CD_CHUNK_FLOATS monomial values, so memory is O(m^2 + chunk * m)
-whatever N is.  The rows past the last whole block are padded with zero
-rows to CD_BLOCK_ROWS, so every product has one shape and a probe gets the
-same bits alone or in any batch.  The chunk meets W in panels of
-CD_PANEL_ROWS rows, W[s:e, :e], which skip W's zero upper triangle; each
-panel is one matmul over the chunk's stack of blocks.
+whatever N is.  A chunk's coefficient rows are padded with zero rows to
+whole blocks by `whole_blocks`, the helper that pads `project`'s curves,
+so every product has one shape and a probe gets the same bits alone or in
+any batch.  The chunk meets W in panels of CD_PANEL_ROWS rows, W[s:e, :e],
+which skip W's zero upper triangle; each panel is one matmul over the
+chunk's stack of blocks.
 
 The model file, its reader and its writer live in `modelfile`, and the
 dataset container in `dataset`.
@@ -72,7 +73,7 @@ from .basis import BasisEnumeration, enumerate_basis, eval_monomial_matrix
 from .dataset import TrajectoryDataset, read_only_array
 from .errors import InputError, MismatchError, NumericalError
 from .modelfile import PANEL_ROWS, dumps, load, save  # noqa: F401  (re-exported, see below)
-from .projection import check_domain, coeff_array
+from .projection import check_domain, coeff_array, whole_blocks
 
 # `TrajectoryDataset`, `load`, `save`, `dumps` and `PANEL_ROWS` stay names of
 # this module, where the benchmark and callers find them: perfbench's tracer
@@ -262,7 +263,8 @@ def _moment_sum(C: np.ndarray, basis: BasisEnumeration) -> np.ndarray:
 
 
 # Rows per block in `_cd_rows`, and rows per panel of W in `_cd_from_factor`.
-# Every block is padded to CD_BLOCK_ROWS rows, so its products have one shape.
+# Every block is padded to CD_BLOCK_ROWS rows (`whole_blocks`), so its
+# products have one shape.
 CD_BLOCK_ROWS = 256
 CD_PANEL_ROWS = 128
 
@@ -308,46 +310,32 @@ def _cd_from_factor(W: np.ndarray, Vt: np.ndarray, Ut: np.ndarray | None = None)
     return out
 
 
-def _block_stack(V: np.ndarray) -> np.ndarray:
-    """The monomial columns V, (m, k), as a (blocks, m, CD_BLOCK_ROWS)
-    stack: viewed without a copy when k is a multiple of CD_BLOCK_ROWS,
-    else (k < CD_BLOCK_ROWS) copied into one block padded with zero
-    columns."""
-    m, k = V.shape
-    Vt = V
-    if k < CD_BLOCK_ROWS:
-        Vt = np.zeros((m, CD_BLOCK_ROWS))
-        Vt[:, :k] = V
-    return Vt.reshape(m, -1, CD_BLOCK_ROWS).transpose(1, 0, 2)
+def _monomial_stack(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
+    """The monomials of the coefficient rows C, padded with zero rows to
+    whole blocks (`whole_blocks`), as a (blocks, m, CD_BLOCK_ROWS) stack:
+    the transpose of a C-ordered (m, rows) array, viewed without a copy.  A
+    pad row's monomials are (1, 0, ..., 0); its values are dropped, and no
+    other row's column of a product depends on it."""
+    V = eval_monomial_matrix(whole_blocks(C, CD_BLOCK_ROWS), model.basis).T
+    return V.reshape(V.shape[0], -1, CD_BLOCK_ROWS).transpose(1, 0, 2)
 
 
 def _cd_rows(model: ChristoffelModel, C: np.ndarray) -> np.ndarray:
     """`_cd_from_factor` of the model's monomial rows of the coefficient
-    rows C, evaluated a chunk of whole CD_BLOCK_ROWS-row blocks at a time.
-
-    A chunk's monomials come as the transpose of a C-ordered (m, rows)
-    array, which is viewed without a copy as a stack of (m, CD_BLOCK_ROWS)
-    blocks.  The rows past the last whole block are evaluated alone and
-    padded with zero columns to one block, so every product has one shape
-    and a row's value does not depend on the batch it came in.  A row whose
-    monomials overflowed (an inf or nan entry) scores inf: the diagonal of
-    W is nonzero, so the entry reaches its panel's product.
+    rows C, evaluated a chunk of whole CD_BLOCK_ROWS-row blocks at a time
+    (`_monomial_stack`), so a row's value does not depend on the batch it
+    came in.  A row whose monomials overflowed (an inf or nan entry) scores
+    inf: the diagonal of W is nonzero, so the entry reaches its panel's
+    product.
     """
     W = model.inverse_factor  # a loaded model factors here, before any block is allocated
-    m, N = W.shape[0], C.shape[0]
-    whole = N - N % CD_BLOCK_ROWS
-    step = CD_BLOCK_ROWS * max(1, CD_CHUNK_FLOATS // (CD_BLOCK_ROWS * m))
-    edges = sorted({*range(0, whole, step), whole, N})
-    out = np.empty(N)
+    step = CD_BLOCK_ROWS * max(1, CD_CHUNK_FLOATS // (CD_BLOCK_ROWS * W.shape[0]))
+    out = np.empty(C.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # inf is a valid verdict
-        for start, stop in zip(edges, edges[1:]):
-            k = stop - start
-            # V outlives its padded copy, as in a loop of single blocks: at
-            # m = 1287 (one block per chunk) freeing it first raised the
-            # benchmark's peak RSS by up to 8 MB through heap layout alone.
-            V = eval_monomial_matrix(C[start:stop], model.basis).T
-            Vt = _block_stack(V)
-            out[start:stop] = _cd_from_factor(W, Vt).ravel()[:k]
+        for start in range(0, C.shape[0], step):
+            rows = C[start:start + step]
+            Vt = _monomial_stack(model, rows)
+            out[start:start + len(rows)] = _cd_from_factor(W, Vt).ravel()[:len(rows)]
     # An overflowed row sums to inf, or to nan where an inf meets a zero of W
     # or an opposite inf; a finite row whose product overflows can give nan too.
     out[np.isnan(out)] = np.inf
@@ -524,9 +512,8 @@ def reciprocal(cd):
 
 
 def _probe_stack(model: ChristoffelModel, c) -> np.ndarray:
-    """The monomials of one probe as `_cd_rows` stacks them: one block,
-    padded with zero columns."""
-    return _block_stack(eval_monomial_matrix(model._probe_rows(coeff_array(c)), model.basis).T)
+    """The monomials of one probe as `_cd_rows` stacks them: one padded block."""
+    return _monomial_stack(model, model._probe_rows(coeff_array(c)))
 
 
 def kernel(model: ChristoffelModel, c1, c2) -> float:

@@ -30,10 +30,24 @@ from .errors import InputError
 # default M = max(256, 8n) and downstream basis sizes desk-scale.
 MAX_HARMONIC = 4096
 
-# Curves per block in `project`.  Every block is padded to this many curves,
-# so its product with the operator has one shape and a curve gets the same
-# bits alone or in any batch.
+# Curves per block in `project`.  Every block is padded to this many curves
+# (`whole_blocks`), so its product with the operator has one shape and a
+# curve gets the same bits alone or in any batch.
 PROJECT_BLOCK_CURVES = 256
+
+
+def whole_blocks(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` with zero rows appended up to a whole number of ``size``-row
+    blocks (``rows`` itself if it has one), so a row's block has one shape
+    and the row the same bits in any batch.  The pad keeps the memory order
+    of ``rows``: a pad with other strides than a whole block can change a
+    product's last bits."""
+    k = rows.shape[0]
+    if k % size == 0:
+        return rows
+    padded = np.zeros_like(rows, shape=(k - k % size + size, *rows.shape[1:]))
+    padded[:k] = rows
+    return padded
 
 
 def default_quad_points(n: int) -> int:
@@ -260,7 +274,7 @@ def project(times, values, n: int, quad_points: int | None = None,
         Row k holds curve k's coefficients: entry 1 is the quadrature mean
         of f, entry k >= 2 is (sqrt(2)/M) * sum_j f(t_j) T_{k-1}(t_j).  One
         (n x T) operator is applied to blocks of PROJECT_BLOCK_CURVES
-        columns, the last padded with zero columns, so a curve's row does
+        curves, the last padded by `whole_blocks`, so a curve's row does
         not depend on the batch it came in.
     """
     M = quad_point_count(n, quad_points)
@@ -272,15 +286,11 @@ def project(times, values, n: int, quad_points: int | None = None,
         return np.empty((0, int(n)))
     domain = check_samples(t, V, domain, ids)
     A = _projection_operator(unit_times(t, domain), int(n), M).T
-    K = V.shape[1]
-    out = np.empty((K, int(n)))
-    for start in range(0, K, PROJECT_BLOCK_CURVES):
-        block = V[:, start:start + PROJECT_BLOCK_CURVES]
-        k = block.shape[1]
-        if k < PROJECT_BLOCK_CURVES:  # the curves past the last whole block
-            block = np.zeros((t.size, PROJECT_BLOCK_CURVES))
-            block[:, :k] = V[:, start:]
-        out[start:start + k] = (block.T @ A)[:k]
+    out = np.empty((V.shape[1], int(n)))
+    for start in range(0, V.shape[1], PROJECT_BLOCK_CURVES):
+        curves = V.T[start:start + PROJECT_BLOCK_CURVES]
+        block = whole_blocks(curves, PROJECT_BLOCK_CURVES)
+        out[start:start + len(curves)] = (block @ A)[:len(curves)]
     return out
 
 

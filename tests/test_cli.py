@@ -13,7 +13,7 @@ from helpers import assert_same_text
 from trajcf.cli import _write_histogram, main
 from trajcf.csvfile import CSV_BLOCK_ROWS, write_trajectories, write_wide
 from trajcf.errors import InputError
-from trajcf.model import cd_value, cd_values, load
+from trajcf.model import CD_BLOCK_ROWS, cd_value, cd_values, load
 from trajcf.projection import project
 from trajcf.synth import generate_example1
 
@@ -301,6 +301,38 @@ def test_a_domain_whose_width_overflows_is_refused(ws, tmp_path, capsys, command
     err = capsys.readouterr().err
     assert "domain needs a finite width 2 * (hi - lo), got '-1e308:1e308'" in err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("domain", ["-inf:1", "0:inf", "1:nan", "1:0"])
+@pytest.mark.parametrize("command", ["fit", "score"])
+def test_a_domain_with_an_end_that_is_not_finite_is_named_so(
+        ws, tmp_path, capsys, command, domain):
+    # -inf < 1, yet "-inf:1" was refused as "domain needs lo < hi"
+    argv = {"fit": ["fit", "--input", ws["data"], "--output", str(tmp_path / "m.txt")],
+            "score": ["score", "--model", ws["model"], "--input", ws["outlier"]]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--domain={domain}"])
+    assert exc.value.code == 2
+    need = "lo < hi" if domain == "1:0" else "finite lo and hi"
+    assert f"domain needs {need}, got {domain!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("domain", ["-1:1", "-2.5:3", "printed by info"])
+def test_a_domain_with_a_negative_lower_end_is_a_separate_value(ws, tmp_path, capsys, domain):
+    # argparse takes "-1:1" for an option, so "--domain -1:1" exited 2 with
+    # "expected one argument" and only "--domain=-1:1" parsed
+    if domain == "printed by info":
+        assert main(["info", "--model", ws["model"]]) == 0
+        domain = next(ln.split()[1] for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("domain "))
+        assert domain == "-1:1"
+    model = tmp_path / "m.txt"
+    assert main(["fit", "--input", ws["curves"], "--output", str(model),
+                 "--degree-d", "2", "--degree-n", "2", "--domain", domain]) == 0
+    assert f"domain={domain}" in capsys.readouterr().out
+    assert main(["score", "--model", str(model), "--input", ws["curves"],
+                 "--output", str(tmp_path / "r.csv"), "--domain", domain]) == 0
 
 
 # --- score -----------------------------------------------------------------------
@@ -871,7 +903,8 @@ def test_scoring_evaluates_monomials_once_per_stage_whatever_the_probe_count(
         assert main(["score", "--model", ws["model"], "--input", str(src),
                      "--calibration", ws["data"], "--output", str(tmp_path / "r.csv")]) == 0
         counts.append(len(calls))
-        assert k in calls
+        # the calibration rows and the k probes, each padded to one block
+        assert calls == [CD_BLOCK_ROWS, CD_BLOCK_ROWS]
     assert counts[0] == counts[1]
 
 

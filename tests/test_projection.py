@@ -8,6 +8,7 @@ from numpy.polynomial import chebyshev as cheb
 from trajcf.errors import InputError
 from trajcf.model import TrajectoryDataset, cd_value, fit
 from trajcf.projection import (
+    PROJECT_BLOCK_CURVES,
     DomainWidthError,
     SampledTrajectory,
     check_domain,
@@ -246,19 +247,22 @@ def test_shared_grid_projection_equals_per_curve_project(domain):
     lo, hi = domain
     rng = np.random.default_rng(3)
     times = np.sort(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.1 * (hi - lo), 41))
-    values = rng.normal(size=(41, 12))
-    ids = [f"c{k}" for k in range(12)]
-    C = project(times, values, 6, None, domain, ids=ids)
-    assert C.shape == (12, 6)
     nodes = chebyshev_quadrature_nodes(256)
-    E = cheb.chebvander(nodes, 5)
-    E[:, 1:] *= math.sqrt(2.0)
-    for k in range(12):
-        traj = SampledTrajectory(times=times, values=values[:, k], id=ids[k], domain=domain)
-        assert C[k].tobytes() == _project_one(traj, 6).tobytes()  # the same bits alone
-        t = unit_times(traj.times, traj.domain)
-        direct = E.T @ np.interp(nodes, t, values[:, k]) / 256
-        np.testing.assert_allclose(C[k], direct, rtol=0, atol=1e-14)
+    # 2 * 256 + 3 curves fill two whole blocks and pad a third; at n = 4 a pad
+    # in another memory order than the whole blocks changes the last bits
+    for count, n in ((12, 6), (2 * PROJECT_BLOCK_CURVES + 3, 4)):
+        values = rng.normal(size=(41, count))
+        ids = [f"c{k}" for k in range(count)]
+        C = project(times, values, n, None, domain, ids=ids)
+        assert C.shape == (count, n)
+        E = cheb.chebvander(nodes, n - 1)
+        E[:, 1:] *= math.sqrt(2.0)
+        for k in range(count):
+            traj = SampledTrajectory(times=times, values=values[:, k], id=ids[k], domain=domain)
+            assert C[k].tobytes() == _project_one(traj, n).tobytes()  # the same bits alone
+            t = unit_times(traj.times, traj.domain)
+            direct = E.T @ np.interp(nodes, t, values[:, k]) / 256
+            np.testing.assert_allclose(C[k], direct, rtol=0, atol=1e-14)
 
 
 def test_shared_grid_projection_names_a_curve_with_non_finite_samples():
